@@ -365,6 +365,8 @@ def estimate_variance_series(spec: MeasureSpec, n_lag_max: int, replicas: int,
                              envelope: tuple[float, float] | None = None,
                              ) -> SeriesVariance:
     """Monte Carlo for the stationary-increment autocovariance series."""
+    if n_lag_max < 1:
+        raise ValueError(f"n_lag_max must be >= 1, got {n_lag_max}")
     w0, _, _ = backward_invariant_batch(spec, seed, w0_tol, replicas)
     stream = rngmod.derived_stream(seed, 0x5E)
     x = w0.copy()
@@ -396,6 +398,22 @@ def estimate_variance_series(spec: MeasureSpec, n_lag_max: int, replicas: int,
 # ---------------------------------------------------------------------
 
 
+def _inner_increments(spec: MeasureSpec, rng: np.random.Generator,
+                      pts: np.ndarray, m: int, levels: int):
+    """Yield the (m, b) log increments of m inner paths from each of the
+    b rows of ``pts``, one level and one draw batch at a time.
+
+    The single-path outer loops keep einsum: at b=1 matmul is slower
+    (R=4096, d=2, 2-vCPU Xeon: 0.39 ms per step against 0.25 ms).
+    """
+    x = np.broadcast_to(pts, (m,) + pts.shape)
+    for _ in range(levels):
+        x = np.matmul(x, sample_batch(spec, rng, m).swapaxes(1, 2))
+        norms = sum((x[..., j] for j in range(1, spec.d)), x[..., 0])
+        x /= norms[..., None]
+        yield np.log(norms)
+
+
 @dataclass
 class PsiEstimate:
     """Truncated corrector sum psi_hat(x) = sum_{level<=N} (mean increment - lam).
@@ -417,16 +435,9 @@ class PsiEstimate:
     def evaluate(self, points, rng: np.random.Generator):
         """psi_hat at each row of ``points``; returns (values, mc_variance)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        b = pts.shape[0]
         m = self.inner_size
-        x = np.broadcast_to(pts, (m, b, pts.shape[1])).copy()
-        total = np.zeros((m, b))
-        for _ in range(self.truncation):
-            mats = sample_batch(self.spec, rng, m)
-            img = np.einsum("mij,mbj->mbi", mats, x)
-            norms = img.sum(axis=2)
-            total += np.log(norms)
-            x = img / norms[:, :, None]
+        total = sum(_inner_increments(self.spec, rng, pts, m, self.truncation),
+                    np.zeros((m, len(pts))))
         values = total.mean(axis=0) - self.truncation * self.lambda_hat
         mc_var = total.var(axis=0, ddof=1) / m
         return values, mc_var
@@ -441,22 +452,18 @@ def estimate_psi(spec: MeasureSpec, truncation: int, inner_size: int,
     mean increment from lambda_hat, maximized over a few probe points so
     it dominates the contributions uniformly.
     """
+    if truncation < 1:
+        raise ValueError(f"truncation must be >= 1, got {truncation}")
+    if inner_size < 2:
+        raise ValueError(f"inner_size must be >= 2, got {inner_size}")
     stream = rngmod.derived_stream(seed, 0x51)
     d = spec.d
     probes = [barycenter(d).coords]
     for _ in range(fit_points - 1):
         probes.append(stream.dirichlet(np.ones(d)))
-    pts = np.stack(probes)
-    m = inner_size
-    x = np.broadcast_to(pts, (m, pts.shape[0], d)).copy()
-    contributions = []
-    for _ in range(truncation):
-        mats = sample_batch(spec, stream, m)
-        img = np.einsum("mij,mbj->mbi", mats, x)
-        norms = img.sum(axis=2)
-        inc = np.log(norms)
-        contributions.append(float(np.max(np.abs(inc.mean(axis=0) - lambda_hat))))
-        x = img / norms[:, :, None]
+    contributions = [float(np.max(np.abs(inc.mean(axis=0) - lambda_hat)))
+                     for inc in _inner_increments(spec, stream, np.stack(probes),
+                                                  inner_size, truncation)]
     levels = np.arange(1, truncation + 1)
     amp, rate = fit_geometric_envelope(levels, contributions)
     return PsiEstimate(spec=spec, truncation=truncation, inner_size=inner_size,
@@ -491,6 +498,10 @@ def variance_via_martingale(spec: MeasureSpec, psi: PsiEstimate, n: int,
                             replicas: int, lambda_hat: float, seed: int = 0,
                             w0_tol: float = 1e-8) -> MartingaleVariance:
     """Variance via the corrected increments D_k along stationary paths."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    if replicas < 2:
+        raise ValueError(f"replicas must be >= 2, got {replicas}")
     w0, _, _ = backward_invariant_batch(spec, seed, w0_tol, replicas)
     stream = rngmod.derived_stream(seed, 0x3A)
     x = w0.copy()

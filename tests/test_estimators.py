@@ -9,7 +9,7 @@ from conewalk.estimators import (BatchedProducts, aperiodicity_report,
                                  fit_geometric_envelope, envelope_tail,
                                  invariant_regularity, moment_sanity,
                                  variance_via_martingale)
-from conewalk.measures import MeasureSpec
+from conewalk.measures import MeasureSpec, sample_batch
 from conewalk.posmat import AllowableMatrix, gauges, perron_vector, spectral_radius
 from conewalk.simplex import barycenter, contraction_coefficient
 
@@ -108,8 +108,84 @@ class TestVarianceRoutes:
         series = estimate_variance_series(SINGLE, 8, 20, lam, seed=13, w0_tol=1e-10)
         assert abs(series.estimate.value) <= 1e-12
 
+    def test_series_rejects_empty_lag_window(self):
+        with pytest.raises(ValueError, match="n_lag_max"):
+            estimate_variance_series(SINGLE, 0, 20, 0.0, envelope=(1.0, 0.5))
+
+
+def _einsum_inner_paths(spec, rng, pts, m, levels):
+    """The per-level (m, b) log increments, as the einsum loop computed them."""
+    x = np.broadcast_to(pts, (m, pts.shape[0], pts.shape[1])).copy()
+    out = []
+    for _ in range(levels):
+        mats = sample_batch(spec, rng, m)
+        img = np.einsum("mij,mbj->mbi", mats, x)
+        norms = img.sum(axis=2)
+        out.append(np.log(norms))
+        x = img / norms[:, :, None]
+    return out
+
+
+def _state(gen):
+    return repr(gen.bit_generator.state)
+
+
+class TestPsiKernel:
+    LAM, LEVELS, INNER = 0.4, 6, 16
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    @pytest.mark.parametrize("b", [1, 8])
+    def test_evaluate_matches_einsum_reference(self, d, b):
+        spec = MeasureSpec.parametric("lognormal", d, mu=0.0, sigma=1.0)
+        psi = estimate_psi(spec, self.LEVELS, self.INNER, self.LAM, seed=40)
+        pts = np.random.default_rng(41).dirichlet(np.ones(d), size=b)
+        rng, ref_rng = rngmod.derived_stream(42, d, b), rngmod.derived_stream(42, d, b)
+        values, mc_var = psi.evaluate(pts, rng)
+        total = sum(_einsum_inner_paths(spec, ref_rng, pts, self.INNER, self.LEVELS))
+        assert np.allclose(values, total.mean(axis=0) - self.LEVELS * self.LAM,
+                           rtol=0, atol=1e-13)
+        assert np.allclose(mc_var, total.var(axis=0, ddof=1) / self.INNER,
+                           rtol=0, atol=1e-13)
+        assert _state(rng) == _state(ref_rng)
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    @pytest.mark.parametrize("b", [1, 8])
+    def test_fit_matches_einsum_reference(self, d, b, monkeypatch):
+        spec = MeasureSpec.parametric("lognormal", d, mu=0.0, sigma=1.0)
+        streams = []
+        derive = rngmod.derived_stream
+
+        def recording_derive(*key):
+            streams.append(derive(*key))
+            return streams[-1]
+
+        monkeypatch.setattr(rngmod, "derived_stream", recording_derive)
+        psi = estimate_psi(spec, self.LEVELS, self.INNER, self.LAM, seed=43,
+                           fit_points=b)
+        ref_rng = derive(43, 0x51)
+        probes = [np.full(d, 1.0 / d)]
+        probes += [ref_rng.dirichlet(np.ones(d)) for _ in range(b - 1)]
+        incs = _einsum_inner_paths(spec, ref_rng, np.stack(probes), self.INNER,
+                                   self.LEVELS)
+        ref = [np.max(np.abs(inc.mean(axis=0) - self.LAM)) for inc in incs]
+        assert np.allclose(psi.level_contributions, ref, rtol=0, atol=1e-13)
+        assert [_state(s) for s in streams] == [_state(ref_rng)]
+
+    def test_psi_rejects_degenerate_sizes(self):
+        with pytest.raises(ValueError, match="inner_size"):
+            estimate_psi(SINGLE, 4, 1, 0.0)
+        with pytest.raises(ValueError, match="truncation"):
+            estimate_psi(SINGLE, 0, 16, 0.0)
+
 
 class TestMartingaleRoute:
+    def test_rejects_too_short_or_too_few_paths(self):
+        psi = estimate_psi(SINGLE, 2, 4, 0.0, seed=44)
+        with pytest.raises(ValueError, match="n must"):
+            variance_via_martingale(SINGLE, psi, 1, 8, 0.0)
+        with pytest.raises(ValueError, match="replicas"):
+            variance_via_martingale(SINGLE, psi, 16, 1, 0.0)
+
     def test_single_atom_differences_vanish(self):
         lam = float(np.log(spectral_radius(G1)))
         psi = estimate_psi(SINGLE, 6, 16, lam, seed=14)
