@@ -13,8 +13,7 @@ from .posmat import (AllowableMatrix, MatrixGauges, gauges, act, cocycle,
                      spectral_radius, perron_vector, classify_G_delta,
                      classify_G_C_gamma, g_delta_level)
 from .measures import MeasureSpec, sample_matrix
-from .walk import (ProductState, StepRecord, ForwardWalk, forward_stream,
-                   InvariantSample, backward_invariant_sample,
+from .walk import (InvariantSample, backward_invariant_sample,
                    backward_invariant_batch, detect_contraction, hitting_time)
 from .cones import (ConeModel, ConeVector, OrthantCone, LorentzCone, PsdCone,
                     orthant_cone, lorentz_cone, psd_cone)
@@ -28,7 +27,6 @@ __all__ = [
     "spectral_radius", "perron_vector", "classify_G_delta",
     "classify_G_C_gamma", "g_delta_level",
     "MeasureSpec", "sample_matrix",
-    "ProductState", "StepRecord", "ForwardWalk", "forward_stream",
     "InvariantSample", "backward_invariant_sample", "backward_invariant_batch",
     "detect_contraction", "hitting_time",
     "ConeModel", "ConeVector", "OrthantCone", "LorentzCone", "PsdCone",

@@ -16,8 +16,8 @@ import numpy as np
 from . import rng as rngmod
 from .measures import MeasureSpec, sample_batch
 from .posmat import AllowableMatrix, spectral_radius
-from .simplex import barycenter, point_coords
-from .walk import _batch_contraction, backward_invariant_batch, detect_contraction
+from .simplex import barycenter, contraction_coefficient, point_coords
+from .walk import backward_invariant_batch, detect_contraction
 
 __all__ = [
     "EstimateWithError",
@@ -230,6 +230,8 @@ def coupling_decay(spec: MeasureSpec, p: float, n_grid, replicas: int,
     grid = sorted(int(n) for n in n_grid)
     if grid[0] < 1:
         raise ValueError("grid steps must be >= 1")
+    if block_len < 1:
+        raise ValueError("block_len must be at least 1")
     n_max = grid[-1]
     batch = BatchedProducts(spec, seed, replicas)
     d = spec.d
@@ -237,7 +239,6 @@ def coupling_decay(spec: MeasureSpec, p: float, n_grid, replicas: int,
     max_violation = None
     cert = np.ones(replicas)
     blk = np.broadcast_to(np.eye(d), (replicas, d, d)).copy()
-    blk_len = 0
     prev_log_cs = batch.log_scale[:, None] + np.log(batch.column_sums())
     for n in range(1, n_max + 1):
         cert_before = cert.copy()
@@ -256,11 +257,10 @@ def coupling_decay(spec: MeasureSpec, p: float, n_grid, replicas: int,
             excess = float(np.max(spread - bound))
             max_violation = excess if max_violation is None else max(max_violation, excess)
             blk = np.matmul(mats, blk)
-            blk_len += 1
-            if blk_len == block_len:
-                cert *= _batch_contraction(blk)
-                blk = np.broadcast_to(np.eye(d), (replicas, d, d)).copy()
-                blk_len = 0
+            blk /= blk.reshape(replicas, -1).max(axis=1)[:, None, None]
+            if n % block_len == 0:
+                cert *= contraction_coefficient(blk)
+                blk[:] = np.eye(d)
     vals = tuple(values[n] for n in grid)
     a_hat, r2 = _fit_rate(grid, vals)
     return CouplingCurve(p=float(p), n_grid=tuple(grid), values=vals,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -118,11 +119,20 @@ class MeasureSpec:
         return replace(self, transpose_view=not self.transpose_view)
 
     def atom_array(self) -> np.ndarray:
-        """Stacked (k, d, d) atom entries, transposed when the view says so."""
+        """Stacked (k, d, d) atom entries, transposed when the view says so.
+
+        Built once per spec and read-only.
+        """
         if self.kind != "atomic":
             raise ValueError("atom_array is only defined for atomic specs")
-        stack = np.stack([a.entries for a in self.atoms])
-        return np.ascontiguousarray(stack.transpose(0, 2, 1)) if self.transpose_view else stack
+        return self._atom_stack
+
+    @cached_property
+    def _atom_stack(self) -> np.ndarray:
+        stack = np.stack([a.entries.T if self.transpose_view else a.entries
+                          for a in self.atoms])
+        stack.flags.writeable = False
+        return stack
 
     # -- serialization -------------------------------------------------
 

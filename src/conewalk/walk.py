@@ -1,12 +1,11 @@
-"""Streaming random matrix products with overflow-free bookkeeping.
+"""Backward matrix products, the invariant measure and contraction search.
 
-Forward products multiply new draws on the left (A_n = Y_n ... Y_1) and
-drive the limit theorems; backward products multiply on the right
-(B_n = Y_1 ... Y_n) and converge projectively, which is how the
-invariant measure is sampled.  The two orders are deliberately separate
-APIs.  After every multiplication the running product is renormalized
-by its operator norm and the log scale accumulated, so products of any
-length stay inside floating-point range.
+Backward products multiply new draws on the right (B_n = Y_1 ... Y_n)
+and converge projectively, which is how the invariant measure is
+sampled; forward products, which drive the limit theorems, are batched
+in ``estimators.BatchedProducts``.  After every multiplication the
+running product is renormalized by its operator norm, so products of
+any length stay inside floating-point range.
 """
 
 from __future__ import annotations
@@ -21,10 +20,6 @@ from .posmat import AllowableMatrix
 from .simplex import SimplexPoint, barycenter, contraction_coefficient, point_coords
 
 __all__ = [
-    "ProductState",
-    "StepRecord",
-    "ForwardWalk",
-    "forward_stream",
     "InvariantSample",
     "backward_invariant_sample",
     "backward_invariant_batch",
@@ -39,133 +34,6 @@ STEP_CAP = 10**6
 
 class ContractionFailure(RuntimeError):
     """The running contraction bound refused to reach the target."""
-
-
-@dataclass(frozen=True)
-class ProductState:
-    """Snapshot of a running product A_n = exp(log_scale) * normalized.
-
-    ``normalized`` has operator norm 1, so log |A_n| = log_scale and
-    log v(A_n) = log_scale + log(min column sum of normalized).
-    ``running_contraction_log`` is the log of the product of per-block
-    contraction coefficients, an upper bound for log c(A_n).
-    """
-
-    normalized: AllowableMatrix
-    log_scale: float
-    n: int
-    running_contraction_log: float
-
-    @property
-    def log_norm(self) -> float:
-        return self.log_scale + float(np.log(self.normalized.column_sums.max()))
-
-    @property
-    def log_v(self) -> float:
-        return self.log_scale + float(np.log(self.normalized.column_sums.min()))
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """Per-step functionals of the forward product, per tracked start."""
-
-    n: int
-    sigma_x: tuple[float, ...]
-    log_norm: float
-    log_v: float
-    log_kappa: float | None
-    direction: tuple[SimplexPoint, ...]
-    increment: tuple[float, ...]
-
-
-class ForwardWalk:
-    """Sequential forward product stream for one replica.
-
-    Draws come from the stream keyed by (seed, replica), so any number
-    of replicas may run concurrently with bit-identical results.
-    """
-
-    def __init__(self, spec: MeasureSpec, seed: int, tracked_starts,
-                 track_kappa: bool = False, contraction_block: int = 1,
-                 replica: int = 0):
-        if not tracked_starts:
-            raise ValueError("need at least one tracked start")
-        self.spec = spec
-        self.rng = rngmod.replica_stream(seed, replica)
-        self.starts = [point_coords(x).copy() for x in tracked_starts]
-        self.track_kappa = track_kappa
-        self.block = max(int(contraction_block), 1)
-        d = spec.d
-        self._P = np.eye(d)
-        self._log_scale = 0.0
-        self._n = 0
-        self._rcl = 0.0
-        self._blk = np.eye(d)
-        self._blk_len = 0
-        self._dirs = [s / s.sum() for s in self.starts]
-
-    # -- state ---------------------------------------------------------
-
-    @property
-    def state(self) -> ProductState:
-        return ProductState(normalized=AllowableMatrix(self._P),
-                            log_scale=self._log_scale, n=self._n,
-                            running_contraction_log=self._rcl)
-
-    # -- stepping ------------------------------------------------------
-
-    def advance(self) -> StepRecord:
-        y = sample_matrix(self.spec, self.rng).entries
-        increments = []
-        new_dirs = []
-        for x in self._dirs:
-            img = y @ x
-            norm = img.sum()
-            increments.append(float(np.log(norm)))
-            new_dirs.append(img / norm)
-        self._dirs = new_dirs
-
-        m = y @ self._P
-        scale = m.sum(axis=0).max()
-        self._P = m / scale
-        self._log_scale += float(np.log(scale))
-        self._n += 1
-
-        # contraction bookkeeping over blocks of draws
-        blk = y @ self._blk
-        self._blk = blk / blk.max()
-        self._blk_len += 1
-        if self._blk_len == self.block:
-            self._rcl += float(np.log(max(contraction_coefficient(self._blk), 1e-300)))
-            self._blk = np.eye(self.spec.d)
-            self._blk_len = 0
-
-        cs = self._P.sum(axis=0)
-        log_norm = self._log_scale + float(np.log(cs.max()))
-        log_v = self._log_scale + float(np.log(cs.min()))
-        sigma = tuple(self._log_scale + float(np.log((self._P @ s).sum()))
-                      for s in self.starts)
-        log_kappa = None
-        if self.track_kappa:
-            from .posmat import spectral_radius
-            log_kappa = self._log_scale + float(np.log(spectral_radius(
-                AllowableMatrix(self._P))))
-        return StepRecord(n=self._n, sigma_x=sigma, log_norm=log_norm,
-                          log_v=log_v, log_kappa=log_kappa,
-                          direction=tuple(SimplexPoint(dv) for dv in self._dirs),
-                          increment=tuple(increments))
-
-
-def forward_stream(spec: MeasureSpec, seed: int, n_max: int, tracked_starts,
-                   track_kappa: bool = False, contraction_block: int = 1,
-                   replica: int = 0):
-    """Yield StepRecord for steps 1..n_max of one replica."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    walk = ForwardWalk(spec, seed, tracked_starts, track_kappa,
-                       contraction_block, replica)
-    for _ in range(n_max):
-        yield walk.advance()
 
 
 # ---------------------------------------------------------------------
@@ -206,61 +74,77 @@ def default_block_len(spec: MeasureSpec, seed: int = 0) -> int:
     return found.r
 
 
+def _backward_products(spec: MeasureSpec, seed: int, stream: np.random.Generator,
+                       tol: float, n_paths: int, start, block_len: int | None,
+                       step_cap: int):
+    """Run n_paths backward products until each certificate reaches tol.
+
+    Each step draws all n_paths matrices in one ``sample_batch`` call, so
+    a path's draws do not depend on when the others finish; finished paths
+    leave the working arrays.  Returns (points (R, d), certificates (R,),
+    steps (R,)).
+    """
+    if not 0 < tol <= 1:
+        raise ValueError("tol must lie in (0, 1]")
+    x0 = point_coords(start) if start is not None else barycenter(spec.d).coords
+    if tol >= 1.0:
+        return np.tile(x0, (n_paths, 1)), np.ones(n_paths), np.zeros(n_paths, dtype=int)
+    if block_len is None:
+        block_len = default_block_len(spec, seed)
+    elif block_len < 1:
+        raise ValueError("block_len must be at least 1")
+    d = spec.d
+    eye = np.eye(d)
+    pts = np.empty((n_paths, d))
+    steps = np.empty(n_paths, dtype=int)
+    live = np.arange(n_paths)
+    P = np.broadcast_to(eye, (n_paths, d, d)).copy()
+    blk = P.copy()
+    cert = np.ones(n_paths)
+    n = 0
+    while live.size:
+        if n == step_cap:
+            raise ContractionFailure(
+                f"{live.size} of {n_paths} paths missed the certificate target "
+                f"{tol:.3e} within {step_cap} steps (best certificate "
+                f"{cert[live].min():.3e}); the measure may not be strictly contracting")
+        n += 1
+        draws = sample_batch(spec, stream, n_paths)
+        if live.size < n_paths:
+            draws = draws[live]
+        P = np.matmul(P, draws)
+        P /= P.sum(axis=1).max(axis=1)[:, None, None]
+        blk = np.matmul(blk, draws)
+        blk /= blk.reshape(live.size, -1).max(axis=1)[:, None, None]
+        if n % block_len:
+            continue
+        cert[live] *= contraction_coefficient(blk)
+        blk[:] = eye
+        done = cert[live] <= tol
+        if done.any():
+            pts[live[done]] = np.matmul(P[done], x0)
+            steps[live[done]] = n
+            keep = ~done
+            live, P, blk = live[keep], P[keep], blk[keep]
+    pts /= pts.sum(axis=1, keepdims=True)
+    return pts, cert, steps
+
+
 def backward_invariant_sample(spec: MeasureSpec, seed: int, tol: float,
                               start=None, block_len: int | None = None,
                               step_cap: int = STEP_CAP,
                               replica: int = 0) -> InvariantSample:
     """Iterate B_n . x until the contraction certificate drops below tol.
 
-    The certificate is the product of the contraction coefficients of
-    consecutive draw blocks, which dominates c(B_n).  A step cap framed
-    as a failure suggests the measure is not strictly contracting.
+    Draws come from the stream keyed by (seed, replica).  The certificate
+    is the product of the contraction coefficients of consecutive draw
+    blocks, which dominates c(B_n).  A step cap framed as a failure
+    suggests the measure is not strictly contracting.
     """
-    if not 0 < tol <= 1:
-        raise ValueError("tol must lie in (0, 1]")
-    d = spec.d
-    x0 = point_coords(start).copy() if start is not None else barycenter(d).coords.copy()
-    if tol >= 1.0:
-        return InvariantSample(SimplexPoint(x0), 1.0, 0)
-    r = block_len if block_len is not None else default_block_len(spec, seed)
-    stream = rngmod.replica_stream(seed, replica)
-    P = np.eye(d)
-    cert = 1.0
-    blk = np.eye(d)
-    blk_len = 0
-    for n in range(1, step_cap + 1):
-        y = sample_matrix(spec, stream).entries
-        P = P @ y
-        P /= P.sum(axis=0).max()
-        blk = blk @ y
-        blk /= blk.max()
-        blk_len += 1
-        if blk_len == r:
-            cert *= contraction_coefficient(blk)
-            blk = np.eye(d)
-            blk_len = 0
-            if cert <= tol:
-                return InvariantSample(SimplexPoint(P @ x0), cert, n)
-    raise ContractionFailure(
-        f"certificate only reached {cert:.3e} after {step_cap} steps "
-        f"(target {tol:.3e}); the measure may not be strictly contracting")
-
-
-def _batch_contraction(blocks: np.ndarray) -> np.ndarray:
-    """Contraction coefficients of a (R, d, d) stack."""
-    d = blocks.shape[1]
-    peak = blocks.max(axis=(1, 2), keepdims=True)
-    a = blocks / peak
-    best = np.zeros(blocks.shape[0])
-    for i in range(d - 1):
-        for k in range(i + 1, d):
-            p = a[:, i, :, None] * a[:, k, None, :]   # p[r, j, l]
-            q = np.swapaxes(p, 1, 2)
-            den = p + q
-            num = np.abs(p - q)
-            ratio = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-            best = np.maximum(best, ratio.reshape(blocks.shape[0], -1).max(axis=1))
-    return np.minimum(best, 1.0)
+    pts, certs, steps = _backward_products(
+        spec, seed, rngmod.replica_stream(seed, replica), tol, 1, start,
+        block_len, step_cap)
+    return InvariantSample(SimplexPoint(pts[0]), float(certs[0]), int(steps[0]))
 
 
 def backward_invariant_batch(spec: MeasureSpec, seed: int, tol: float,
@@ -273,43 +157,8 @@ def backward_invariant_batch(spec: MeasureSpec, seed: int, tol: float,
     the one-path API; determinism holds for fixed seed and n_samples).
     Returns (points (R, d), certificates (R,), steps (R,)).
     """
-    if not 0 < tol <= 1:
-        raise ValueError("tol must lie in (0, 1]")
-    d = spec.d
-    x0 = point_coords(start).copy() if start is not None else barycenter(d).coords.copy()
-    R = int(n_samples)
-    if tol >= 1.0:
-        return np.tile(x0, (R, 1)), np.ones(R), np.zeros(R, dtype=int)
-    r = block_len if block_len is not None else default_block_len(spec, seed)
-    stream = rngmod.derived_stream(seed, 0xB, 0)
-    P = np.broadcast_to(np.eye(d), (R, d, d)).copy()
-    cert = np.ones(R)
-    blk = np.broadcast_to(np.eye(d), (R, d, d)).copy()
-    steps = np.zeros(R, dtype=int)
-    active = np.ones(R, dtype=bool)
-    blk_len = 0
-    n = 0
-    while np.any(active):
-        if n >= step_cap:
-            raise ContractionFailure(
-                f"{int(active.sum())} paths missed the certificate target "
-                f"{tol:.3e} within {step_cap} steps")
-        draws = sample_batch(spec, stream, R)
-        idx = np.flatnonzero(active)
-        P[idx] = np.matmul(P[idx], draws[idx])
-        P[idx] /= P[idx].sum(axis=1).max(axis=1)[:, None, None]
-        blk[idx] = np.matmul(blk[idx], draws[idx])
-        n += 1
-        blk_len += 1
-        steps[idx] = n
-        if blk_len == r:
-            cert[idx] *= _batch_contraction(blk[idx])
-            blk[:] = np.eye(d)
-            blk_len = 0
-            active &= cert > tol
-    pts = np.matmul(P, x0)
-    pts /= pts.sum(axis=1, keepdims=True)
-    return pts, cert, steps
+    return _backward_products(spec, seed, rngmod.derived_stream(seed, 0xB, 0), tol,
+                              int(n_samples), start, block_len, step_cap)
 
 
 # ---------------------------------------------------------------------

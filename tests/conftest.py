@@ -47,3 +47,25 @@ def sample_simplex_batch(rng, n, d, boundary_frac=0.0):
 
 def single_atom_spec(matrix):
     return MeasureSpec.single_atom(matrix)
+
+
+def quadruple_coefficient(g):
+    """Reference contraction coefficient by enumeration of index quadruples.
+
+    The maximum over (i, j, k, l) of |g_ij g_kl - g_il g_kj| /
+    (g_ij g_kl + g_il g_kj), 0/0 quadruples contributing 0; O(d^4).
+    """
+    a = np.asarray(g, dtype=float)
+    a = a / a.max()  # guards the entry products against overflow
+    d = a.shape[0]
+    best = 0.0
+    for i in range(d - 1):
+        for k in range(i + 1, d):
+            p = np.outer(a[i], a[k])  # p[j, l] = a_ij * a_kl
+            q = p.T                   # q[j, l] = a_il * a_kj
+            den = p + q
+            num = np.abs(p - q)
+            nz = den > 0
+            if np.any(nz):
+                best = max(best, float(np.max(num[nz] / den[nz])))
+    return min(best, 1.0)

@@ -66,6 +66,22 @@ class TestCouplingDecay:
         assert curve.r_squared > 0.9
         assert curve.max_violation <= 1e-12
 
+    def test_block_product_is_renormalized(self, reference_spec):
+        # blocks of three draws at 1e150 overflow unless renormalized every
+        # step; the pathwise check must not depend on the scale of the atoms
+        violation = {}
+        for scale in (1.0, 1e150):
+            spec = MeasureSpec.atomic([a.entries * scale for a in reference_spec.atoms],
+                                      reference_spec.weights)
+            curve = coupling_decay(spec, 1.0, range(1, 31), 256, seed=3, block_len=3)
+            violation[scale] = curve.max_violation
+        assert violation[1.0] < 0.0 and violation[1e150] < 0.0
+        assert violation[1e150] == pytest.approx(violation[1.0], abs=1e-9)
+
+    def test_block_len_must_be_positive(self, reference_spec):
+        with pytest.raises(ValueError, match="block_len"):
+            coupling_decay(reference_spec, 1.0, [1, 2], 4, block_len=0)
+
     def test_envelope_majorizes(self):
         ns = np.arange(1, 21)
         vals = 0.7 * 0.5 ** ns

@@ -105,6 +105,31 @@ class TestSampling:
         b = sample_batch(two_atom_spec, rngmod.derived_stream(7, 1), 64)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("spec", [
+        MeasureSpec.atomic([[[2.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [0.5, 2.0]]], [0.3, 0.7]),
+        MeasureSpec.atomic([[[2.0, 1.0], [0.0, 1.0]], [[1.0, 1.0], [0.5, 2.0]]], [0.3, 0.7],
+                           transpose_view=True),
+        MeasureSpec.parametric("lognormal", 3, mu=0.0, sigma=1.0),
+        MeasureSpec.parametric("uniform", 2, lo=0.0, hi=2.0),
+    ], ids=["atomic", "transposed", "lognormal", "uniform"])
+    def test_batch_of_one_is_sample_matrix(self, spec):
+        a, b = rngmod.derived_stream(8, 1), rngmod.derived_stream(8, 1)
+        for _ in range(50):
+            assert np.array_equal(sample_batch(spec, a, 1)[0], sample_matrix(spec, b).entries)
+        assert a.random() == b.random()
+
+    def test_atom_stack_built_once_and_read_only(self, two_atom_spec):
+        stack = two_atom_spec.atom_array()
+        assert stack is two_atom_spec.atom_array()
+        assert not stack.flags.writeable
+        view = two_atom_spec.transposed()
+        assert np.array_equal(view.atom_array(), stack.transpose(0, 2, 1))
+        idx = rngmod.derived_stream(9, 2).choice(2, size=64, p=[0.5, 0.5])
+        draws = sample_batch(two_atom_spec, rngmod.derived_stream(9, 2), 64)
+        rebuilt = np.stack([a.entries for a in two_atom_spec.atoms])[idx]
+        assert np.array_equal(draws, rebuilt)
+        assert draws.flags.writeable
+
     def test_lognormal_draws_allowable(self):
         spec = MeasureSpec.parametric("lognormal", 3, mu=0.0, sigma=1.0)
         stream = rngmod.master_stream(3)

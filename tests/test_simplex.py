@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 from conewalk.simplex import (SimplexPoint, barycenter, contraction_coefficient,
                               hilbert_distance, m_ratio, sample_point)
 
-from conftest import batched_distance, random_allowable, sample_simplex_batch
+from conftest import (batched_distance, quadruple_coefficient, random_allowable,
+                      sample_simplex_batch)
 
 
 def coords_strategy(min_d=2, max_d=6):
@@ -129,6 +132,32 @@ class TestContractionCoefficient:
                             best = max(best, abs(g[i, j] * g[k, l] - g[i, l] * g[k, j]) / den)
         assert best == pytest.approx(0.6, abs=1e-15)
         assert contraction_coefficient(g) == pytest.approx(best, abs=1e-15)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_stack_matches_quadruple_reference(self, d):
+        rng = np.random.default_rng(100 + d)
+        stack = np.stack([random_allowable(rng, d, strictly_positive=bool(n % 2)).entries
+                          for n in range(200)])
+        stack[0] = np.outer(rng.uniform(0.1, 5.0, d), rng.uniform(0.1, 5.0, d))
+        stack[2] = np.eye(d)
+        stack[4] = np.roll(np.eye(d), 1, axis=1) + np.eye(d)  # cyclic band, zeros for d > 2
+        got = contraction_coefficient(stack)
+        assert got.shape == (200,)
+        for g, c in zip(stack, got):
+            assert c == contraction_coefficient(g)
+            assert c == pytest.approx(quadruple_coefficient(g), abs=1e-15)
+        assert got[0] <= 1e-15 and got[2] == 1.0
+
+    def test_stack_of_wrong_shape_is_named(self):
+        for shape in ((3, 2, 4), (3, 1, 1), (2, 2, 2, 2)):
+            with pytest.raises(ValueError, match=re.escape(str(shape))):
+                contraction_coefficient(np.ones(shape))
+
+    def test_matrix_is_validated_as_allowable(self):
+        with pytest.raises(ValueError, match="column 1 has no positive entry"):
+            contraction_coefficient([[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="square"):
+            contraction_coefficient([1.0, 2.0])
 
     def test_scale_invariance_exact_for_dyadic_scalars(self):
         rng = np.random.default_rng(7)

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from conewalk import rng as rngmod
-from conewalk.measures import MeasureSpec, sample_matrix
+from conewalk.estimators import BatchedProducts
+from conewalk.harness import reference_spec
+from conewalk.measures import MeasureSpec, sample_batch, sample_matrix
 from conewalk.posmat import AllowableMatrix, gauges, perron_vector, spectral_radius
-from conewalk.simplex import barycenter, contraction_coefficient, hilbert_distance
-from conewalk.walk import (ContractionFailure, ForwardWalk,
-                           backward_invariant_batch, backward_invariant_sample,
-                           detect_contraction, forward_stream, hitting_time)
+from conewalk.simplex import (SimplexPoint, barycenter, contraction_coefficient,
+                              hilbert_distance)
+from conewalk.walk import (ContractionFailure, backward_invariant_batch,
+                           backward_invariant_sample, detect_contraction, hitting_time)
+
+from conftest import quadruple_coefficient
 
 
 G1 = AllowableMatrix([[2.0, 1.0], [1.0, 1.0]])
@@ -16,105 +20,157 @@ TWO = MeasureSpec.atomic([[[2.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 2.0]]],
                          [0.5, 0.5])
 
 
+def replayed_draws(spec, seed, replicas, n, key=0):
+    """The draws of ``BatchedProducts(spec, seed, replicas, key)``, replayed
+    from its stream."""
+    stream = rngmod.derived_stream(seed, 0xF0, key)
+    return [sample_batch(spec, stream, replicas) for _ in range(n)]
+
+
 class TestForwardStream:
+    """Forward products A_n = Y_n ... Y_1, batched in ``BatchedProducts``."""
+
     def test_first_step_is_single_cocycle(self):
-        rec = next(forward_stream(SINGLE, 0, 1, [barycenter(2)]))
-        assert rec.n == 1
+        batch = BatchedProducts(SINGLE, 0, 3)
+        assert np.array_equal(batch.step(), replayed_draws(SINGLE, 0, 3, 1)[0])
         expected = np.log((G1.entries @ barycenter(2).coords).sum())
-        assert rec.sigma_x[0] == pytest.approx(expected, abs=1e-14)
-        assert rec.increment[0] == pytest.approx(expected, abs=1e-14)
+        assert batch.n == 1
+        assert np.allclose(batch.sigma(barycenter(2)), expected, rtol=0, atol=1e-14)
 
     def test_scale_bookkeeping_against_dense_powers(self):
-        recs = list(forward_stream(SINGLE, 0, 30, [barycenter(2)]))
+        batch = BatchedProducts(SINGLE, 0, 2)
         power = np.eye(2)
-        for rec in recs:
+        for _ in range(30):
+            batch.step()
             power = G1.entries @ power
             cs = power.sum(axis=0)
-            assert rec.log_norm == pytest.approx(np.log(cs.max()), abs=1e-9)
-            assert rec.log_v == pytest.approx(np.log(cs.min()), abs=1e-9)
+            assert np.allclose(batch.log_norm(), np.log(cs.max()), rtol=0, atol=1e-9)
+            assert np.allclose(batch.log_v(), np.log(cs.min()), rtol=0, atol=1e-9)
 
     def test_deterministic_product_converges_to_log_kappa(self):
-        recs = list(forward_stream(SINGLE, 0, 400, [barycenter(2)]))
-        assert recs[-1].sigma_x[0] / 400 == pytest.approx(
-            np.log(spectral_radius(G1)), abs=1e-2)
+        batch = BatchedProducts(SINGLE, 0, 2)
+        batch.run(400)
+        assert np.allclose(batch.sigma(barycenter(2)) / 400,
+                           np.log(spectral_radius(G1)), rtol=0, atol=1e-2)
 
     def test_telescoping_of_increments(self):
-        total = {0: 0.0, 1: 0.0}
-        for rec in forward_stream(TWO, 3, 2000, [(1.0, 0.0), (0.0, 1.0)]):
-            for i in (0, 1):
-                total[i] += rec.increment[i]
-                assert abs(total[i] - rec.sigma_x[i]) <= 1e-9
+        seed, replicas, n = 3, 4, 2000
+        batch = BatchedProducts(TWO, seed, replicas)
+        starts = np.eye(2)
+        dirs = np.broadcast_to(starts, (replicas, 2, 2)).copy()  # dirs[r, start]
+        total = np.zeros((replicas, 2))
+        for draws in replayed_draws(TWO, seed, replicas, n):
+            batch.step()
+            img = np.einsum("rij,rsj->rsi", draws, dirs)
+            norm = img.sum(axis=2)
+            total += np.log(norm)
+            dirs = img / norm[:, :, None]
+            for s, x in enumerate(starts):
+                assert np.all(np.abs(total[:, s] - batch.sigma(x)) <= 1e-9)
 
     def test_sigma_between_v_and_norm(self):
-        for rec in forward_stream(TWO, 5, 500, [(1.0, 0.0)]):
-            assert rec.log_v - 1e-12 <= rec.sigma_x[0] <= rec.log_norm + 1e-12
+        batch = BatchedProducts(TWO, 5, 4)
+        for _ in range(500):
+            batch.step()
+            sig = batch.sigma((1.0, 0.0))
+            assert np.all(batch.log_v() - 1e-12 <= sig)
+            assert np.all(sig <= batch.log_norm() + 1e-12)
 
     def test_kappa_tracking_brackets(self):
-        for rec in forward_stream(TWO, 7, 50, [barycenter(2)], track_kappa=True):
-            assert rec.log_v - 1e-9 <= rec.log_kappa <= rec.log_norm + 1e-9
+        batch = BatchedProducts(TWO, 7, 4)
+        for _ in range(50):
+            batch.step()
+            log_kappa = batch.log_kappa()
+            assert np.all(batch.log_v() - 1e-9 <= log_kappa)
+            assert np.all(log_kappa <= batch.log_norm() + 1e-9)
 
     def test_replica_determinism_independent_of_order(self):
         runs = {}
         for order in ((0, 1, 2), (2, 0, 1)):
-            for rep in order:
-                sig = tuple(r.sigma_x[0]
-                            for r in forward_stream(TWO, 11, 50, [barycenter(2)],
-                                                    replica=rep))
-                runs.setdefault(rep, []).append(sig)
-        for rep, pair in runs.items():
-            assert pair[0] == pair[1]
-        assert runs[0][0] != runs[1][0]
+            for key in order:
+                batch = BatchedProducts(TWO, 11, 3, key=key)
+                batch.run(50)
+                runs.setdefault(key, []).append(batch.sigma(barycenter(2)))
+        for pair in runs.values():
+            assert np.array_equal(pair[0], pair[1])
+        assert not np.array_equal(runs[0][0], runs[1][0])
 
     def test_contraction_log_monotone(self):
-        walk = ForwardWalk(TWO, 13, [barycenter(2)])
-        last = 0.0
-        for _ in range(100):
-            walk.advance()
-            rcl = walk.state.running_contraction_log
-            assert rcl <= last + 1e-12
-            last = rcl
+        rcl = np.zeros(4)
+        for draws in replayed_draws(TWO, 13, 4, 100):
+            step = np.log(contraction_coefficient(draws))
+            assert np.all(step <= 0.0)
+            rcl += step
+        assert np.all(rcl < 0.0)
 
     def test_spread_bounded_by_contraction_accumulation(self):
-        # replay the same stream to recover the draws, then bound the
-        # norm/v spread by the increment-coupling chain
-        seed, replica, n = 17, 0, 300
-        stream = rngmod.replica_stream(seed, replica)
-        draws = [sample_matrix(TWO, stream).entries for _ in range(n)]
-        bound = 0.0
-        cert = 1.0
-        bounds = []
-        for y in draws:
-            mg = gauges(AllowableMatrix(y))
-            bound += (4.0 + 2.0 * np.log(mg.L)) * cert
-            cert *= contraction_coefficient(y)
-            bounds.append(bound)
-        for rec, b in zip(forward_stream(TWO, seed, n, [barycenter(2)],
-                                         replica=replica), bounds):
-            assert rec.log_norm - rec.log_v <= b + 1e-9
+        # bound the norm/v spread of A_n by the increment-coupling chain of
+        # the replayed draws
+        seed, replicas, n = 17, 4, 300
+        batch = BatchedProducts(TWO, seed, replicas)
+        bound = np.zeros(replicas)
+        cert = np.ones(replicas)
+        for draws in replayed_draws(TWO, seed, replicas, n):
+            log_l = np.array([np.log(gauges(AllowableMatrix(y)).L) for y in draws])
+            bound += (4.0 + 2.0 * log_l) * cert
+            cert *= contraction_coefficient(draws)
+            batch.step()
+            assert np.all(batch.log_norm() - batch.log_v() <= bound + 1e-9)
 
     def test_product_state_reconstruction(self):
-        walk = ForwardWalk(SINGLE, 0, [barycenter(2)])
-        for _ in range(40):
-            walk.advance()
-        state = walk.state
-        assert state.n == 40
-        assert state.log_norm == pytest.approx(state.log_scale, abs=1e-12)
-        assert state.log_norm - state.log_v >= -1e-15
-
-    def test_requires_tracked_start(self):
-        with pytest.raises(ValueError):
-            ForwardWalk(TWO, 0, [])
+        batch = BatchedProducts(SINGLE, 0, 2)
+        batch.run(40)
+        assert batch.n == 40
+        assert np.allclose(batch.log_norm(), batch.log_scale, rtol=0, atol=1e-12)
+        assert np.all(batch.log_norm() - batch.log_v() >= -1e-15)
 
     def test_renormalization_prevents_overflow_at_extreme_scales(self):
         huge = MeasureSpec.atomic([[[2e150, 1e150], [1e150, 1e150]],
                                    [[1e-150, 0.5e-150], [0.5e-150, 1e-150]]],
                                   [0.5, 0.5])
-        last = None
-        for rec in forward_stream(huge, 0, 200, [barycenter(2)]):
-            assert np.isfinite(rec.log_norm)
-            assert np.isfinite(rec.sigma_x[0])
-            last = rec
-        assert abs(last.log_norm) > 1000  # scales accumulate only in the log
+        batch = BatchedProducts(huge, 0, 4)
+        with np.errstate(over="raise", under="raise", invalid="raise"):
+            for _ in range(200):
+                batch.step()
+                assert np.all(np.isfinite(batch.log_norm()))
+                assert np.all(np.isfinite(batch.sigma(barycenter(2))))
+        assert np.all(np.abs(batch.log_norm()) > 1000)  # scales accumulate only in the log
+
+
+def reference_backward_sample(spec, seed, tol, start=None, block_len=1, replica=0):
+    """The one-path backward loop with the quadruple coefficient, kept as
+    the reference for ``backward_invariant_sample``."""
+    stream = rngmod.replica_stream(seed, replica)
+    d = spec.d
+    x0 = barycenter(d).coords if start is None else SimplexPoint(start).coords
+    P = np.eye(d)
+    cert = 1.0
+    blk = np.eye(d)
+    blk_len = 0
+    for n in range(1, 10**5):
+        y = sample_matrix(spec, stream).entries
+        P = P @ y
+        P /= P.sum(axis=0).max()
+        blk = blk @ y
+        blk /= blk.max()
+        blk_len += 1
+        if blk_len == block_len:
+            cert *= quadruple_coefficient(blk)
+            blk = np.eye(d)
+            blk_len = 0
+            if cert <= tol:
+                return SimplexPoint(P @ x0), cert, n
+    raise AssertionError("reference loop did not certify")
+
+
+PINNED_SPECS = {
+    "reference": (reference_spec(), 1e-10, None, 1),
+    "reference-start": (reference_spec(), 1e-10, (0.0, 1.0), 1),
+    "two-transposed-blocks": (TWO.transposed(), 1e-12, None, 3),
+    "lognormal-d3": (MeasureSpec.parametric("lognormal", 3, mu=0.0, sigma=0.7),
+                     1e-9, None, 1),
+    "uniform-d2": (MeasureSpec.parametric("uniform", 2, lo=0.0, hi=1.0), 1e-9, None, 2),
+}
 
 
 class TestBackwardSampler:
@@ -143,6 +199,36 @@ class TestBackwardSampler:
     def test_step_cap_reported(self):
         with pytest.raises(ContractionFailure, match="certificate"):
             backward_invariant_sample(TWO, 0, 1e-10, step_cap=3, block_len=1)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SPECS))
+    def test_pinned_against_reference_loop(self, name):
+        spec, tol, start, block_len = PINNED_SPECS[name]
+        for replica in range(4):
+            res = backward_invariant_sample(spec, 40 + replica, tol, start=start,
+                                            block_len=block_len, replica=replica)
+            point, cert, steps = reference_backward_sample(
+                spec, 40 + replica, tol, start=start, block_len=block_len,
+                replica=replica)
+            assert res.steps == steps
+            assert np.max(np.abs(res.point.coords - point.coords)) <= 1e-15
+            assert res.certificate == pytest.approx(cert, rel=1e-12, abs=0)
+
+    def test_batch_block_product_is_renormalized(self):
+        # blocks of three draws at 1e150 overflow unless renormalized every
+        # step; the steps must not depend on the scale of the atoms
+        ref = reference_spec()
+        steps = {}
+        for scale in (1.0, 1e150):
+            spec = MeasureSpec.atomic([a.entries * scale for a in ref.atoms], ref.weights)
+            pts, certs, steps[scale] = backward_invariant_batch(spec, 5, 1e-8, 32,
+                                                                block_len=3)
+            assert np.all(certs > 0) and np.all(certs <= 1e-8)
+        assert np.array_equal(steps[1.0], steps[1e150])
+        assert steps[1.0].min() > 3
+
+    def test_block_len_must_be_positive(self):
+        with pytest.raises(ValueError, match="block_len"):
+            backward_invariant_batch(TWO, 0, 1e-8, 4, block_len=0)
 
     def test_batch_certificates_and_determinism(self):
         pts, certs, steps = backward_invariant_batch(TWO, 5, 1e-8, 50)
