@@ -25,7 +25,7 @@ from scipy.special import ndtr
 
 from . import rng as rngmod
 from .estimators import BatchedProducts, moment_sanity
-from .measures import MeasureSpec
+from .measures import MeasureSpec, sample_batch
 from .posmat import g_delta_level
 from .simplex import barycenter, point_coords
 
@@ -643,19 +643,12 @@ def fixture_b_exact_zero_probability(n: int) -> float:
     _, fixture_b = pathology_fixtures()
     atoms = fixture_b.atom_array()
     weights = np.asarray(fixture_b.weights)
-    total = 0.0
-    for code in range(len(weights) ** n):
-        prod = np.eye(fixture_b.d)
-        w = 1.0
-        c = code
-        for _ in range(n):
-            idx = c % len(weights)
-            c //= len(weights)
-            prod = atoms[idx] @ prod
-            w *= weights[idx]
-        if prod[0, 1] == 0.0:
-            total += w
-    return total
+    d = fixture_b.d
+    prods, probs = np.eye(d)[None], np.ones(1)  # every word of the current length
+    for _ in range(n):
+        prods = np.matmul(atoms[:, None], prods[None]).reshape(-1, d, d)
+        probs = (probs[None] * weights[:, None]).reshape(-1)
+    return float(probs[prods[:, 0, 1] == 0.0].sum())
 
 
 # ---------------------------------------------------------------------
@@ -677,30 +670,24 @@ def coefficient_gap_check(spec: MeasureSpec, n_max: int, paths: int,
         raise ValueError("dense suffix recomputation is restricted to n <= 64")
     if spec.kind != "atomic":
         raise ValueError("classifier levels need an atomic spec")
-    level = min(g_delta_level(a) for a in spec.atoms)
+    if paths < 1:
+        raise ValueError("paths must be at least 1")
+    level = min(g_delta_level(a) for a in spec.atom_array())
     if not level > 0:
         raise ValueError("every atom must be strictly positive for this check")
     n0 = int(np.ceil(1.0 / level))
+    draws = np.stack([  # raw draws, kept dense (n_max <= 64 stays in range)
+        sample_batch(spec, rngmod.replica_stream(seed, path), n_max)
+        for path in range(paths)])
+    prod = draws[:, 0]
+    suffix = draws[:, :0]  # suffix[:, ell - 1] = Y_{n-1} ... Y_ell, ell < n
     worst = -np.inf
-    for path in range(paths):
-        stream = rngmod.replica_stream(seed, path)
-        draws = [  # raw draws, kept dense (n_max <= 64 stays in range)
-            spec.atoms[int(stream.choice(len(spec.atoms), p=np.asarray(spec.weights)))].entries
-            for _ in range(n_max)]
-        prod = np.eye(spec.d)
-        for n in range(1, n_max + 1):
-            prod = draws[n - 1] @ prod
-            if n < 2:
-                continue
-            cs = prod.sum(axis=0)
-            lhs = float(np.log(np.min(prod / cs)))
-            suffix = np.eye(spec.d)
-            worst_suffix = np.inf
-            for ell in range(n - 1, 0, -1):
-                suffix = draws[ell].T @ suffix
-                scs = suffix.sum(axis=0)
-                worst_suffix = min(worst_suffix,
-                                   float(np.log(scs.min()) - np.log(scs.max())))
-            rhs = -np.log(n0) + worst_suffix
-            worst = max(worst, rhs - lhs)
+    for n in range(2, n_max + 1):
+        y = draws[:, n - 1]
+        prod = np.matmul(y, prod)
+        suffix = np.concatenate([np.matmul(y[:, None], suffix), y[:, None]], axis=1)
+        lhs = np.log((prod / prod.sum(axis=1, keepdims=True)).min(axis=(1, 2)))
+        rs = suffix.sum(axis=3)  # column sums of the transposed suffixes
+        worst_suffix = (np.log(rs.min(axis=2)) - np.log(rs.max(axis=2))).min(axis=1)
+        worst = max(worst, float(np.max(-np.log(n0) + worst_suffix - lhs)))
     return worst

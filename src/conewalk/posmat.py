@@ -93,6 +93,15 @@ class AllowableMatrix:
     def __matmul__(self, other: "AllowableMatrix") -> "AllowableMatrix":
         return AllowableMatrix(self._entries @ other._entries)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AllowableMatrix):
+            return NotImplemented
+        return bool(np.array_equal(self._entries, other._entries))
+
+    def __hash__(self) -> int:
+        # + 0.0 maps -0.0 to 0.0, which compares equal to it
+        return hash((self.d, (self._entries + 0.0).tobytes()))
+
     def __repr__(self) -> str:
         return f"AllowableMatrix({self._entries.tolist()})"
 

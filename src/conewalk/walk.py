@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .measures import MeasureSpec, sample_batch, sample_matrix
-from .posmat import AllowableMatrix
+from .measures import MeasureSpec, sample_batch
 from .simplex import SimplexPoint, barycenter, contraction_coefficient, point_coords
 
 __all__ = [
@@ -174,6 +173,20 @@ class ContractionDetection:
     frequency: float
 
 
+def _block_products(spec: MeasureSpec, stream: np.random.Generator, blocks: int,
+                    block_len: int) -> np.ndarray:
+    """(blocks, d, d) forward products (later draws on the left) of consecutive
+    blocks of ``block_len`` draws from one ``sample_batch`` call, each
+    renormalized to max entry 1 after every multiplication."""
+    d = spec.d
+    draws = sample_batch(spec, stream, blocks * block_len).reshape(blocks, block_len, d, d)
+    prod = draws[:, 0]
+    for k in range(1, block_len):
+        prod = np.matmul(draws[:, k], prod)
+        prod /= prod.reshape(blocks, -1).max(axis=1)[:, None, None]
+    return prod
+
+
 def detect_contraction(spec: MeasureSpec, r_max: int, samples: int,
                        seed: int = 0) -> ContractionDetection | None:
     """Bounded search for strictly positive products of the measure.
@@ -184,16 +197,11 @@ def detect_contraction(spec: MeasureSpec, r_max: int, samples: int,
     """
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     for r in range(1, r_max + 1):
-        stream = rngmod.derived_stream(seed, 0xC, r)
-        hits = 0
-        for _ in range(samples):
-            prod = sample_matrix(spec, stream).entries.copy()
-            for _ in range(r - 1):
-                prod = sample_matrix(spec, stream).entries @ prod
-                prod /= prod.max()
-            if np.all(prod > 0):
-                hits += 1
+        prod = _block_products(spec, rngmod.derived_stream(seed, 0xC, r), samples, r)
+        hits = int(np.count_nonzero((prod > 0).all(axis=(1, 2))))
         if hits:
             return ContractionDetection(r=r, frequency=hits / samples)
     return None
@@ -205,20 +213,28 @@ def hitting_time(spec: MeasureSpec, seed: int, delta: float,
     """First block index whose forward block product passes the delta test.
 
     Blocks are consecutive groups of ``block_len`` draws, multiplied in
-    forward order (later draws on the left).  Returns None when ``cap``
-    blocks pass without a hit.
+    forward order (later draws on the left); a block passes when every
+    column-normalized entry is >= delta (``posmat.classify_G_delta``).
+    Returns None when ``cap`` blocks pass without a hit.
     """
-    from .posmat import classify_G_delta
-
+    if not 0 < delta <= 1:
+        raise ValueError("delta must lie in (0, 1]")
+    if block_len < 1:
+        raise ValueError("block_len must be at least 1")
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
     stream = rngmod.replica_stream(seed, replica)
     d = spec.d
-    for m in range(1, cap + 1):
-        blk = np.eye(d)
-        for _ in range(block_len):
-            blk = sample_matrix(spec, stream).entries @ blk
-        try:
-            if classify_G_delta(AllowableMatrix(blk), delta):
-                return m
-        except ValueError:
-            pass  # block product can fail allowability only by underflow
+    done = 0
+    while done < cap:
+        # chunks double from 16 blocks, capped near 2**16 entries; draws past
+        # the first hit come from this call's own stream and are discarded
+        size = min(max(16, done), max(1, 2**16 // (block_len * d * d)), cap - done)
+        blk = _block_products(spec, stream, size, block_len)
+        with np.errstate(invalid="ignore"):  # an underflowed column: nan level, no hit
+            level = (blk / blk.sum(axis=1, keepdims=True)).min(axis=(1, 2))
+        hits = np.flatnonzero(level >= delta)
+        if hits.size:
+            return done + int(hits[0]) + 1
+        done += size
     return None

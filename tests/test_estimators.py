@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conewalk import estimators
 from conewalk import rng as rngmod
 from conewalk.estimators import (BatchedProducts, aperiodicity_report,
                                  coupling_decay, estimate_lyapunov,
@@ -12,6 +13,7 @@ from conewalk.estimators import (BatchedProducts, aperiodicity_report,
 from conewalk.measures import MeasureSpec, sample_batch
 from conewalk.posmat import AllowableMatrix, gauges, perron_vector, spectral_radius
 from conewalk.simplex import barycenter, contraction_coefficient
+from conewalk.walk import backward_invariant_batch
 
 G1 = AllowableMatrix([[2.0, 1.0], [1.0, 1.0]])
 SINGLE = MeasureSpec.single_atom(G1)
@@ -194,6 +196,101 @@ class TestPsiKernel:
             estimate_psi(SINGLE, 0, 16, 0.0)
 
 
+def _einsum_outer_steps(spec, rng, x, n):
+    """Per-step (R,) log norms and (R, d) directions of the single-path outer
+    loops, as the einsum loop computed them."""
+    for _ in range(n):
+        img = np.einsum("rij,rj->ri", sample_batch(spec, rng, len(x)), x)
+        norms = img.sum(axis=1)
+        x = img / norms[:, None]
+        yield np.log(norms), x
+
+
+def _recording_streams(monkeypatch):
+    streams = []
+    derive = rngmod.derived_stream
+
+    def recording_derive(*key):
+        streams.append(derive(*key))
+        return streams[-1]
+
+    monkeypatch.setattr(rngmod, "derived_stream", recording_derive)
+    return streams
+
+
+def reference_series(spec, n_lag_max, replicas, lam, seed):
+    """The einsum outer loop of ``estimate_variance_series``; returns the
+    per-replica statistics and the stream."""
+    w0, _, _ = backward_invariant_batch(spec, seed, 1e-8, replicas)
+    stream = rngmod.derived_stream(seed, 0x5E)
+    acc = np.zeros(replicas)
+    for k, (log_norms, _) in enumerate(_einsum_outer_steps(spec, stream, w0, n_lag_max), 1):
+        inc = log_norms - lam
+        if k == 1:
+            first = inc
+            acc += inc * inc
+        else:
+            acc += 2.0 * first * inc
+    return acc, stream
+
+
+def reference_martingale(spec, psi, n, replicas, lam, seed):
+    """The einsum outer loop of ``variance_via_martingale``; returns the
+    (R,) sums of D_k^2, of D_k and of D_k D_{k-1}, and the stream."""
+    w0, _, _ = backward_invariant_batch(spec, seed, 1e-8, replicas)
+    stream = rngmod.derived_stream(seed, 0x3A)
+    psi_prev, _ = psi.evaluate(w0, stream)
+    sum_d2, sum_d, lag1, prev_d = 0.0, 0.0, 0.0, 0.0
+    for log_norms, x in _einsum_outer_steps(spec, stream, w0, n):
+        psi_cur, _ = psi.evaluate(x, stream)
+        d = log_norms - lam + psi_cur - psi_prev
+        sum_d2, sum_d, lag1 = sum_d2 + d * d, sum_d + d, lag1 + d * prev_d
+        prev_d, psi_prev = d, psi_cur
+    return sum_d2, sum_d, lag1, stream
+
+
+class TestOuterVectorSteps:
+    LAM = 0.4
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_steps_match_einsum_reference(self, d):
+        spec = MeasureSpec.parametric("lognormal", d, mu=0.0, sigma=1.0)
+        x0 = np.random.default_rng(50).dirichlet(np.ones(d), size=64)
+        rng, ref_rng = rngmod.derived_stream(51, d), rngmod.derived_stream(51, d)
+        steps = estimators._vector_steps(spec, rng, x0[:, None], 12)
+        for (log_norms, x), (ref_log_norms, ref_x) in zip(
+                steps, _einsum_outer_steps(spec, ref_rng, x0, 12), strict=True):
+            assert np.max(np.abs(log_norms[:, 0] - ref_log_norms)) <= 1e-15
+            assert np.max(np.abs(x[:, 0] - ref_x)) <= 1e-15
+            # draws between steps keep their place: the generator draws lazily
+            assert rng.random() == ref_rng.random()
+        assert _state(rng) == _state(ref_rng)
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_series_matches_einsum_reference(self, d, monkeypatch):
+        spec = MeasureSpec.parametric("lognormal", d, mu=0.0, sigma=0.5)
+        streams = _recording_streams(monkeypatch)
+        series = estimate_variance_series(spec, 10, 128, self.LAM, seed=52)
+        acc, ref_stream = reference_series(spec, 10, 128, self.LAM, 52)
+        assert series.estimate.value == pytest.approx(acc.mean(), rel=1e-13, abs=0)
+        assert _state(streams[1]) == _state(ref_stream)
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_martingale_matches_einsum_reference(self, d, monkeypatch):
+        spec = MeasureSpec.parametric("lognormal", d, mu=0.0, sigma=0.5)
+        psi = estimate_psi(spec, 4, 8, self.LAM, seed=53)
+        streams = _recording_streams(monkeypatch)
+        out = variance_via_martingale(spec, psi, 6, 32, self.LAM, seed=54)
+        sum_d2, sum_d, lag1, ref_stream = reference_martingale(spec, psi, 6, 32,
+                                                               self.LAM, 54)
+        assert out.raw_value == pytest.approx(np.mean(sum_d2 / 6), rel=1e-13, abs=0)
+        assert out.mean_diff == pytest.approx(sum_d.sum() / (6 * 32), rel=1e-12, abs=1e-15)
+        raw_cov = lag1.sum() / (32 * 5) - out.mean_diff ** 2
+        assert out.lag1_autocorr == pytest.approx(
+            (raw_cov + out.mc_noise_var) / max(out.estimate.value, 1e-300), rel=1e-12)
+        assert _state(streams[1]) == _state(ref_stream)
+
+
 class TestMartingaleRoute:
     def test_rejects_too_short_or_too_few_paths(self):
         psi = estimate_psi(SINGLE, 2, 4, 0.0, seed=44)
@@ -232,7 +329,50 @@ class TestMartingaleRoute:
         assert direct.agrees_with(out.estimate)
 
 
+def reference_aperiodicity_radii(spec, max_word_len):
+    """The one-matmul-per-word enumeration with power-iteration radii, kept
+    as the reference for ``aperiodicity_report``; returns (words, log radii)."""
+    atoms = spec.atom_array()
+    words, radii = [], []
+    frontier = [((), np.eye(spec.d), 0.0)]
+    for _ in range(max_word_len):
+        nxt = []
+        for word, mat, ls in frontier:
+            for i in range(len(atoms)):
+                prod = atoms[i] @ mat
+                peak = prod.max()
+                nxt.append((word + (i,), prod / peak, ls + float(np.log(peak))))
+        frontier = nxt
+        for word, mat, ls in frontier:
+            if np.all(mat > 0):
+                words.append(word)
+                radii.append(ls + float(np.log(spectral_radius(AllowableMatrix(mat)))))
+    return words, radii
+
+
 class TestAperiodicity:
+    @pytest.mark.parametrize("name", ["reference", "reference-transposed", "sparse",
+                                      "atom-and-square", "lognormal-d3"])
+    def test_pinned_against_word_loop(self, name, reference_spec):
+        draws = sample_batch(MeasureSpec.parametric("lognormal", 3, mu=0.0, sigma=1.0),
+                             rngmod.derived_stream(55), 3)
+        spec = {"reference": reference_spec,
+                "reference-transposed": reference_spec.transposed(),
+                "sparse": MeasureSpec.atomic([[[1.0, 1.0], [0.0, 1.0]],
+                                              [[1.0, 0.0], [1.0, 1.0]]], [0.5, 0.5]),
+                "atom-and-square": MeasureSpec.atomic([G1.entries, (G1 @ G1).entries],
+                                                      [0.5, 0.5]),
+                "lognormal-d3": MeasureSpec.atomic(draws, [0.2, 0.3, 0.5])}[name]
+        rep = aperiodicity_report(spec, 4)
+        words, radii = reference_aperiodicity_radii(spec, 4)
+        assert list(rep.words) == words
+        assert np.max(np.abs(np.asarray(rep.log_radii) - radii)) <= 1e-12
+        pairs = [(i, j) for i in range(len(radii)) for j in range(i + 1, len(radii))
+                 if abs(radii[j]) >= 1e-9
+                 and not estimators._commensurate(radii[i] / radii[j], 1e-9, 1000)]
+        assert list(rep.incommensurate_pairs) == pairs
+        assert rep.verdict == ("aperiodic evidence" if pairs else "possibly arithmetic")
+
     def test_single_atom_is_arithmetic(self):
         rep = aperiodicity_report(SINGLE, 4)
         assert rep.verdict == "possibly arithmetic"

@@ -3,8 +3,9 @@ import pytest
 from scipy.special import ndtr
 
 from conewalk import harness as hz
-from conewalk.measures import MeasureSpec
-from conewalk.posmat import AllowableMatrix, perron_vector, spectral_radius
+from conewalk import rng as rngmod
+from conewalk.measures import MeasureSpec, sample_matrix
+from conewalk.posmat import AllowableMatrix, g_delta_level, perron_vector, spectral_radius
 
 SINGLE = MeasureSpec.single_atom(AllowableMatrix([[2.0, 1.0], [1.0, 1.0]]))
 
@@ -197,6 +198,24 @@ class TestFixtures:
             assert hz.fixture_b_exact_zero_probability(n) == pytest.approx(total, abs=1e-15)
         assert hz.fixture_b_exact_zero_probability(3) == pytest.approx(1.0 / 8.0, abs=1e-15)
 
+    def test_fixture_b_exact_probability_matches_word_loop(self):
+        # the one-matmul-per-word loop, kept as the reference
+        _, fixture_b = hz.pathology_fixtures()
+        atoms = fixture_b.atom_array()
+        weights = np.asarray(fixture_b.weights)
+        for n in range(1, 9):
+            total = 0.0
+            for code in range(len(weights) ** n):
+                prod, w, c = np.eye(2), 1.0, code
+                for _ in range(n):
+                    idx = c % len(weights)
+                    c //= len(weights)
+                    prod = atoms[idx] @ prod
+                    w *= weights[idx]
+                if prod[0, 1] == 0.0:
+                    total += w
+            assert abs(hz.fixture_b_exact_zero_probability(n) - total) <= 1e-15
+
     def test_fixture_b_monte_carlo_matches_oracle(self):
         frac, se = hz.fixture_b_zero_fraction(3, 20000, seed=17)
         assert abs(frac - 1.0 / 8.0) <= 3.0 * se
@@ -210,7 +229,43 @@ class TestFixtures:
         assert any(m < med for m, med in zip(rep.v_mean, rep.v_median))
 
 
+def reference_gap_check(spec, n_max, paths, seed=0):
+    """The one-path dense loop of ``coefficient_gap_check``, kept as its
+    reference; draws and classifier level follow the spec's transpose view."""
+    level = min(g_delta_level(a) for a in spec.atom_array())
+    n0 = int(np.ceil(1.0 / level))
+    worst = -np.inf
+    for path in range(paths):
+        stream = rngmod.replica_stream(seed, path)
+        draws = [sample_matrix(spec, stream).entries for _ in range(n_max)]
+        prod = np.eye(spec.d)
+        for n in range(1, n_max + 1):
+            prod = draws[n - 1] @ prod
+            if n < 2:
+                continue
+            lhs = float(np.log(np.min(prod / prod.sum(axis=0))))
+            suffix = np.eye(spec.d)
+            worst_suffix = np.inf
+            for ell in range(n - 1, 0, -1):
+                suffix = draws[ell].T @ suffix
+                scs = suffix.sum(axis=0)
+                worst_suffix = min(worst_suffix,
+                                   float(np.log(scs.min()) - np.log(scs.max())))
+            worst = max(worst, -np.log(n0) + worst_suffix - lhs)
+    return worst
+
+
 class TestCoefficientGap:
+    def test_pinned_against_dense_reference(self, reference_spec):
+        worst = hz.coefficient_gap_check(reference_spec, 48, 100, seed=19)
+        assert abs(worst - reference_gap_check(reference_spec, 48, 100, seed=19)) <= 1e-12
+
+    def test_transpose_view_draws_and_level(self, reference_spec):
+        view = reference_spec.transposed()  # its third atom is not symmetric
+        worst = hz.coefficient_gap_check(view, 20, 10, seed=1)
+        assert abs(worst - reference_gap_check(view, 20, 10, seed=1)) <= 1e-12
+        assert worst != hz.coefficient_gap_check(reference_spec, 20, 10, seed=1)
+
     def test_reference_bound_holds_pathwise(self, reference_spec):
         worst = hz.coefficient_gap_check(reference_spec, 48, 100, seed=19)
         assert worst <= 1e-9
@@ -218,6 +273,10 @@ class TestCoefficientGap:
     def test_dense_recomputation_cap(self, reference_spec):
         with pytest.raises(ValueError):
             hz.coefficient_gap_check(reference_spec, 65, 1)
+
+    def test_rejects_empty_path_set(self, reference_spec):
+        with pytest.raises(ValueError, match="paths"):
+            hz.coefficient_gap_check(reference_spec, 8, 0)
 
 
 def test_reference_spec_sanity(reference_spec):

@@ -48,6 +48,21 @@ class TestSerialization:
         for a, b in zip(two_atom_spec.atoms, back.atoms):
             assert np.array_equal(a.entries, b.entries)
 
+    def test_round_trip_equality_and_hash(self, two_atom_spec):
+        from conewalk.harness import pathology_fixtures, reference_spec
+
+        fixture_a, fixture_b = pathology_fixtures()
+        specs = [two_atom_spec, reference_spec(), reference_spec().transposed(),
+                 fixture_a, fixture_b]
+        for spec, again in zip(specs, [two_atom_spec, reference_spec(),
+                                       reference_spec().transposed(),
+                                       *pathology_fixtures()]):
+            back = MeasureSpec.from_json(spec.to_json())
+            assert back == spec and again == spec
+            assert hash(back) == hash(spec) == hash(again)
+        assert len(set(specs)) == len(specs)
+        assert reference_spec() != reference_spec().transposed()
+
     def test_round_trip_awkward_floats(self):
         spec = MeasureSpec.atomic(
             [[[np.pi, 1e-300], [1.0 / 3.0, 2.0]],
@@ -113,10 +128,15 @@ class TestSampling:
         MeasureSpec.parametric("uniform", 2, lo=0.0, hi=2.0),
     ], ids=["atomic", "transposed", "lognormal", "uniform"])
     def test_batch_of_one_is_sample_matrix(self, spec):
-        a, b = rngmod.derived_stream(8, 1), rngmod.derived_stream(8, 1)
-        for _ in range(50):
-            assert np.array_equal(sample_batch(spec, a, 1)[0], sample_matrix(spec, b).entries)
-        assert a.random() == b.random()
+        # a batch of n is n successive draws, so batched loops keep the
+        # draw-to-stream mapping of one-draw loops
+        for size in (1, 7):
+            a, b = rngmod.derived_stream(8, 1), rngmod.derived_stream(8, 1)
+            for _ in range(50):
+                batch = sample_batch(spec, a, size)
+                assert np.array_equal(batch, [sample_matrix(spec, b).entries
+                                              for _ in range(size)])
+            assert a.random() == b.random()
 
     def test_atom_stack_built_once_and_read_only(self, two_atom_spec):
         stack = two_atom_spec.atom_array()

@@ -34,6 +34,14 @@ class TestAllowableMatrix:
         assert np.array_equal(g.transpose().entries, g.entries.T)
         assert np.array_equal((g @ g).entries, g.entries @ g.entries)
 
+    def test_equality_and_hash_follow_entries(self):
+        g = AllowableMatrix([[2.0, 0.0], [0.5, 2.0]])
+        same = AllowableMatrix([[2.0, -0.0], [0.5, 2.0]])
+        assert g == same and hash(g) == hash(same)
+        assert g != g.transpose()
+        assert g != AllowableMatrix(np.eye(3))
+        assert len({g, same, g.transpose()}) == 2
+
 
 class TestGauges:
     def test_equal_column_sums(self):

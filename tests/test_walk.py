@@ -5,7 +5,8 @@ from conewalk import rng as rngmod
 from conewalk.estimators import BatchedProducts
 from conewalk.harness import reference_spec
 from conewalk.measures import MeasureSpec, sample_batch, sample_matrix
-from conewalk.posmat import AllowableMatrix, gauges, perron_vector, spectral_radius
+from conewalk.posmat import (AllowableMatrix, classify_G_delta, gauges, perron_vector,
+                             spectral_radius)
 from conewalk.simplex import (SimplexPoint, barycenter, contraction_coefficient,
                               hilbert_distance)
 from conewalk.walk import (ContractionFailure, backward_invariant_batch,
@@ -239,7 +240,60 @@ class TestBackwardSampler:
         assert np.allclose(pts.sum(axis=1), 1.0, atol=1e-12)
 
 
+def reference_detect_contraction(spec, r_max, samples, seed=0):
+    """The one-draw-at-a-time search, kept as the reference for
+    ``detect_contraction``; returns (r, frequency) or None."""
+    for r in range(1, r_max + 1):
+        stream = rngmod.derived_stream(seed, 0xC, r)
+        hits = 0
+        for _ in range(samples):
+            prod = sample_matrix(spec, stream).entries.copy()
+            for _ in range(r - 1):
+                prod = sample_matrix(spec, stream).entries @ prod
+                prod /= prod.max()
+            if np.all(prod > 0):
+                hits += 1
+        if hits:
+            return r, hits / samples
+    return None
+
+
+def reference_hitting_time(spec, seed, delta, block_len=1, replica=0, cap=10**4):
+    """The one-block-at-a-time loop, kept as the reference for ``hitting_time``."""
+    stream = rngmod.replica_stream(seed, replica)
+    for m in range(1, cap + 1):
+        blk = np.eye(spec.d)
+        for _ in range(block_len):
+            blk = sample_matrix(spec, stream).entries @ blk
+        try:
+            if classify_G_delta(AllowableMatrix(blk), delta):
+                return m
+        except ValueError:
+            pass  # an underflowed block fails allowability
+    return None
+
+
+PERM = MeasureSpec.atomic([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]], [0.5, 0.5])
+
+
 class TestDetectContraction:
+    @pytest.mark.parametrize("name", ["two", "perm", "fixture-a", "reference", "sparse"])
+    def test_pinned_against_reference_loop(self, name):
+        from conewalk.harness import pathology_fixtures
+
+        spec = {"two": TWO, "perm": PERM, "fixture-a": pathology_fixtures()[0],
+                "reference": reference_spec(),
+                "sparse": MeasureSpec.atomic([[[1.0, 1.0], [0.0, 1.0]],
+                                              [[1.0, 0.0], [1.0, 1.0]]], [0.5, 0.5])}[name]
+        for seed in range(3):
+            found = detect_contraction(spec, 5, 150, seed=seed)
+            expected = reference_detect_contraction(spec, 5, 150, seed=seed)
+            assert (None if found is None else (found.r, found.frequency)) == expected
+
+    def test_rejects_empty_sample(self):
+        with pytest.raises(ValueError, match="samples"):
+            detect_contraction(TWO, 4, 0)
+
     def test_strictly_positive_atom_found_at_one(self):
         found = detect_contraction(TWO, 4, 200, seed=1)
         assert found.r == 1
@@ -276,3 +330,30 @@ class TestHittingTime:
 
     def test_impossible_level_caps_out(self):
         assert hitting_time(TWO, 0, 1.0, cap=200) is None
+
+    @pytest.mark.parametrize("block_len, delta", [(1, 0.19), (3, 0.325)])
+    def test_pinned_against_reference_loop(self, block_len, delta):
+        spec = reference_spec()
+        times = [hitting_time(spec, 11, delta, block_len=block_len, replica=i)
+                 for i in range(200)]
+        assert times == [reference_hitting_time(spec, 11, delta, block_len, replica=i)
+                         for i in range(200)]
+        assert len(set(times)) > 3  # the first hits spread over several blocks
+
+    def test_block_product_is_renormalized(self):
+        # blocks of three draws at 2**500 overflow unless renormalized; the
+        # first hits must not depend on the (dyadic) scale of the atoms
+        ref = reference_spec()
+        huge = MeasureSpec.atomic([a.entries * 2.0 ** 500 for a in ref.atoms], ref.weights)
+        times = [[hitting_time(spec, 11, 0.325, block_len=3, replica=i) for i in range(50)]
+                 for spec in (ref, huge)]
+        assert times[0] == times[1]
+        assert None not in times[0]
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"delta": 0.0}, "delta"), ({"delta": 1.5}, "delta"), ({"delta": -0.2}, "delta"),
+        ({"delta": 0.5, "block_len": 0}, "block_len"), ({"delta": 0.5, "cap": 0}, "cap"),
+    ])
+    def test_rejects_out_of_range_arguments(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            hitting_time(TWO, 0, **kwargs)
