@@ -24,8 +24,10 @@ import numpy as np
 from . import __version__
 from . import estimators as est
 from . import harness as hz
+from . import rng as rngmod
 from .cones import lorentz_cone, orthant_cone, psd_cone, psd_map_congruence, psd_map_rank_one
 from .measures import MeasureSpec
+from .rng import Purpose
 from .simplex import contraction_coefficient, hilbert_distance, sample_point
 from .walk import backward_invariant_sample, detect_contraction
 
@@ -97,7 +99,8 @@ def _parse_grid(text: str):
     try:
         return [int(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
-        raise InputError(f"bad grid {text!r}: comma-separated integers expected") from exc
+        raise argparse.ArgumentTypeError(
+            f"bad grid {text!r}: comma-separated integers expected") from exc
 
 
 def _parse_cone(text: str):
@@ -115,8 +118,9 @@ def _parse_cone(text: str):
     raise InputError(f"bad cone {text!r}: expected orthant:d, lorentz:n, or psd:n")
 
 
-def _positive(args, **fields):
-    for name, value in fields.items():
+def _positive(config):
+    for name in ("replicas", "n", "threads", "tol", "p"):
+        value = config.get(name)
         if value is not None and value <= 0:
             raise InputError(f"--{name} must be positive, got {value}")
 
@@ -126,7 +130,7 @@ def _positive(args, **fields):
 # ---------------------------------------------------------------------
 
 
-def _cmd_validate_spec(args, config):
+def _cmd_validate_spec(args):
     spec = _load_spec(args)
     results = {"kind": spec.kind, "d": spec.d,
                "atoms": len(spec.atoms) if spec.atoms else 0,
@@ -136,24 +140,22 @@ def _cmd_validate_spec(args, config):
     return header, rows, results, "complete"
 
 
-def _cmd_detect_contraction(args, config):
+def _cmd_detect_contraction(args):
     spec = _load_spec(args)
-    found = detect_contraction(spec, r_max=args.n or 8,
-                               samples=args.replicas or 512, seed=args.seed)
+    found = detect_contraction(spec, r_max=args.n, samples=args.replicas, seed=args.seed)
     if found is None:
-        results = {"found": False, "r_max": args.n or 8}
-        rows = [["not-found", args.n or 8, 0.0]]
+        results = {"found": False, "r_max": args.n}
+        rows = [["not-found", args.n, 0.0]]
     else:
         results = {"found": True, "r": found.r, "frequency": found.frequency}
         rows = [["found", found.r, found.frequency]]
     return ["status", "r", "frequency"], rows, results, "complete"
 
 
-def _cmd_lyapunov(args, config):
+def _cmd_lyapunov(args):
     spec = _load_spec(args)
-    n = args.n or 512
-    replicas = args.replicas or 4096
-    res = est.estimate_lyapunov(spec, n, replicas, seed=args.seed)
+    n = args.n
+    res = est.estimate_lyapunov(spec, n, args.replicas, seed=args.seed)
     e = res.estimate
     rows = [["lyapunov", e.value, e.std_error, e.replicas, f"n={n}"],
             ["norm-v-spread", res.spread, 0.0, e.replicas, f"n={n}"]]
@@ -161,21 +163,18 @@ def _cmd_lyapunov(args, config):
     return ["method", "value", "std_error", "replicas", "params"], rows, results, "complete"
 
 
-def _cmd_invariant_sample(args, config):
+def _cmd_invariant_sample(args):
     spec = _load_spec(args)
-    tol = args.tol or 1e-8
-    res = backward_invariant_sample(spec, args.seed, tol)
+    res = backward_invariant_sample(spec, args.seed, args.tol)
     rows = [[json.dumps(res.point.coords.tolist()), res.certificate, res.steps]]
     results = {"certificate": res.certificate, "steps": res.steps,
                "point": res.point.coords.tolist()}
     return ["point", "certificate", "steps"], rows, results, "complete"
 
 
-def _cmd_coupling_decay(args, config):
+def _cmd_coupling_decay(args):
     spec = _load_spec(args)
-    grid = _parse_grid(args.n_grid) if args.n_grid else list(range(1, 41))
-    replicas = args.replicas or 4096
-    curve = est.coupling_decay(spec, args.p or 1.0, grid, replicas, seed=args.seed)
+    curve = est.coupling_decay(spec, args.p, args.n_grid, args.replicas, seed=args.seed)
     rows = [[n, v] for n, v in zip(curve.n_grid, curve.values)]
     results = {"a_hat": curve.a_hat, "r_squared": curve.r_squared,
                "max_violation": curve.max_violation}
@@ -184,27 +183,29 @@ def _cmd_coupling_decay(args, config):
     return ["n", "delta_hat"], rows, results, "pass" if ok else "fail"
 
 
-def _cmd_variance(args, config):
+def _cmd_variance(args):
     spec = _load_spec(args)
-    n = args.n or 256
-    replicas = args.replicas or 4096
-    lam = hz.functional_sweep(spec, [n], replicas, args.seed + 1,
+    n, replicas, seed = args.n, args.replicas, args.seed
+    lam = hz.functional_sweep(spec, [n], replicas,
+                              rngmod.child_seed(seed, Purpose.DRIFT_PRESWEEP),
                               functionals=("norm",)).lambda_hat
-    direct = est.estimate_variance_direct(spec, n, replicas, seed=args.seed)
+    direct = est.estimate_variance_direct(spec, n, replicas, seed=seed)
     curve = est.coupling_decay(spec, 1.0, range(1, 31), min(replicas, 4096),
-                               seed=args.seed + 2)
+                               seed=rngmod.child_seed(seed, Purpose.COUPLING_STAGE))
     amp, rate = est.fit_geometric_envelope(curve.n_grid, curve.values)
     s2_ref = direct["sigma"].value
     lag = 2
     while est.envelope_tail(amp, rate, lag) > 0.01 * max(s2_ref, 1e-12) and lag < 64:
         lag += 1
     series = est.estimate_variance_series(spec, lag + 1, replicas, lam,
-                                          seed=args.seed + 3, envelope=(amp, rate))
-    psi = est.estimate_psi(spec, lag, 1024, lam, seed=args.seed + 4)
+                                          seed=rngmod.child_seed(seed, Purpose.SERIES_STAGE),
+                                          envelope=(amp, rate))
+    psi = est.estimate_psi(spec, lag, 1024, lam,
+                           seed=rngmod.child_seed(seed, Purpose.PSI_STAGE))
     mpaths = max(32, min(256, replicas // 16))
     mlen = min(n, 256)
     mart = est.variance_via_martingale(spec, psi, mlen, mpaths, lam,
-                                       seed=args.seed + 5)
+                                       seed=rngmod.child_seed(seed, Purpose.MARTINGALE_STAGE))
     rows = []
     for name, e in direct.items():
         rows.append([e.method, e.value, e.std_error, e.replicas, f"n={n}"])
@@ -224,10 +225,9 @@ def _cmd_variance(args, config):
             results, "pass" if ok else "fail")
 
 
-def _cmd_normality(args, config):
+def _cmd_normality(args):
     spec = _load_spec(args)
-    n = args.n or 1024
-    replicas = args.replicas or 20000
+    n, replicas = args.n, args.replicas
     functionals = ("sigma", "norm", "v", "kappa", "inf_coeff")
     sweep = hz.functional_sweep(spec, [n], replicas, args.seed,
                                 functionals=functionals, threads=args.threads)
@@ -246,18 +246,16 @@ def _cmd_normality(args, config):
     return ["functional", "n", "ks", "minus_inf"], rows, results, "complete"
 
 
-def _cmd_berry_esseen(args, config):
+def _cmd_berry_esseen(args):
     spec = _load_spec(args)
-    grid = _parse_grid(args.n_grid) if args.n_grid else [64, 256, 1024, 4096]
-    replicas = args.replicas or 20000
-    p = args.p or 3.0
+    grid, replicas = args.n_grid, args.replicas
     functionals = ("sigma", "norm", "v", "kappa", "inf_coeff")
     sweep = hz.functional_sweep(spec, grid, replicas, args.seed,
                                 functionals=functionals, threads=args.threads)
     rows, results = [], {}
     worst = "pass"
     for f in functionals:
-        fit = hz.berry_esseen_fit(spec, f, p, grid, replicas, seed=args.seed,
+        fit = hz.berry_esseen_fit(spec, f, args.p, grid, replicas, seed=args.seed,
                                   sweep=sweep, check_moments=(f == functionals[0]))
         results[f] = {"verdict": fit.verdict, "tau_banded": fit.tau_banded,
                       "ks": list(fit.ks_values)}
@@ -268,11 +266,9 @@ def _cmd_berry_esseen(args, config):
     return ["functional", "n", "ks", "scaled", "verdict"], rows, results, worst
 
 
-def _cmd_asip_proxy(args, config):
+def _cmd_asip_proxy(args):
     spec = _load_spec(args)
-    n = args.n or 2 ** 16
-    replicas = args.replicas or 1000
-    rep = hz.asip_proxy(spec, n, replicas, seed=args.seed, eps=args.eps or 0.2)
+    rep = hz.asip_proxy(spec, args.n, args.replicas, seed=args.seed, eps=args.eps)
     rows = [["envelope", rep.envelope_fraction, rep.eps, rep.n]]
     for k, ks in rep.block_ks:
         rows.append([f"block@{k}", ks, rep.eps, rep.n])
@@ -283,12 +279,11 @@ def _cmd_asip_proxy(args, config):
     return ["statistic", "value", "eps", "n"], rows, results, "pass" if ok else "fail"
 
 
-def _cmd_deviation(args, config):
+def _cmd_deviation(args):
     spec = _load_spec(args)
-    rep = hz.deviation_tail_sums(spec, args.alpha or 1.0, args.p or 2.0,
-                                 args.eps or 0.5, args.n or 512,
-                                 args.replicas or 4096, seed=args.seed,
-                                 record_every=max((args.n or 512) // 64, 1))
+    rep = hz.deviation_tail_sums(spec, args.alpha, args.p, args.eps, args.n,
+                                 args.replicas, seed=args.seed,
+                                 record_every=max(args.n // 64, 1))
     rows = [[n, pr, ps] for n, pr, ps in zip(rep.ns, rep.probabilities, rep.partial_sums)]
     results = {"final_probability": rep.probabilities[-1],
                "final_partial_sum": rep.partial_sums[-1],
@@ -296,13 +291,12 @@ def _cmd_deviation(args, config):
     return ["n", "probability", "partial_sum"], rows, results, rep.verdict
 
 
-def _cmd_regularity(args, config):
+def _cmd_regularity(args):
     spec = _load_spec(args)
-    p = args.p or 2.0
-    samples = args.replicas or 4096
-    tol = args.tol or 1e-8
+    p, samples, tol = args.p, args.replicas, args.tol
     small = est.invariant_regularity(spec, p, samples, tol, seed=args.seed)
-    big = est.invariant_regularity(spec, p, 2 * samples, tol, seed=args.seed + 1)
+    big = est.invariant_regularity(spec, p, 2 * samples, tol,
+                                   seed=rngmod.child_seed(args.seed, Purpose.DOUBLED_STAGE))
     ok = small.agrees_with(big)
     rows = [[small.method, small.value, small.std_error, small.replicas, f"tol={tol}"],
             [big.method, big.value, big.std_error, big.replicas, f"tol={tol}"]]
@@ -311,9 +305,9 @@ def _cmd_regularity(args, config):
             results, "pass" if ok else "fail")
 
 
-def _cmd_aperiodicity(args, config):
+def _cmd_aperiodicity(args):
     spec = _load_spec(args)
-    rep = est.aperiodicity_report(spec, max_word_len=args.n or 4)
+    rep = est.aperiodicity_report(spec, max_word_len=args.n)
     rows = [["".join(map(str, w)) or "-", lk]
             for w, lk in zip(rep.words, rep.log_radii)]
     results = {"verdict": rep.verdict, "words": len(rep.words),
@@ -321,9 +315,9 @@ def _cmd_aperiodicity(args, config):
     return ["word", "log_kappa"], rows, results, "complete"
 
 
-def _cmd_cone_demo(args, config):
-    cone = _parse_cone(args.cone or "orthant:3")
-    rng = np.random.default_rng(args.seed)
+def _cmd_cone_demo(args):
+    cone = _parse_cone(args.cone)
+    rng = rngmod.derived_stream(args.seed, Purpose.CONE_DEMO)
     rows, results = [], {}
     checks_ok = True
     if cone.kind == "orthant":
@@ -380,11 +374,12 @@ def _cmd_cone_demo(args, config):
             results, "pass" if checks_ok else "fail")
 
 
-def _cmd_fixtures(args, config):
-    replicas = args.replicas or 20000
+def _cmd_fixtures(args):
+    replicas = args.replicas
     rep_a = hz.fixture_a_report(replicas=replicas, seed=args.seed)
     n_b = 3
-    frac, se = hz.fixture_b_zero_fraction(n_b, replicas, seed=args.seed + 1)
+    frac, se = hz.fixture_b_zero_fraction(
+        n_b, replicas, seed=rngmod.child_seed(args.seed, Purpose.FIXTURE_B_STAGE))
     exact = hz.fixture_b_exact_zero_probability(n_b)
     rows = []
     for i, n in enumerate(rep_a.n_values):
@@ -401,21 +396,48 @@ def _cmd_fixtures(args, config):
             results, "pass" if ok else "fail")
 
 
-_HANDLERS = {
-    "validate-spec": _cmd_validate_spec,
-    "detect-contraction": _cmd_detect_contraction,
-    "lyapunov": _cmd_lyapunov,
-    "invariant-sample": _cmd_invariant_sample,
-    "coupling-decay": _cmd_coupling_decay,
-    "variance": _cmd_variance,
-    "normality": _cmd_normality,
-    "berry-esseen": _cmd_berry_esseen,
-    "asip-proxy": _cmd_asip_proxy,
-    "deviation": _cmd_deviation,
-    "regularity": _cmd_regularity,
-    "aperiodicity": _cmd_aperiodicity,
-    "cone-demo": _cmd_cone_demo,
-    "fixtures": _cmd_fixtures,
+# flag -> (argparse type, help)
+_FLAGS = {
+    "spec": (str, "measure spec JSON (built-in reference measure when omitted)"),
+    "seed": (int, None),
+    "n": (int, None),
+    "n-grid": (_parse_grid, "comma-separated steps"),
+    "replicas": (int, None),
+    "p": (float, None),
+    "cone": (str, "orthant:d | lorentz:n | psd:n"),
+    "tol": (float, None),
+    "threads": (int, "worker-pool width; results do not depend on it"),
+    "alpha": (float, None),
+    "eps": (float, None),
+    "out": (str, "output directory"),
+}
+
+# command -> (handler, the flags it reads with their defaults); every
+# command also takes --out
+COMMANDS = {
+    "validate-spec": (_cmd_validate_spec, {"spec": None}),
+    "detect-contraction": (_cmd_detect_contraction,
+                           {"spec": None, "seed": 0, "n": 8, "replicas": 512}),
+    "lyapunov": (_cmd_lyapunov, {"spec": None, "seed": 0, "n": 512, "replicas": 4096}),
+    "invariant-sample": (_cmd_invariant_sample, {"spec": None, "seed": 0, "tol": 1e-8}),
+    "coupling-decay": (_cmd_coupling_decay,
+                       {"spec": None, "seed": 0, "n-grid": tuple(range(1, 41)),
+                        "replicas": 4096, "p": 1.0}),
+    "variance": (_cmd_variance, {"spec": None, "seed": 0, "n": 256, "replicas": 4096}),
+    "normality": (_cmd_normality, {"spec": None, "seed": 0, "n": 1024,
+                                   "replicas": 20000, "threads": 1}),
+    "berry-esseen": (_cmd_berry_esseen,
+                     {"spec": None, "seed": 0, "n-grid": (64, 256, 1024, 4096),
+                      "replicas": 20000, "p": 3.0, "threads": 1}),
+    "asip-proxy": (_cmd_asip_proxy, {"spec": None, "seed": 0, "n": 2 ** 16,
+                                     "replicas": 1000, "eps": 0.2}),
+    "deviation": (_cmd_deviation, {"spec": None, "seed": 0, "n": 512, "replicas": 4096,
+                                   "alpha": 1.0, "p": 2.0, "eps": 0.5}),
+    "regularity": (_cmd_regularity, {"spec": None, "seed": 0, "replicas": 4096,
+                                     "p": 2.0, "tol": 1e-8}),
+    "aperiodicity": (_cmd_aperiodicity, {"spec": None, "n": 4}),
+    "cone-demo": (_cmd_cone_demo, {"seed": 0, "cone": "orthant:3"}),
+    "fixtures": (_cmd_fixtures, {"seed": 0, "replicas": 20000}),
 }
 
 
@@ -425,22 +447,12 @@ def build_parser() -> _Parser:
                                  "estimators and limit-theorem verification")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--spec", type=str, default=None,
-                       help="measure spec JSON (built-in reference measure when omitted)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--n-grid", dest="n_grid", type=str, default=None)
-        p.add_argument("--replicas", type=int, default=None)
-        p.add_argument("--p", type=float, default=None)
-        p.add_argument("--cone", type=str, default=None,
-                       help="orthant:d | lorentz:n | psd:n")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--out", type=str, default="out")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--eps", type=float, default=None)
+    for name, (_, defaults) in COMMANDS.items():
+        # no prefix matching: --n must not silently become --n-grid
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag, default in {**defaults, "out": "out"}.items():
+            kind, help_text = _FLAGS[flag]
+            p.add_argument(f"--{flag}", type=kind, default=default, help=help_text)
     return parser
 
 
@@ -448,12 +460,11 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _positive(args, replicas=args.replicas, n=args.n, threads=args.threads,
-                  tol=args.tol, p=args.p)
+        config = {k: v for k, v in vars(args).items() if k != "command"}
+        _positive(config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        config = {k: v for k, v in vars(args).items() if k != "command"}
-        header, rows, results, verdict = _HANDLERS[args.command](args, config)
+        header, rows, results, verdict = COMMANDS[args.command][0](args)
         _write_csv(out / f"{args.command}.csv", header, rows)
         _write_summary(out, args.command, config, results, verdict)
         print(f"{args.command}: {verdict}  ({out / (args.command + '.csv')})")

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
+from .rng import Purpose
 
 __all__ = [
     "ConeModel",
@@ -229,7 +230,7 @@ class ConeModel:
         vector that escaped.
         """
         gm = np.asarray(g, dtype=float)
-        stream = rngmod.derived_stream(seed, 0xCE)
+        stream = rngmod.derived_stream(seed, Purpose.CERTIFY_MAP)
         for i in range(n_samples):
             boundary = i % 2 == 0
             x = self.sample_slice(stream, boundary=boundary)
@@ -263,7 +264,7 @@ class ConeModel:
         sampling includes every vertex pair, which makes the bound tight
         there.
         """
-        stream = rngmod.derived_stream(seed, 0xCC)
+        stream = rngmod.derived_stream(seed, Purpose.CONTRACTION_PAIRS)
         gm = np.asarray(g, dtype=float)
         best = 0.0
         for x, y in self._contraction_pairs(stream, n_pairs):
@@ -288,7 +289,7 @@ class ConeModel:
         cached; the constant is empirical, not exact.
         """
         if self._norm_metric_constant is None:
-            stream = rngmod.derived_stream(0xC0FFEE, self.ambient_dim)
+            stream = rngmod.derived_stream(0, Purpose.NORM_METRIC_FIT, self.ambient_dim)
             best = 0.0
             for _ in range(n_pairs):
                 x = self.sample_slice(stream)
@@ -399,7 +400,7 @@ class LorentzCone(ConeModel):
         # support value is estimated over sampled equator directions and
         # flagged approximate in the docs; apexes are always included.
         c = _coords(x)
-        stream = rngmod.derived_stream(0xD0, self.ambient_dim)
+        stream = rngmod.derived_stream(0, Purpose.DUAL_CAP, self.ambient_dim)
         best = max(0.0, float(c[-1]))
         dirs = stream.standard_normal((DUAL_CAP_SAMPLES, self.n))
         norms = np.linalg.norm(dirs, axis=1)

@@ -2,8 +2,8 @@
 asymptotic variance (three independent routes), aperiodicity evidence,
 and moment regularity of the invariant measure.
 
-All estimators are replica-parallel with deterministic seed splitting;
-vectorized batches draw from one derived stream per estimator, so a
+All estimators are replica-parallel; vectorized batches draw from one
+stream per estimator, keyed by its purpose in ``rng.Purpose``, so a
 fixed (spec, seed, sizes) triple always reproduces the same numbers.
 """
 
@@ -15,6 +15,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .measures import MeasureSpec, sample_batch
+from .rng import Purpose
 from .simplex import barycenter, contraction_coefficient, point_coords
 from .walk import backward_invariant_batch, detect_contraction
 
@@ -88,7 +89,7 @@ class BatchedProducts:
 
     def __init__(self, spec: MeasureSpec, seed: int, replicas: int, key: int = 0):
         self.spec = spec
-        self.rng = rngmod.derived_stream(seed, 0xF0, key)
+        self.rng = rngmod.derived_stream(seed, Purpose.FORWARD, key)
         self.replicas = int(replicas)
         d = spec.d
         self.P = np.broadcast_to(np.eye(d), (self.replicas, d, d)).copy()
@@ -227,10 +228,12 @@ def coupling_decay(spec: MeasureSpec, p: float, n_grid, replicas: int,
                    block_len: int = 1) -> CouplingCurve:
     """Estimate the increment-coupling moments over a grid of steps."""
     grid = sorted(int(n) for n in n_grid)
-    if grid[0] < 1:
-        raise ValueError("grid steps must be >= 1")
+    if not grid or grid[0] < 1:
+        raise ValueError("n_grid must hold at least one step, all >= 1")
     if block_len < 1:
         raise ValueError("block_len must be at least 1")
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas}")
     n_max = grid[-1]
     batch = BatchedProducts(spec, seed, replicas)
     d = spec.d
@@ -324,6 +327,10 @@ def estimate_variance_direct(spec: MeasureSpec, n: int, replicas: int,
     log v, log spectral radius) converge to the same limit; they are
     reported together so their agreement can be checked.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if replicas < 2:
+        raise ValueError(f"replicas must be >= 2, got {replicas}")
     x = point_coords(start) if start is not None else barycenter(spec.d).coords
     batch = BatchedProducts(spec, seed, replicas)
     batch.run(n)
@@ -367,7 +374,7 @@ def estimate_variance_series(spec: MeasureSpec, n_lag_max: int, replicas: int,
     if n_lag_max < 1:
         raise ValueError(f"n_lag_max must be >= 1, got {n_lag_max}")
     w0, _, _ = backward_invariant_batch(spec, seed, w0_tol, replicas)
-    stream = rngmod.derived_stream(seed, 0x5E)
+    stream = rngmod.derived_stream(seed, Purpose.SERIES_PATHS)
     incs = (log_norms[:, 0] - lambda_hat
             for log_norms, _ in _vector_steps(spec, stream, w0[:, None], n_lag_max))
     first = next(incs)
@@ -446,7 +453,7 @@ def estimate_psi(spec: MeasureSpec, truncation: int, inner_size: int,
         raise ValueError(f"truncation must be >= 1, got {truncation}")
     if inner_size < 2:
         raise ValueError(f"inner_size must be >= 2, got {inner_size}")
-    stream = rngmod.derived_stream(seed, 0x51)
+    stream = rngmod.derived_stream(seed, Purpose.PSI_FIT)
     d = spec.d
     probes = [barycenter(d).coords]
     for _ in range(fit_points - 1):
@@ -494,7 +501,7 @@ def variance_via_martingale(spec: MeasureSpec, psi: PsiEstimate, n: int,
     if replicas < 2:
         raise ValueError(f"replicas must be >= 2, got {replicas}")
     w0, _, _ = backward_invariant_batch(spec, seed, w0_tol, replicas)
-    stream = rngmod.derived_stream(seed, 0x3A)
+    stream = rngmod.derived_stream(seed, Purpose.MARTINGALE_PATHS)
     psi_prev, var_prev = psi.evaluate(w0, stream)
     sum_d2 = np.zeros(replicas)
     sum_d = np.zeros(replicas)
@@ -551,30 +558,34 @@ class AperiodicityReport:
     max_denominator: int
 
 
-def _convergents(x: float, max_denominator: int):
-    a = x
-    h_prev, h = 1, int(np.floor(a))
-    k_prev, k = 0, 1
-    yield h, k
+def _has_close_convergent(x: np.ndarray, tol: float, max_denominator: int) -> np.ndarray:
+    """Whether some continued-fraction convergent p/q of each x >= 0, with
+    q <= max_denominator, lies within tol of it.
+
+    One recurrence runs over the whole array.  An entry leaves it at its
+    first close convergent, at a fractional part below 1e-15, or when
+    the next denominator exceeds the cap.  Numerators and denominators
+    are floats, exact while the denominators stay under the cap.
+    """
+    found = np.abs(x - np.floor(x)) <= tol
+    live = np.flatnonzero(~found)
+    a = x[live]
+    # rows: a, h_prev, h, k_prev, k of the entries still searching
+    cf = np.stack([a, np.ones_like(a), np.floor(a), np.zeros_like(a), np.ones_like(a)])
     for _ in range(64):
-        frac = a - np.floor(a)
-        if frac < 1e-15:
-            return
-        a = 1.0 / frac
-        ai = int(np.floor(a))
-        h, h_prev = ai * h + h_prev, h
-        k, k_prev = ai * k + k_prev, k
-        if k > max_denominator:
-            return
-        yield h, k
-
-
-def _commensurate(ratio: float, tol: float, max_denominator: int) -> bool:
-    r = abs(ratio)
-    for p, q in _convergents(r, max_denominator):
-        if abs(r - p / q) <= tol:
-            return True
-    return False
+        frac = cf[0] - np.floor(cf[0])
+        keep = frac >= 1e-15
+        live, cf, a = live[keep], cf[:, keep], 1.0 / frac[keep]
+        ai = np.floor(a)
+        cf = np.stack([a, cf[2], ai * cf[2] + cf[1], cf[4], ai * cf[4] + cf[3]])
+        capped = cf[4] > max_denominator
+        hit = ~capped & (np.abs(x[live] - cf[2] / cf[4]) <= tol)
+        found[live[hit]] = True
+        keep = ~(capped | hit)
+        live, cf = live[keep], cf[:, keep]
+        if not live.size:
+            break
+    return found
 
 
 def aperiodicity_report(spec: MeasureSpec, max_word_len: int,
@@ -601,13 +612,12 @@ def aperiodicity_report(spec: MeasureSpec, max_word_len: int,
         digits = positive[:, None] // k ** np.arange(length - 1, -1, -1) % k
         words.extend(map(tuple, digits.tolist()))
         radii.extend((log_scale[positive] + np.log(kap)).tolist())
-    bad_pairs = []
-    for i in range(len(radii)):
-        for j in range(i + 1, len(radii)):
-            if abs(radii[j]) < 1e-9:
-                continue
-            if not _commensurate(radii[i] / radii[j], ratio_tol, max_denominator):
-                bad_pairs.append((i, j))
+    r = np.asarray(radii)
+    i, j = np.triu_indices(len(r), k=1)
+    keep = np.abs(r[j]) >= 1e-9
+    i, j = i[keep], j[keep]
+    bad = ~_has_close_convergent(np.abs(r[i] / r[j]), ratio_tol, max_denominator)
+    bad_pairs = list(zip(i[bad].tolist(), j[bad].tolist()))
     verdict = "aperiodic evidence" if bad_pairs else "possibly arithmetic"
     return AperiodicityReport(words=tuple(words), log_radii=tuple(radii),
                               incommensurate_pairs=tuple(bad_pairs),
@@ -631,8 +641,11 @@ def invariant_regularity(spec: MeasureSpec, p: float, samples: int,
     be strictly contracting, with a stable order-p moment, for the
     integral to be finite.
     """
-    for view, name in ((spec, "measure"), (spec.transposed(), "transpose view")):
-        if detect_contraction(view, 4, 256, seed) is None:
+    views = ((spec, "measure", seed),
+             (spec.transposed(), "transpose view",
+              rngmod.child_seed(seed, Purpose.TRANSPOSE_SEARCH)))
+    for view, name, view_seed in views:
+        if detect_contraction(view, 4, 256, view_seed) is None:
             raise ValueError(f"the {name} shows no strictly positive products; "
                              "regularity moment may be infinite")
     if check_moments:
@@ -662,7 +675,7 @@ class MomentSanity:
 def moment_sanity(spec: MeasureSpec, p: float, samples: int,
                   seed: int = 0) -> MomentSanity:
     """Check that the p-th moment of log N(Y_1) looks finite and stable."""
-    stream = rngmod.derived_stream(seed, 0x30)
+    stream = rngmod.derived_stream(seed, Purpose.MOMENT_DRAWS)
     draws = sample_batch(spec, stream, samples)
     cs = draws.sum(axis=1)
     op = cs.max(axis=1)

@@ -27,6 +27,7 @@ from . import rng as rngmod
 from .estimators import BatchedProducts, moment_sanity
 from .measures import MeasureSpec, sample_batch
 from .posmat import g_delta_level
+from .rng import Purpose
 from .simplex import barycenter, point_coords
 
 __all__ = [
@@ -228,13 +229,16 @@ def functional_sweep(spec: MeasureSpec, n_grid, replicas: int, seed: int,
                      chunk: int = _CHUNK) -> SweepResult:
     """Simulate all requested functionals on one set of shared paths.
 
-    Replicas are split into fixed-size chunks with independent derived
-    streams, so the result depends only on (spec, seed, replicas, chunk)
-    and never on the worker-pool width.
+    Replicas are split into fixed-size chunks; chunk k is
+    ``BatchedProducts(spec, seed, size, key=k)`` on the stream
+    (seed, FORWARD, k), so the result depends only on (spec, seed,
+    replicas, chunk) and never on the worker-pool width.
     """
     grid = sorted(int(n) for n in n_grid)
-    if grid[0] < 1:
-        raise ValueError("grid steps must be >= 1")
+    if not grid or grid[0] < 1:
+        raise ValueError("n_grid must hold at least one step, all >= 1")
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas}")
     for name in functionals:
         if name not in FUNCTIONALS:
             raise ValueError(f"unknown functional {name!r}")
@@ -337,6 +341,8 @@ def berry_esseen_fit(spec: MeasureSpec, functional: str, p: float, n_grid,
                      check_moments: bool = True) -> RateFit:
     """Fit the Berry-Esseen scaling ks * n**(p/2-1) over the grid."""
     grid = sorted(int(v) for v in n_grid)
+    if not grid:
+        raise ValueError("n_grid must not be empty")
     if check_moments:
         sanity = moment_sanity(spec, p, max(4096, replicas // 8), seed)
         if not sanity.stable:
@@ -411,11 +417,13 @@ def asip_proxy(spec: MeasureSpec, n: int, replicas: int, seed: int = 0,
     """Track running deviations of one replica batch up to step n."""
     if variant not in ("sigma", "coeff"):
         raise ValueError("variant must be 'sigma' or 'coeff'")
+    if n < 3:
+        raise ValueError(f"n must be >= 3 so that log log n > 0, got {n}")
     xc = point_coords(x) if x is not None else barycenter(spec.d).coords
     yc = point_coords(y) if y is not None else barycenter(spec.d).coords
     if lambda_hat is None or s is None:
-        pre = functional_sweep(spec, [min(n, 4096)],
-                               max(2048, replicas), seed + 1,
+        pre = functional_sweep(spec, [min(n, 4096)], max(2048, replicas),
+                               rngmod.child_seed(seed, Purpose.DRIFT_PRESWEEP),
                                functionals=("norm",))
         top = pre.samples[("norm", min(n, 4096))]
         if lambda_hat is None:
@@ -492,10 +500,13 @@ def deviation_tail_sums(spec: MeasureSpec, alpha: float, p: float, eps: float,
         raise ValueError("alpha must be >= 1/p")
     if variant not in ("cocycle", "coefficient"):
         raise ValueError("variant must be 'cocycle' or 'coefficient'")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     xc = point_coords(x) if x is not None else barycenter(spec.d).coords
     if lambda_hat is None:
         lambda_hat = functional_sweep(spec, [n_max], max(replicas // 4, 1024),
-                                      seed + 1, functionals=("norm",)).lambda_hat
+                                      rngmod.child_seed(seed, Purpose.DRIFT_PRESWEEP),
+                                      functionals=("norm",)).lambda_hat
     batch = BatchedProducts(spec, seed, replicas)
     running_max = np.zeros(replicas)
     ns, probs, partials = [], [], []
@@ -677,7 +688,7 @@ def coefficient_gap_check(spec: MeasureSpec, n_max: int, paths: int,
         raise ValueError("every atom must be strictly positive for this check")
     n0 = int(np.ceil(1.0 / level))
     draws = np.stack([  # raw draws, kept dense (n_max <= 64 stays in range)
-        sample_batch(spec, rngmod.replica_stream(seed, path), n_max)
+        sample_batch(spec, rngmod.derived_stream(seed, Purpose.GAP_PATH, path), n_max)
         for path in range(paths)])
     prod = draws[:, 0]
     suffix = draws[:, :0]  # suffix[:, ell - 1] = Y_{n-1} ... Y_ell, ell < n

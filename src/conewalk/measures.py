@@ -93,6 +93,12 @@ class MeasureSpec:
         else:
             raise ValueError(f"unknown spec kind {self.kind!r}")
 
+    def __hash__(self):
+        # params is a dict: hash its sorted items, which equal dicts share
+        params = None if self.params is None else tuple(sorted(self.params.items()))
+        return hash((self.kind, self.d, self.weights, self.atoms, self.family, params,
+                     self.transpose_view))
+
     # -- constructors -------------------------------------------------
 
     @staticmethod

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .measures import MeasureSpec, sample_batch
+from .rng import Purpose
 from .simplex import SimplexPoint, barycenter, contraction_coefficient, point_coords
 
 __all__ = [
@@ -65,7 +66,8 @@ def default_block_len(spec: MeasureSpec, seed: int = 0) -> int:
         return 1
     if any(a.is_strictly_positive for a in spec.atoms):
         return 1
-    found = detect_contraction(spec, r_max=8, samples=512, seed=seed)
+    found = detect_contraction(spec, r_max=8, samples=512,
+                               seed=rngmod.child_seed(seed, Purpose.BLOCK_SEARCH))
     if found is None:
         raise ContractionFailure(
             "no strictly positive products found up to length 8; "
@@ -135,14 +137,14 @@ def backward_invariant_sample(spec: MeasureSpec, seed: int, tol: float,
                               replica: int = 0) -> InvariantSample:
     """Iterate B_n . x until the contraction certificate drops below tol.
 
-    Draws come from the stream keyed by (seed, replica).  The certificate
-    is the product of the contraction coefficients of consecutive draw
-    blocks, which dominates c(B_n).  A step cap framed as a failure
-    suggests the measure is not strictly contracting.
+    Draws come from the stream keyed (seed, BACKWARD_PATH, replica).  The
+    certificate is the product of the contraction coefficients of
+    consecutive draw blocks, which dominates c(B_n).  A step cap framed as
+    a failure suggests the measure is not strictly contracting.
     """
-    pts, certs, steps = _backward_products(
-        spec, seed, rngmod.replica_stream(seed, replica), tol, 1, start,
-        block_len, step_cap)
+    stream = rngmod.derived_stream(seed, Purpose.BACKWARD_PATH, replica)
+    pts, certs, steps = _backward_products(spec, seed, stream, tol, 1, start,
+                                           block_len, step_cap)
     return InvariantSample(SimplexPoint(pts[0]), float(certs[0]), int(steps[0]))
 
 
@@ -156,8 +158,9 @@ def backward_invariant_batch(spec: MeasureSpec, seed: int, tol: float,
     the one-path API; determinism holds for fixed seed and n_samples).
     Returns (points (R, d), certificates (R,), steps (R,)).
     """
-    return _backward_products(spec, seed, rngmod.derived_stream(seed, 0xB, 0), tol,
-                              int(n_samples), start, block_len, step_cap)
+    stream = rngmod.derived_stream(seed, Purpose.BACKWARD_BATCH)
+    return _backward_products(spec, seed, stream, tol, int(n_samples), start,
+                              block_len, step_cap)
 
 
 # ---------------------------------------------------------------------
@@ -200,7 +203,8 @@ def detect_contraction(spec: MeasureSpec, r_max: int, samples: int,
     if samples < 1:
         raise ValueError("samples must be at least 1")
     for r in range(1, r_max + 1):
-        prod = _block_products(spec, rngmod.derived_stream(seed, 0xC, r), samples, r)
+        stream = rngmod.derived_stream(seed, Purpose.CONTRACTION_SEARCH, r)
+        prod = _block_products(spec, stream, samples, r)
         hits = int(np.count_nonzero((prod > 0).all(axis=(1, 2))))
         if hits:
             return ContractionDetection(r=r, frequency=hits / samples)
@@ -223,7 +227,7 @@ def hitting_time(spec: MeasureSpec, seed: int, delta: float,
         raise ValueError("block_len must be at least 1")
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    stream = rngmod.replica_stream(seed, replica)
+    stream = rngmod.derived_stream(seed, Purpose.HITTING_TIME, replica)
     d = spec.d
     done = 0
     while done < cap:

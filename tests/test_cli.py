@@ -75,6 +75,35 @@ class TestArgumentHandling:
             run(["lyapunov", "--bogus", "1"])
         assert exc.value.code == 1
 
+    def test_flags_a_command_does_not_read_exit_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["lyapunov", "--cone", "psd:3", "--tol", "5", "--threads", "7"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "--cone" in err and "--tol" in err and "--threads" in err
+
+    def test_no_prefix_matching(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["coupling-decay", "--n", "5"])  # not --n-grid
+        assert exc.value.code == 1
+
+    def test_summary_records_the_values_used(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["lyapunov", "--n", "8", "--out", str(out)]) == 0
+        assert _summary(out)["config"] == {"spec": None, "seed": 0, "n": 8,
+                                           "replicas": 4096, "out": str(out)}
+        assert run(["coupling-decay", "--replicas", "64", "--out", str(out)]) == 0
+        config = _summary(out)["config"]
+        assert config["n_grid"] == list(range(1, 41)) and config["p"] == 1.0
+
+    def test_empty_grid_exits_one(self, tmp_path, capsys):
+        assert run(["coupling-decay", "--n-grid", ",", "--out", str(tmp_path)]) == 1
+        assert "n_grid" in capsys.readouterr().err
+
+    def test_asip_proxy_rejects_tiny_n(self, tmp_path, capsys):
+        assert run(["asip-proxy", "--n", "2", "--out", str(tmp_path)]) == 1
+        assert "n must" in capsys.readouterr().err
+
     def test_nonpositive_replicas_rejected(self, tmp_path, capsys):
         assert run(["lyapunov", "--replicas", "-5", "--out", str(tmp_path)]) == 1
         assert "--replicas" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from conewalk.estimators import (BatchedProducts, aperiodicity_report,
                                  variance_via_martingale)
 from conewalk.measures import MeasureSpec, sample_batch
 from conewalk.posmat import AllowableMatrix, gauges, perron_vector, spectral_radius
+from conewalk.rng import Purpose
 from conewalk.simplex import barycenter, contraction_coefficient
 from conewalk.walk import backward_invariant_batch
 
@@ -84,6 +85,14 @@ class TestCouplingDecay:
         with pytest.raises(ValueError, match="block_len"):
             coupling_decay(reference_spec, 1.0, [1, 2], 4, block_len=0)
 
+    def test_replicas_must_be_positive(self, reference_spec):
+        with pytest.raises(ValueError, match="replicas"):
+            coupling_decay(reference_spec, 1.0, [1, 2], 0)
+
+    def test_grid_must_be_nonempty(self, reference_spec):
+        with pytest.raises(ValueError, match="n_grid"):
+            coupling_decay(reference_spec, 1.0, [], 4)
+
     def test_envelope_majorizes(self):
         ns = np.arange(1, 21)
         vals = 0.7 * 0.5 ** ns
@@ -94,6 +103,12 @@ class TestCouplingDecay:
 
 
 class TestVarianceRoutes:
+    def test_direct_rejects_degenerate_sizes(self, reference_spec):
+        with pytest.raises(ValueError, match="n must"):
+            estimate_variance_direct(reference_spec, 0, 10)
+        with pytest.raises(ValueError, match="replicas"):
+            estimate_variance_direct(reference_spec, 8, 1)
+
     def test_single_atom_direct_variance_vanishes(self):
         out = estimate_variance_direct(SINGLE, 64, 50, seed=6)
         for est in out.values():
@@ -180,7 +195,7 @@ class TestPsiKernel:
         monkeypatch.setattr(rngmod, "derived_stream", recording_derive)
         psi = estimate_psi(spec, self.LEVELS, self.INNER, self.LAM, seed=43,
                            fit_points=b)
-        ref_rng = derive(43, 0x51)
+        ref_rng = derive(43, Purpose.PSI_FIT)
         probes = [np.full(d, 1.0 / d)]
         probes += [ref_rng.dirichlet(np.ones(d)) for _ in range(b - 1)]
         incs = _einsum_inner_paths(spec, ref_rng, np.stack(probes), self.INNER,
@@ -222,7 +237,7 @@ def reference_series(spec, n_lag_max, replicas, lam, seed):
     """The einsum outer loop of ``estimate_variance_series``; returns the
     per-replica statistics and the stream."""
     w0, _, _ = backward_invariant_batch(spec, seed, 1e-8, replicas)
-    stream = rngmod.derived_stream(seed, 0x5E)
+    stream = rngmod.derived_stream(seed, Purpose.SERIES_PATHS)
     acc = np.zeros(replicas)
     for k, (log_norms, _) in enumerate(_einsum_outer_steps(spec, stream, w0, n_lag_max), 1):
         inc = log_norms - lam
@@ -238,7 +253,7 @@ def reference_martingale(spec, psi, n, replicas, lam, seed):
     """The einsum outer loop of ``variance_via_martingale``; returns the
     (R,) sums of D_k^2, of D_k and of D_k D_{k-1}, and the stream."""
     w0, _, _ = backward_invariant_batch(spec, seed, 1e-8, replicas)
-    stream = rngmod.derived_stream(seed, 0x3A)
+    stream = rngmod.derived_stream(seed, Purpose.MARTINGALE_PATHS)
     psi_prev, _ = psi.evaluate(w0, stream)
     sum_d2, sum_d, lag1, prev_d = 0.0, 0.0, 0.0, 0.0
     for log_norms, x in _einsum_outer_steps(spec, stream, w0, n):
@@ -329,6 +344,37 @@ class TestMartingaleRoute:
         assert direct.agrees_with(out.estimate)
 
 
+def _convergents(x, max_denominator):
+    a = x
+    h_prev, h = 1, int(np.floor(a))
+    k_prev, k = 0, 1
+    yield h, k
+    for _ in range(64):
+        frac = a - np.floor(a)
+        if frac < 1e-15:
+            return
+        a = 1.0 / frac
+        ai = int(np.floor(a))
+        h, h_prev = ai * h + h_prev, h
+        k, k_prev = ai * k + k_prev, k
+        if k > max_denominator:
+            return
+        yield h, k
+
+
+def reference_commensurate(ratio, tol, max_denominator):
+    """The per-pair convergent loop, kept as the reference for the array
+    recurrence of ``aperiodicity_report``."""
+    r = abs(ratio)
+    return any(abs(r - p / q) <= tol for p, q in _convergents(r, max_denominator))
+
+
+def reference_incommensurate_pairs(radii, tol=1e-9, max_denominator=1000):
+    return [(i, j) for i in range(len(radii)) for j in range(i + 1, len(radii))
+            if abs(radii[j]) >= 1e-9
+            and not reference_commensurate(radii[i] / radii[j], tol, max_denominator)]
+
+
 def reference_aperiodicity_radii(spec, max_word_len):
     """The one-matmul-per-word enumeration with power-iteration radii, kept
     as the reference for ``aperiodicity_report``; returns (words, log radii)."""
@@ -367,11 +413,20 @@ class TestAperiodicity:
         words, radii = reference_aperiodicity_radii(spec, 4)
         assert list(rep.words) == words
         assert np.max(np.abs(np.asarray(rep.log_radii) - radii)) <= 1e-12
-        pairs = [(i, j) for i in range(len(radii)) for j in range(i + 1, len(radii))
-                 if abs(radii[j]) >= 1e-9
-                 and not estimators._commensurate(radii[i] / radii[j], 1e-9, 1000)]
+        pairs = reference_incommensurate_pairs(radii)
         assert list(rep.incommensurate_pairs) == pairs
+        assert reference_incommensurate_pairs(rep.log_radii) == pairs
         assert rep.verdict == ("aperiodic evidence" if pairs else "possibly arithmetic")
+
+    @pytest.mark.parametrize("tol, max_denominator", [(1e-9, 1000), (1e-6, 50), (1e-3, 10)])
+    def test_convergent_recurrence_matches_loop(self, tol, max_denominator):
+        rng = np.random.default_rng(60)
+        x = np.concatenate([rng.uniform(0, 10, 3000),
+                            rng.integers(1, 50, 1000) / rng.integers(1, 2000, 1000),
+                            rng.uniform(0, 1e10, 300), 1 + rng.uniform(-1e-8, 1e-8, 300),
+                            [0.0, 1.0, 2.5, 1e-16, 1 / 3, 2 / 3, 355 / 113]])
+        ref = [reference_commensurate(v, tol, max_denominator) for v in x]
+        assert estimators._has_close_convergent(x, tol, max_denominator).tolist() == ref
 
     def test_single_atom_is_arithmetic(self):
         rep = aperiodicity_report(SINGLE, 4)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from conewalk import harness as hz
 from conewalk import rng as rngmod
+from conewalk.estimators import BatchedProducts
 from conewalk.measures import MeasureSpec, sample_matrix
 from conewalk.posmat import AllowableMatrix, g_delta_level, perron_vector, spectral_radius
+from conewalk.rng import Purpose
 
 SINGLE = MeasureSpec.single_atom(AllowableMatrix([[2.0, 1.0], [1.0, 1.0]]))
 
@@ -68,6 +72,33 @@ class TestFunctionalSweep:
             assert np.array_equal(vals, par.samples[key])
         assert seq.lambda_hat == par.lambda_hat
 
+    @settings(max_examples=12, deadline=None)
+    @given(replicas=st.integers(1, 40), chunk=st.integers(1, 16),
+           seed=st.integers(0, 2**63))
+    def test_threads_never_matter_and_chunk_k_is_batch_key_k(self, replicas, chunk, seed):
+        spec = hz.reference_spec()
+        kw = dict(n_grid=[3, 6], replicas=replicas, seed=seed, chunk=chunk,
+                  functionals=("sigma", "norm", "kappa"))
+        one = hz.functional_sweep(spec, threads=1, **kw)
+        two = hz.functional_sweep(spec, threads=2, **kw)
+        for key, vals in one.samples.items():
+            assert np.array_equal(vals, two.samples[key])
+        # documented layout: chunk k of the replicas runs BatchedProducts key k
+        norms = []
+        for k, start in enumerate(range(0, replicas, chunk)):
+            batch = BatchedProducts(spec, seed, min(chunk, replicas - start), key=k)
+            batch.run(6)
+            norms.append(batch.log_norm())
+        assert np.array_equal(one.samples[("norm", 6)], np.concatenate(norms))
+
+    def test_rejects_empty_replica_set(self, reference_spec):
+        with pytest.raises(ValueError, match="replicas"):
+            hz.functional_sweep(reference_spec, [4], 0, 0)
+
+    def test_rejects_empty_grid(self, reference_spec):
+        with pytest.raises(ValueError, match="n_grid"):
+            hz.functional_sweep(reference_spec, [], 10, 0)
+
     def test_ordering_invariants_hold_pathwise(self, reference_spec):
         sweep = hz.functional_sweep(reference_spec, [8, 64], 2000, seed=6,
                                     functionals=("norm", "v", "kappa", "inf_coeff"))
@@ -101,6 +132,10 @@ class TestBerryEsseen:
                                   check_moments=False)
         assert fit.verdict == "degenerate"
 
+    def test_rejects_empty_grid(self, reference_spec):
+        with pytest.raises(ValueError, match="n_grid"):
+            hz.berry_esseen_fit(reference_spec, "sigma", 3.0, [], 200)
+
     def test_reference_small_grid_passes(self, reference_spec):
         fit = hz.berry_esseen_fit(reference_spec, "sigma", 3.0, [32, 128, 512],
                                   8000, seed=10)
@@ -125,6 +160,11 @@ class TestAsipProxy:
     def test_coefficient_variant_runs(self, reference_spec):
         rep = hz.asip_proxy(reference_spec, 1024, 100, seed=13, variant="coeff")
         assert 0.0 <= rep.envelope_fraction <= 1.0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rejects_n_without_iterated_log(self, reference_spec, n):
+        with pytest.raises(ValueError, match="n must"):
+            hz.asip_proxy(reference_spec, n, 10, s=1.0, lambda_hat=0.5)
 
 
 class TestDeviation:
@@ -172,6 +212,10 @@ class TestDeviation:
             hz.deviation_tail_sums(reference_spec, 0.4, 2.0, 0.5, 16, 10)
         with pytest.raises(ValueError):
             hz.deviation_tail_sums(reference_spec, 0.6, 1.0, 0.5, 16, 10)
+
+    def test_rejects_empty_step_range(self, reference_spec):
+        with pytest.raises(ValueError, match="n_max"):
+            hz.deviation_tail_sums(reference_spec, 1.0, 2.0, 0.5, 0, 10, lambda_hat=0.5)
 
 
 class TestFixtures:
@@ -236,7 +280,7 @@ def reference_gap_check(spec, n_max, paths, seed=0):
     n0 = int(np.ceil(1.0 / level))
     worst = -np.inf
     for path in range(paths):
-        stream = rngmod.replica_stream(seed, path)
+        stream = rngmod.derived_stream(seed, Purpose.GAP_PATH, path)
         draws = [sample_matrix(spec, stream).entries for _ in range(n_max)]
         prod = np.eye(spec.d)
         for n in range(1, n_max + 1):

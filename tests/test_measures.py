@@ -6,6 +6,7 @@ import pytest
 from conewalk import rng as rngmod
 from conewalk.measures import MeasureSpec, sample_batch, sample_matrix
 from conewalk.posmat import AllowableMatrix
+from conewalk.rng import Purpose
 
 
 @pytest.fixture
@@ -84,6 +85,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="atom 0"):
             MeasureSpec.from_json_dict(doc)
 
+    def test_parametric_specs_hash_by_params(self):
+        a = MeasureSpec.parametric("lognormal", 3, mu=0.0, sigma=1.0)
+        b = MeasureSpec.from_json(MeasureSpec.parametric("lognormal", 3, sigma=1.0,
+                                                         mu=0.0).to_json())
+        assert a == b and hash(a) == hash(b)
+        table = {a: "first"}
+        table[b] = "second"
+        assert table == {a: "second"}
+        assert hash(a) != hash(a.transposed())
+        assert len({a, MeasureSpec.parametric("lognormal", 3, mu=0.0, sigma=2.0)}) == 2
+
     def test_parametric_round_trip(self):
         spec = MeasureSpec.parametric("lognormal", 3, mu=0.25, sigma=0.5)
         assert MeasureSpec.from_json(spec.to_json()).to_json() == spec.to_json()
@@ -98,12 +110,12 @@ class TestSampling:
     def test_single_atom_always_that_atom(self):
         atom = AllowableMatrix([[2.0, 1.0], [1.0, 1.0]])
         spec = MeasureSpec.single_atom(atom)
-        stream = rngmod.master_stream(0)
+        stream = rngmod.derived_stream(0)
         for _ in range(20):
             assert np.array_equal(sample_matrix(spec, stream).entries, atom.entries)
 
     def test_empirical_frequency_matches_weights(self, two_atom_spec):
-        stream = rngmod.master_stream(1)
+        stream = rngmod.derived_stream(1)
         draws = sample_batch(two_atom_spec, stream, 100_000)
         first = np.mean(draws[:, 0, 0] == 2.0)
         assert abs(first - 0.5) <= 0.01  # binomial band at this size
@@ -111,7 +123,7 @@ class TestSampling:
     def test_transpose_view(self):
         atom = AllowableMatrix([[2.0, 1.0], [0.5, 1.0]])
         spec = MeasureSpec.single_atom(atom).transposed()
-        stream = rngmod.master_stream(2)
+        stream = rngmod.derived_stream(2)
         assert np.array_equal(sample_matrix(spec, stream).entries, atom.entries.T)
         assert spec.transposed().transpose_view is False
 
@@ -152,26 +164,26 @@ class TestSampling:
 
     def test_lognormal_draws_allowable(self):
         spec = MeasureSpec.parametric("lognormal", 3, mu=0.0, sigma=1.0)
-        stream = rngmod.master_stream(3)
+        stream = rngmod.derived_stream(3)
         draws = sample_batch(spec, stream, 500)
         assert np.all(draws > 0)
 
     def test_uniform_draws_allowable_even_at_zero_floor(self):
         spec = MeasureSpec.parametric("uniform", 3, lo=0.0, hi=2.0)
-        stream = rngmod.master_stream(4)
+        stream = rngmod.derived_stream(4)
         for _ in range(300):
             m = sample_matrix(spec, stream)
             assert np.all(m.column_sums > 0)
 
     def test_uniform_transpose_view(self):
         spec = MeasureSpec.parametric("uniform", 2, lo=1.0, hi=2.0, transpose_view=True)
-        m = sample_matrix(spec, rngmod.master_stream(5))
+        m = sample_matrix(spec, rngmod.derived_stream(5))
         assert m.d == 2
 
 
 def test_replica_streams_are_independent_and_stable():
-    a0 = rngmod.replica_stream(99, 0).random(4)
-    a1 = rngmod.replica_stream(99, 1).random(4)
-    again = rngmod.replica_stream(99, 0).random(4)
+    a0 = rngmod.derived_stream(99, Purpose.BACKWARD_PATH, 0).random(4)
+    a1 = rngmod.derived_stream(99, Purpose.BACKWARD_PATH, 1).random(4)
+    again = rngmod.derived_stream(99, Purpose.BACKWARD_PATH, 0).random(4)
     assert np.array_equal(a0, again)
     assert not np.array_equal(a0, a1)

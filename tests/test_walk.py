@@ -7,6 +7,7 @@ from conewalk.harness import reference_spec
 from conewalk.measures import MeasureSpec, sample_batch, sample_matrix
 from conewalk.posmat import (AllowableMatrix, classify_G_delta, gauges, perron_vector,
                              spectral_radius)
+from conewalk.rng import Purpose
 from conewalk.simplex import (SimplexPoint, barycenter, contraction_coefficient,
                               hilbert_distance)
 from conewalk.walk import (ContractionFailure, backward_invariant_batch,
@@ -24,7 +25,7 @@ TWO = MeasureSpec.atomic([[[2.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 2.0]]],
 def replayed_draws(spec, seed, replicas, n, key=0):
     """The draws of ``BatchedProducts(spec, seed, replicas, key)``, replayed
     from its stream."""
-    stream = rngmod.derived_stream(seed, 0xF0, key)
+    stream = rngmod.derived_stream(seed, Purpose.FORWARD, key)
     return [sample_batch(spec, stream, replicas) for _ in range(n)]
 
 
@@ -141,7 +142,7 @@ class TestForwardStream:
 def reference_backward_sample(spec, seed, tol, start=None, block_len=1, replica=0):
     """The one-path backward loop with the quadruple coefficient, kept as
     the reference for ``backward_invariant_sample``."""
-    stream = rngmod.replica_stream(seed, replica)
+    stream = rngmod.derived_stream(seed, Purpose.BACKWARD_PATH, replica)
     d = spec.d
     x0 = barycenter(d).coords if start is None else SimplexPoint(start).coords
     P = np.eye(d)
@@ -244,7 +245,7 @@ def reference_detect_contraction(spec, r_max, samples, seed=0):
     """The one-draw-at-a-time search, kept as the reference for
     ``detect_contraction``; returns (r, frequency) or None."""
     for r in range(1, r_max + 1):
-        stream = rngmod.derived_stream(seed, 0xC, r)
+        stream = rngmod.derived_stream(seed, Purpose.CONTRACTION_SEARCH, r)
         hits = 0
         for _ in range(samples):
             prod = sample_matrix(spec, stream).entries.copy()
@@ -260,7 +261,7 @@ def reference_detect_contraction(spec, r_max, samples, seed=0):
 
 def reference_hitting_time(spec, seed, delta, block_len=1, replica=0, cap=10**4):
     """The one-block-at-a-time loop, kept as the reference for ``hitting_time``."""
-    stream = rngmod.replica_stream(seed, replica)
+    stream = rngmod.derived_stream(seed, Purpose.HITTING_TIME, replica)
     for m in range(1, cap + 1):
         blk = np.eye(spec.d)
         for _ in range(block_len):
