@@ -44,7 +44,6 @@ __all__ = [
 MEMBERSHIP_TOL = 1e-12
 BISECTION_TOL = 1e-10
 CERTIFY_SAMPLES = 1000
-DUAL_CAP_SAMPLES = 10**4
 NORM_METRIC_PAIRS = 4096
 
 
@@ -136,9 +135,9 @@ class ConeModel:
         """Norm equal to <x0*, x> on the cone and monotone for the order.
 
         Off the cone it is the support value of the dual cap
-        {x* in K* : x* <= x0*}; subclasses evaluate that cap exactly
-        (orthant: clipped coordinates; psd: positive eigenvalue mass) or
-        by sampled extreme points (lorentz, flagged approximate).
+        {x* in K* : x* <= x0*}; every subclass evaluates that cap in
+        closed form (orthant: clipped coordinates; lorentz: the best of
+        its apexes and equator; psd: positive eigenvalue mass).
         """
         c = _coords(x)
         if not np.any(c):
@@ -395,20 +394,12 @@ class LorentzCone(ConeModel):
         return bool(c[-1] > tol and np.linalg.norm(c[:-1]) < c[-1] - tol)
 
     def _dual_cap_support(self, x):
-        # The dual cap is the spindle K meet (x0* - K); its extreme points
-        # are the two apexes and the equator circle |u| = z = 1/2.  The
-        # support value is estimated over sampled equator directions and
-        # flagged approximate in the docs; apexes are always included.
+        # The dual cap is the spindle K meet (x0* - K).  Its extreme points
+        # are the apexes 0 and e_z and the equator {(v/2, 1/2) : |v| = 1},
+        # whose best point for (u, z) is v = u/|u|, with value (z + |u|)/2.
         c = _coords(x)
-        stream = rngmod.derived_stream(0, Purpose.DUAL_CAP, self.ambient_dim)
-        best = max(0.0, float(c[-1]))
-        dirs = stream.standard_normal((DUAL_CAP_SAMPLES, self.n))
-        norms = np.linalg.norm(dirs, axis=1)
-        good = norms > 0
-        if np.any(good):
-            dots = (dirs[good] / norms[good, None]) @ c[:-1]
-            best = max(best, float(np.max(0.5 * dots + 0.5 * c[-1])))
-        return best
+        z = float(c[-1])
+        return max(0.0, z, 0.5 * (z + float(np.linalg.norm(c[:-1]))))
 
     def _slice_range(self, w):
         a, b = w[:-1], float(w[-1])

@@ -16,7 +16,7 @@ import numpy as np
 from . import rng as rngmod
 from .measures import MeasureSpec, sample_batch
 from .rng import Purpose
-from .simplex import barycenter, contraction_coefficient, point_coords
+from .simplex import as_point, barycenter, contraction_coefficient, point_coords
 from .walk import backward_invariant_batch, detect_contraction
 
 __all__ = [
@@ -80,11 +80,61 @@ def _variance_with_error(samples: np.ndarray, scale: float, method: str) -> Esti
 # ---------------------------------------------------------------------
 
 
+# Up to this dimension the forward step is written out on length-R
+# arrays of a (d, d, R) layout; above it one np.matmul on (R, d, d) is
+# faster.  Kernel alone, ns per matrix-step, matmul against written out
+# (2-vCPU Xeon): d=2 271 vs 25, d=4 354 vs 214 (R=8192); d=8 763 vs
+# 4038 (R=4096).
+_WRITTEN_OUT_MAX_D = 4
+
+
+def _matmul_step(mats: np.ndarray, entries: np.ndarray):
+    """Y A for (R, d, d) draws Y and the (d, d, R) view of A, by np.matmul.
+
+    Returns the (d, d, R) view of the product and its max column sums.
+    """
+    prod = np.matmul(mats, entries.transpose(2, 0, 1))
+    return prod.transpose(1, 2, 0), prod.sum(axis=1).max(axis=1)
+
+
+def _written_out_step(mats: np.ndarray, entries: np.ndarray):
+    """:func:`_matmul_step` written out on length-R arrays of (d, d, R) entries.
+
+    Row i of the product is the sum over k, in order, of Y[i, k] times
+    row k of A; the column sums add the rows in order and the scale is
+    their running maximum.  Only the multiply-adds can round differently
+    from the matmul step, whose BLAS kernel fuses them.
+    """
+    d = len(entries)
+    y = mats.transpose(1, 2, 0)
+    new = np.empty_like(entries)
+    term = np.empty(entries.shape[1:])
+    for i in range(d):
+        np.multiply(y[i, 0], entries[0], out=new[i])
+        for k in range(1, d):
+            new[i] += np.multiply(y[i, k], entries[k], out=term)
+    col_sums = new[0].copy()
+    for i in range(1, d):
+        col_sums += new[i]
+    scale = col_sums[0]
+    for j in range(1, d):
+        scale = np.maximum(scale, col_sums[j])
+    return new, scale
+
+
+def _forward_kernel(d: int):
+    """The step for dimension d: written out up to ``_WRITTEN_OUT_MAX_D``,
+    np.matmul above (its products are then views of (R, d, d) arrays)."""
+    return _written_out_step if d <= _WRITTEN_OUT_MAX_D else _matmul_step
+
+
 class BatchedProducts:
     """Forward products A_n = Y_n ... Y_1 for a whole batch of replicas.
 
     State is the op-norm-normalized product per replica plus the log
-    scale; every spectator functional of A_n is read off the pair.
+    scale; every spectator functional of A_n is read off the pair.  The
+    products are held as (d, d, R) entries, so each functional reads
+    length-R arrays; ``P`` is the (R, d, d) view of the same memory.
     """
 
     def __init__(self, spec: MeasureSpec, seed: int, replicas: int, key: int = 0):
@@ -92,16 +142,22 @@ class BatchedProducts:
         self.rng = rngmod.derived_stream(seed, Purpose.FORWARD, key)
         self.replicas = int(replicas)
         d = spec.d
-        self.P = np.broadcast_to(np.eye(d), (self.replicas, d, d)).copy()
+        self._kernel = _forward_kernel(d)
+        self._entries = np.broadcast_to(np.eye(d)[:, :, None], (d, d, self.replicas)).copy()
         self.log_scale = np.zeros(self.replicas)
         self.n = 0
+
+    @property
+    def P(self) -> np.ndarray:
+        """The normalized products, an (R, d, d) view."""
+        return self._entries.transpose(2, 0, 1)
 
     def step(self) -> np.ndarray:
         """Advance all replicas one draw; returns the (R, d, d) draws."""
         mats = sample_batch(self.spec, self.rng, self.replicas)
-        self.P = np.matmul(mats, self.P)
-        scale = self.P.sum(axis=1).max(axis=1)
-        self.P /= scale[:, None, None]
+        entries, scale = self._kernel(mats, self._entries)
+        entries /= scale
+        self._entries = entries
         self.log_scale += np.log(scale)
         self.n += 1
         return mats
@@ -113,7 +169,7 @@ class BatchedProducts:
     # -- functionals of A_n ------------------------------------------------
 
     def column_sums(self) -> np.ndarray:
-        return self.P.sum(axis=1)
+        return self._entries.sum(axis=0).T
 
     def log_norm(self) -> np.ndarray:
         return self.log_scale + np.log(self.column_sums().max(axis=1))
@@ -123,20 +179,19 @@ class BatchedProducts:
         return self.log_scale + np.log(np.maximum(cs.min(axis=1), 5e-324))
 
     def sigma(self, x) -> np.ndarray:
-        xc = point_coords(x)
-        return self.log_scale + np.log(np.matmul(self.P, xc).sum(axis=1))
+        # |A x|_1 is the column sums weighted by x
+        return self.log_scale + np.log(point_coords(x) @ self._entries.sum(axis=0))
 
     def log_min_entry(self) -> np.ndarray:
-        mins = self.P.reshape(self.replicas, -1).min(axis=1)
         with np.errstate(divide="ignore"):
-            return self.log_scale + np.log(mins)
+            return self.log_scale + np.log(self._entries.min(axis=(0, 1)))
 
     def log_max_entry(self) -> np.ndarray:
-        return self.log_scale + np.log(self.P.reshape(self.replicas, -1).max(axis=1))
+        return self.log_scale + np.log(self._entries.max(axis=(0, 1)))
 
     def log_coeff(self, x, y) -> np.ndarray:
         xc, yc = point_coords(x), point_coords(y)
-        vals = np.einsum("i,rij,j->r", yc, self.P, xc)
+        vals = np.einsum("i,ijr,j->r", yc, self._entries, xc)
         with np.errstate(divide="ignore"):
             return self.log_scale + np.log(vals)
 
@@ -147,14 +202,14 @@ class BatchedProducts:
         fall back to a dense eigensolver individually.
         """
         R, d = self.replicas, self.spec.d
-        x = np.full((R, d), 1.0 / d)
+        x = np.full((d, R), 1.0 / d)
         lam = np.ones(R)
         settled = np.zeros(R, dtype=bool)
         for _ in range(max_iter):
-            y = np.einsum("rij,rj->ri", self.P, x)
-            new = y.sum(axis=1)
-            y /= new[:, None]
-            settled = (np.abs(y - x).sum(axis=1) <= tol) \
+            y = np.einsum("ijr,jr->ir", self._entries, x)
+            new = y.sum(axis=0)
+            y /= new
+            settled = (np.abs(y - x).sum(axis=0) <= tol) \
                 & (np.abs(new - lam) <= tol * np.maximum(1.0, new))
             x, lam = y, new
             if settled.all():
@@ -189,7 +244,7 @@ def estimate_lyapunov(spec: MeasureSpec, n: int, replicas: int,
     """Mean of sigma(A_n, x)/n over replicas."""
     if n < 1 or replicas < 1:
         raise ValueError("n and replicas must be positive")
-    x = point_coords(start) if start is not None else barycenter(spec.d).coords
+    x = as_point(start, spec.d, "start")
     batch = BatchedProducts(spec, seed, replicas)
     batch.run(n)
     est = _mean_with_error(batch.sigma(x) / n, "lyapunov")
@@ -331,7 +386,7 @@ def estimate_variance_direct(spec: MeasureSpec, n: int, replicas: int,
         raise ValueError(f"n must be >= 1, got {n}")
     if replicas < 2:
         raise ValueError(f"replicas must be >= 2, got {replicas}")
-    x = point_coords(start) if start is not None else barycenter(spec.d).coords
+    x = as_point(start, spec.d, "start")
     batch = BatchedProducts(spec, seed, replicas)
     batch.run(n)
     out = {}

@@ -28,7 +28,7 @@ from .estimators import BatchedProducts, moment_sanity
 from .measures import MeasureSpec, sample_batch
 from .posmat import g_delta_level
 from .rng import Purpose
-from .simplex import barycenter, point_coords
+from .simplex import as_point
 
 __all__ = [
     "reference_spec",
@@ -242,10 +242,9 @@ def functional_sweep(spec: MeasureSpec, n_grid, replicas: int, seed: int,
     for name in functionals:
         if name not in FUNCTIONALS:
             raise ValueError(f"unknown functional {name!r}")
-    xc = point_coords(x) if x is not None else barycenter(spec.d).coords
-    yc = point_coords(y) if y is not None else barycenter(spec.d).coords
+    xp, yp = as_point(x, spec.d, "x"), as_point(y, spec.d, "y")
     sizes = _chunk_sizes(replicas, chunk)
-    jobs = [(spec, seed, size, idx, grid, tuple(functionals), xc, yc)
+    jobs = [(spec, seed, size, idx, grid, tuple(functionals), xp, yp)
             for idx, size in enumerate(sizes)]
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -419,8 +418,7 @@ def asip_proxy(spec: MeasureSpec, n: int, replicas: int, seed: int = 0,
         raise ValueError("variant must be 'sigma' or 'coeff'")
     if n < 3:
         raise ValueError(f"n must be >= 3 so that log log n > 0, got {n}")
-    xc = point_coords(x) if x is not None else barycenter(spec.d).coords
-    yc = point_coords(y) if y is not None else barycenter(spec.d).coords
+    xp, yp = as_point(x, spec.d, "x"), as_point(y, spec.d, "y")
     if lambda_hat is None or s is None:
         pre = functional_sweep(spec, [min(n, 4096)], max(2048, replicas),
                                rngmod.child_seed(seed, Purpose.DRIFT_PRESWEEP),
@@ -437,8 +435,8 @@ def asip_proxy(spec: MeasureSpec, n: int, replicas: int, seed: int = 0,
     k_levels = int(np.floor(np.log2(n)))
     marks = {2 ** j for j in range(min_block_exp, k_levels + 1)}
     level_vals = {}
-    pull = (lambda: batch.sigma(xc)) if variant == "sigma" \
-        else (lambda: batch.log_coeff(xc, yc))
+    pull = (lambda: batch.sigma(xp)) if variant == "sigma" \
+        else (lambda: batch.log_coeff(xp, yp))
     for k in range(1, n + 1):
         batch.step()
         sk = pull()
@@ -502,7 +500,7 @@ def deviation_tail_sums(spec: MeasureSpec, alpha: float, p: float, eps: float,
         raise ValueError("variant must be 'cocycle' or 'coefficient'")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    xc = point_coords(x) if x is not None else barycenter(spec.d).coords
+    xp = as_point(x, spec.d, "x")
     if lambda_hat is None:
         lambda_hat = functional_sweep(spec, [n_max], max(replicas // 4, 1024),
                                       rngmod.child_seed(seed, Purpose.DRIFT_PRESWEEP),
@@ -514,7 +512,7 @@ def deviation_tail_sums(spec: MeasureSpec, alpha: float, p: float, eps: float,
     for n in range(1, n_max + 1):
         batch.step()
         if variant == "cocycle":
-            dev = np.abs(batch.sigma(xc) - n * lambda_hat)
+            dev = np.abs(batch.sigma(xp) - n * lambda_hat)
             np.maximum(running_max, dev, out=running_max)
             stat = running_max
         else:

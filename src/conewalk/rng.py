@@ -46,7 +46,7 @@ class Purpose(IntEnum):
     CERTIFY_MAP = 11         # cones.ConeModel.certify_map
     CONTRACTION_PAIRS = 12   # cones.ConeModel.contraction_estimate
     NORM_METRIC_FIT = 13     # cones.ConeModel.norm_metric_constant; seed 0, index: ambient dim
-    DUAL_CAP = 14            # cones.LorentzCone dual-cap directions; seed 0, index: ambient dim
+    # 14 is retired (the sampled Lorentz dual cap); do not reuse it
     CONE_DEMO = 15           # cli cone-demo test vectors and maps
     # stage seeds: child_seed(seed, purpose)
     DRIFT_PRESWEEP = 16      # lambda pre-sweeps (cli variance, asip_proxy, deviation_tail_sums)

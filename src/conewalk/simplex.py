@@ -74,6 +74,21 @@ def barycenter(d: int) -> SimplexPoint:
     return SimplexPoint(np.full(d, 1.0 / d))
 
 
+def as_point(x, d: int, name: str) -> SimplexPoint:
+    """``x`` itself if it is a SimplexPoint, else the validated point of the
+    array-like ``x``; the barycenter of dimension ``d`` when ``x`` is None.
+
+    Routines that read a point on every step validate it once here;
+    ``name`` is the argument's name for the error message.
+    """
+    if x is None:
+        return barycenter(d)
+    point = x if isinstance(x, SimplexPoint) else SimplexPoint(x)
+    if point.d != d:
+        raise ValueError(f"{name} has dimension {point.d}, expected {d}")
+    return point
+
+
 def point_coords(x) -> np.ndarray:
     """Coordinates of a SimplexPoint or validated array-like."""
     if isinstance(x, SimplexPoint):

@@ -17,7 +17,7 @@ import numpy as np
 from . import rng as rngmod
 from .measures import MeasureSpec, sample_batch
 from .rng import Purpose
-from .simplex import SimplexPoint, barycenter, contraction_coefficient, point_coords
+from .simplex import SimplexPoint, as_point, contraction_coefficient
 
 __all__ = [
     "InvariantSample",
@@ -87,7 +87,7 @@ def _backward_products(spec: MeasureSpec, seed: int, stream: np.random.Generator
     """
     if not 0 < tol <= 1:
         raise ValueError("tol must lie in (0, 1]")
-    x0 = point_coords(start) if start is not None else barycenter(spec.d).coords
+    x0 = as_point(start, spec.d, "start").coords
     if tol >= 1.0:
         return np.tile(x0, (n_paths, 1)), np.ones(n_paths), np.zeros(n_paths, dtype=int)
     if block_len is None:

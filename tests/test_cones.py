@@ -121,13 +121,40 @@ class TestLorentz:
             cone.act(bad, boundary)
         assert np.array_equal(err.value.witness, boundary)
 
-    def test_norm_off_cone_flagged_sampled_value(self):
+    def test_norm_off_cone_is_exact_dual_cap_support(self):
         cone = lorentz_cone(2)
         v = np.array([3.0, 0.0, 1.0])  # outside: |u| > z
-        val = cone.monotone_norm(v)
-        # exact support over the dual cap is (|u| + z)/2 = 2.0
-        assert val == pytest.approx(2.0, rel=1e-3)
-        assert val <= 2.0 + 1e-9
+        # the dual cap's equator point (u/|u|, 1)/2 gives (|u| + z)/2 = 2.0
+        assert cone.monotone_norm(v) == 2.0
+        assert cone.monotone_norm(np.array([0.0, 0.0, -1.0])) == 0.0  # apex 0
+        assert cone.monotone_norm(np.array([0.5, 0.0, -1.0])) == 0.0  # apex 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_sampled_dual_cap_never_exceeds_exact(self, n):
+        cone = lorentz_cone(n)
+        rng = np.random.default_rng(40 + n)
+        pts = rng.standard_normal((300, n + 1))
+        # off the cone: |z| < |u|
+        pts[:, -1] = rng.uniform(-1.0, 1.0, 300) * np.linalg.norm(pts[:, :-1], axis=1)
+        for x in pts:
+            exact = cone.monotone_norm(x)
+            sampled = sampled_dual_cap_support(x, rng)
+            assert sampled <= exact + 1e-12
+            assert exact >= max(0.0, x[-1])  # no worse than either apex
+            if n == 1:  # the equator is two points, and sampling finds both
+                assert sampled == exact
+
+
+def sampled_dual_cap_support(x, rng, samples=10**4):
+    """The Lorentz dual-cap support as a maximum over sampled extreme points.
+
+    The cap's extreme points are the apexes 0 and e_z and the equator
+    {(v/2, 1/2) : |v| = 1}; the equator is sampled by normalized normal
+    draws, so the value can only fall short of the exact support.
+    """
+    dirs = rng.standard_normal((samples, len(x) - 1))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    return max(0.0, float(x[-1]), float(np.max(0.5 * (dirs @ x[:-1]) + 0.5 * x[-1])))
 
 
 class TestPsd:

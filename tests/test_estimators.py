@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conewalk import estimators
+from conewalk import estimators, harness
 from conewalk import rng as rngmod
 from conewalk.estimators import (BatchedProducts, aperiodicity_report,
                                  coupling_decay, estimate_lyapunov,
@@ -513,3 +513,96 @@ class TestBatchedProducts:
         b.run(20)
         assert np.array_equal(a.P, b.P)
         assert np.array_equal(a.log_scale, b.log_scale)
+
+
+def reference_forward_step(P, log_scale, mats):
+    """The forward step as one np.matmul on (R, d, d) stacks."""
+    P = np.matmul(mats, P)
+    scale = P.sum(axis=1).max(axis=1)
+    P /= scale[:, None, None]
+    return P, log_scale + np.log(scale)
+
+
+def _kernel_specs():
+    ref = harness.reference_spec()
+    specs = [("reference", ref), ("reference-transposed", ref.transposed())]
+    for d in (2, 3, 4, 8):
+        specs.append((f"lognormal-d{d}",
+                      MeasureSpec.parametric("lognormal", d, mu=0.0, sigma=1.0)))
+        specs.append((f"uniform-d{d}",
+                      MeasureSpec.parametric("uniform", d, lo=0.0, hi=2.0)))
+    return specs
+
+
+KERNEL_SPECS = _kernel_specs()
+
+
+class TestForwardKernel:
+    """BatchedProducts (written out for d <= 4, matmul above) against the
+    matmul step on replayed draws."""
+
+    @pytest.mark.parametrize("spec", [s for _, s in KERNEL_SPECS],
+                             ids=[name for name, _ in KERNEL_SPECS])
+    def test_pinned_against_matmul_step(self, spec):
+        R, d = 64, spec.d
+        batch = BatchedProducts(spec, 35, R, key=2)
+        replay = rngmod.derived_stream(35, Purpose.FORWARD, 2)
+        P, log_scale = np.broadcast_to(np.eye(d), (R, d, d)).copy(), np.zeros(R)
+        for n in range(500):
+            mats = batch.step()
+            expected = sample_batch(spec, replay, R)
+            assert mats.shape == (R, d, d)
+            assert np.array_equal(mats, expected)
+            P, log_scale = reference_forward_step(P, log_scale, expected)
+            if n == 0:
+                # from the identity both kernels round identically: the
+                # products are the draws, renormalized the same way
+                assert np.array_equal(batch.P, P)
+                assert np.array_equal(batch.log_scale, log_scale)
+        assert batch.rng.random() == replay.random()  # same stream position
+        assert batch.P.shape == (R, d, d)
+        assert not batch.P.flags.owndata  # a view of the kernel's layout
+        np.testing.assert_allclose(batch.P, P, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(batch.log_scale, log_scale, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("spec", [s for _, s in KERNEL_SPECS],
+                             ids=[name for name, _ in KERNEL_SPECS])
+    def test_functionals_match_matmul_formulas(self, spec):
+        R, d = 64, spec.d
+        batch = BatchedProducts(spec, 36, R)
+        batch.run(40)
+        P, ls = batch.P, batch.log_scale
+        rng = np.random.default_rng(36)
+        x, y = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
+        cs = P.sum(axis=1)
+        assert np.array_equal(batch.column_sums(), cs)
+        assert np.array_equal(batch.log_norm(), ls + np.log(cs.max(axis=1)))
+        assert np.array_equal(batch.log_v(), ls + np.log(cs.min(axis=1)))
+        flat = P.reshape(R, -1)
+        assert np.array_equal(batch.log_min_entry(), ls + np.log(flat.min(axis=1)))
+        assert np.array_equal(batch.log_max_entry(), ls + np.log(flat.max(axis=1)))
+        np.testing.assert_allclose(batch.sigma(x),
+                                   ls + np.log(np.matmul(P, x).sum(axis=1)),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batch.log_coeff(x, y),
+                                   ls + np.log(np.einsum("i,rij,j->r", y, P, x)),
+                                   rtol=0, atol=1e-12)
+        radii = np.abs(np.linalg.eigvals(P)).max(axis=1)
+        np.testing.assert_allclose(batch.log_kappa(), ls + np.log(radii),
+                                   rtol=0, atol=1e-9)
+
+    def test_fixture_b_exact_zero_survives(self):
+        _, fixture_b = harness.pathology_fixtures()
+        R = 256
+        batch = BatchedProducts(fixture_b, 37, R)
+        replay = rngmod.derived_stream(37, Purpose.FORWARD, 0)
+        P, log_scale = np.broadcast_to(np.eye(2), (R, 2, 2)).copy(), np.zeros(R)
+        for _ in range(4):
+            batch.step()
+            P, log_scale = reference_forward_step(P, log_scale,
+                                                  sample_batch(fixture_b, replay, R))
+        zeros = batch.P[:, 0, 1] == 0.0
+        assert zeros.any()  # 2^-4 of the paths drew only the identity
+        assert np.array_equal(zeros, P[:, 0, 1] == 0.0)
+        coeff = batch.log_coeff((0.0, 1.0), (1.0, 0.0))  # log of entry (0, 1)
+        assert np.array_equal(coeff == -np.inf, zeros)

@@ -167,6 +167,49 @@ class TestAsipProxy:
             hz.asip_proxy(reference_spec, n, 10, s=1.0, lambda_hat=0.5)
 
 
+def test_start_points_are_validated_once_per_call(reference_spec, monkeypatch):
+    # the per-step functionals read the validated point, so the count does
+    # not grow with the number of steps or grid points
+    from conewalk.simplex import SimplexPoint
+
+    made = []
+    init = SimplexPoint.__init__
+
+    def counting_init(self, coords):
+        made.append(1)
+        init(self, coords)
+
+    monkeypatch.setattr(SimplexPoint, "__init__", counting_init)
+    x, y = (0.3, 0.7), (0.6, 0.4)
+    calls = [
+        lambda: hz.asip_proxy(reference_spec, 128, 8, seed=3, s=0.9, lambda_hat=0.7, x=x),
+        lambda: hz.asip_proxy(reference_spec, 128, 8, seed=3, s=0.9, lambda_hat=0.7,
+                              x=x, y=y, variant="coeff"),
+        lambda: hz.deviation_tail_sums(reference_spec, 1.0, 2.0, 0.5, 128, 8, seed=3,
+                                       lambda_hat=0.7, x=x),
+        lambda: hz.functional_sweep(reference_spec, range(1, 65), 8, 3,
+                                    functionals=("sigma", "coeff"), x=x, y=y, chunk=2),
+    ]
+    for call in calls:
+        made.clear()
+        call()
+        assert len(made) <= 2
+
+
+def test_point_of_wrong_dimension_is_named(reference_spec):
+    from conewalk.estimators import estimate_lyapunov
+
+    bad = (0.2, 0.3, 0.5)
+    with pytest.raises(ValueError, match="x has dimension 3, expected 2"):
+        hz.asip_proxy(reference_spec, 16, 4, s=1.0, lambda_hat=0.5, x=bad)
+    with pytest.raises(ValueError, match="y has dimension 3, expected 2"):
+        hz.functional_sweep(reference_spec, [4], 4, 1, functionals=("coeff",), y=bad)
+    with pytest.raises(ValueError, match="x has dimension 3, expected 2"):
+        hz.deviation_tail_sums(reference_spec, 1.0, 2.0, 0.5, 8, 4, lambda_hat=0.5, x=bad)
+    with pytest.raises(ValueError, match="start has dimension 3, expected 2"):
+        estimate_lyapunov(reference_spec, 4, 4, start=bad)
+
+
 class TestDeviation:
     def test_deterministic_spec_probabilities_vanish(self):
         lam = float(np.log(spectral_radius([[2.0, 1.0], [1.0, 1.0]])))

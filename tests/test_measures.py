@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conewalk import rng as rngmod
-from conewalk.measures import MeasureSpec, sample_batch, sample_matrix
+from conewalk.measures import MeasureSpec, sample_batch, sample_indices, sample_matrix
 from conewalk.posmat import AllowableMatrix
 from conewalk.rng import Purpose
 
@@ -179,6 +179,41 @@ class TestSampling:
         spec = MeasureSpec.parametric("uniform", 2, lo=1.0, hi=2.0, transpose_view=True)
         m = sample_matrix(spec, rngmod.derived_stream(5))
         assert m.d == 2
+
+
+def _law(weights):
+    atoms = [[[float(i + 1), 1.0], [0.5, 2.0]] for i in range(len(weights))]
+    return MeasureSpec.atomic(atoms, weights)
+
+
+DRAW_LAWS = {
+    "one-atom": [1.0],
+    "three-equal": [1.0 / 3.0] * 3,
+    "skewed": [1e-9, 0.25, 0.75 - 1e-9],
+    "twenty": list(np.arange(1, 21) / 210.0),
+    # beyond the counted range: located by binary search
+    "sixty-four": [1.0 / 64.0] * 64,
+}
+
+
+@pytest.mark.parametrize("weights", DRAW_LAWS.values(), ids=DRAW_LAWS.keys())
+def test_draws_pinned_to_generator_choice(weights):
+    """sample_indices and sample_batch against rng.choice + fancy indexing:
+    the same indices, values and stream position, so a change inside
+    numpy's Generator.choice fails here."""
+    for spec in (_law(weights), _law(weights).transposed()):
+        k = len(spec.atoms)
+        stack = np.stack([a.entries.T if spec.transpose_view else a.entries
+                          for a in spec.atoms])
+        for size in (1, 7, 5000):
+            a = rngmod.derived_stream(12, Purpose.FORWARD, size)
+            b = rngmod.derived_stream(12, Purpose.FORWARD, size)
+            idx = sample_indices(spec, a, size)
+            expected = b.choice(k, size=size, p=np.asarray(weights))
+            assert np.array_equal(idx, expected)
+            assert np.array_equal(sample_batch(spec, a, size),
+                                  stack[b.choice(k, size=size, p=np.asarray(weights))])
+            assert a.random() == b.random()
 
 
 def test_replica_streams_are_independent_and_stable():
