@@ -137,9 +137,11 @@ class BatchedProducts:
     length-R arrays; ``P`` is the (R, d, d) view of the same memory.
     """
 
-    def __init__(self, spec: MeasureSpec, seed: int, replicas: int, key: int = 0):
+    def __init__(self, spec: MeasureSpec, rng: np.random.Generator, replicas: int):
+        if not isinstance(rng, np.random.Generator):
+            raise TypeError(f"rng must be a numpy Generator, got {type(rng).__name__}")
         self.spec = spec
-        self.rng = rngmod.derived_stream(seed, Purpose.FORWARD, key)
+        self.rng = rng
         self.replicas = int(replicas)
         d = spec.d
         self._kernel = _forward_kernel(d)
@@ -153,7 +155,7 @@ class BatchedProducts:
         return self._entries.transpose(2, 0, 1)
 
     def step(self) -> np.ndarray:
-        """Advance all replicas one draw; returns the (R, d, d) draws."""
+        """Advance all replicas one draw from ``rng``; returns the (R, d, d) draws."""
         mats = sample_batch(self.spec, self.rng, self.replicas)
         entries, scale = self._kernel(mats, self._entries)
         entries /= scale
@@ -245,7 +247,7 @@ def estimate_lyapunov(spec: MeasureSpec, n: int, replicas: int,
     if n < 1 or replicas < 1:
         raise ValueError("n and replicas must be positive")
     x = as_point(start, spec.d, "start")
-    batch = BatchedProducts(spec, seed, replicas)
+    batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
     batch.run(n)
     est = _mean_with_error(batch.sigma(x) / n, "lyapunov")
     spread = float(np.mean(batch.log_norm() - batch.log_v()) / n)
@@ -290,7 +292,7 @@ def coupling_decay(spec: MeasureSpec, p: float, n_grid, replicas: int,
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     n_max = grid[-1]
-    batch = BatchedProducts(spec, seed, replicas)
+    batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
     d = spec.d
     values = {}
     max_violation = None
@@ -387,7 +389,7 @@ def estimate_variance_direct(spec: MeasureSpec, n: int, replicas: int,
     if replicas < 2:
         raise ValueError(f"replicas must be >= 2, got {replicas}")
     x = as_point(start, spec.d, "start")
-    batch = BatchedProducts(spec, seed, replicas)
+    batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
     batch.run(n)
     out = {}
     pulls = {
@@ -428,10 +430,12 @@ def estimate_variance_series(spec: MeasureSpec, n_lag_max: int, replicas: int,
     """Monte Carlo for the stationary-increment autocovariance series."""
     if n_lag_max < 1:
         raise ValueError(f"n_lag_max must be >= 1, got {n_lag_max}")
+    if replicas < 2:
+        raise ValueError(f"replicas must be >= 2, got {replicas}")
     w0, _, _ = backward_invariant_batch(spec, seed, w0_tol, replicas)
     stream = rngmod.derived_stream(seed, Purpose.SERIES_PATHS)
-    incs = (log_norms[:, 0] - lambda_hat
-            for log_norms, _ in _vector_steps(spec, stream, w0[:, None], n_lag_max))
+    incs = (log_norms - lambda_hat
+            for log_norms, _ in _vector_steps(spec, stream, w0, n_lag_max))
     first = next(incs)
     acc = first * first
     for inc in incs:
@@ -451,17 +455,17 @@ def estimate_variance_series(spec: MeasureSpec, n_lag_max: int, replicas: int,
 
 def _vector_steps(spec: MeasureSpec, rng: np.random.Generator,
                   x: np.ndarray, levels: int):
-    """Yield (log norms (m, b), directions (m, b, d)) for ``levels``
-    vector-steps of the (m, b, d) directions ``x``.
+    """Yield (log norms (R,), directions (R, d)) for ``levels`` vector-steps
+    of the (R, d) directions ``x``, one direction per replica.
 
-    Each level is one ``sample_batch(spec, rng, m)`` call, and draw i acts
-    on the b directions of row i.  Nothing is drawn until the generator is
-    advanced, so callers may draw from ``rng`` between levels.
+    Each level is one ``sample_batch(spec, rng, R)`` call, and draw i acts
+    on row i.  Nothing is drawn until the generator is advanced, so callers
+    may draw from ``rng`` between levels.
     """
     for _ in range(levels):
-        x = np.matmul(x, sample_batch(spec, rng, len(x)).swapaxes(1, 2))
-        norms = sum((x[..., j] for j in range(1, spec.d)), x[..., 0])
-        x /= norms[..., None]
+        x = np.einsum("rij,rj->ri", sample_batch(spec, rng, len(x)), x)
+        norms = x.sum(axis=1)
+        x /= norms[:, None]
         yield np.log(norms), x
 
 
@@ -469,10 +473,10 @@ def _vector_steps(spec: MeasureSpec, rng: np.random.Generator,
 class PsiEstimate:
     """Truncated corrector sum psi_hat(x) = sum_{level<=N} (mean increment - lam).
 
-    ``evaluate`` runs ``inner_size`` fresh paths from each query point
-    (paths shared across a batch of points) and returns the estimate with
-    its inner Monte Carlo variance.  Level contributions are dominated by
-    the fitted geometric envelope, whose tail beyond N is ``tail_bound``.
+    ``evaluate`` runs ``inner_size`` fresh ``BatchedProducts`` paths shared
+    by all query points: by the cocycle identity a path's increments from x
+    sum to log |Pi x|_1, Pi the product of its draws.  Level contributions
+    are dominated by the fitted envelope, whose tail beyond N is ``tail_bound``.
     """
 
     spec: MeasureSpec
@@ -486,12 +490,16 @@ class PsiEstimate:
     def evaluate(self, points, rng: np.random.Generator):
         """psi_hat at each row of ``points``; returns (values, mc_variance)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        m = self.inner_size
-        x = np.broadcast_to(pts, (m,) + pts.shape)
-        total = sum((inc for inc, _ in _vector_steps(self.spec, rng, x, self.truncation)),
-                    np.zeros((m, len(pts))))
+        d = self.spec.d
+        if pts.ndim != 2 or pts.shape[1] != d:
+            raise ValueError(f"points must be rows of dimension {d}, got shape {pts.shape}")
+        if not (np.isfinite(pts).all() and (pts >= 0).all() and (pts.sum(axis=1) > 0).all()):
+            raise ValueError("points must be finite, nonnegative rows with positive sums")
+        batch = BatchedProducts(self.spec, rng, self.inner_size)
+        batch.run(self.truncation)
+        total = batch.log_scale[:, None] + np.log(batch.column_sums() @ pts.T)
         values = total.mean(axis=0) - self.truncation * self.lambda_hat
-        mc_var = total.var(axis=0, ddof=1) / m
+        mc_var = total.var(axis=0, ddof=1) / self.inner_size
         return values, mc_var
 
 
@@ -502,21 +510,27 @@ def estimate_psi(spec: MeasureSpec, truncation: int, inner_size: int,
 
     The envelope is fitted on the observed per-level deviations of the
     mean increment from lambda_hat, maximized over a few probe points so
-    it dominates the contributions uniformly.
+    it dominates the contributions uniformly; level k's increment is
+    log |Pi_k x|_1 - log |Pi_{k-1} x|_1 on the inner paths' products.
     """
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
     if inner_size < 2:
         raise ValueError(f"inner_size must be >= 2, got {inner_size}")
+    if fit_points < 1:
+        raise ValueError(f"fit_points must be >= 1, got {fit_points}")
     stream = rngmod.derived_stream(seed, Purpose.PSI_FIT)
     d = spec.d
     probes = [barycenter(d).coords]
     for _ in range(fit_points - 1):
         probes.append(stream.dirichlet(np.ones(d)))
     pts = np.stack(probes)
-    x = np.broadcast_to(pts, (inner_size,) + pts.shape)
-    contributions = [float(np.max(np.abs(inc.mean(axis=0) - lambda_hat)))
-                     for inc, _ in _vector_steps(spec, stream, x, truncation)]
+    batch = BatchedProducts(spec, stream, inner_size)
+    means = [np.zeros(len(pts))]  # log |x|_1 = 0 on the simplex
+    for _ in range(truncation):
+        batch.step()
+        means.append(batch.log_scale.mean() + np.log(batch.column_sums() @ pts.T).mean(axis=0))
+    contributions = np.abs(np.diff(means, axis=0) - lambda_hat).max(axis=1).tolist()
     levels = np.arange(1, truncation + 1)
     amp, rate = fit_geometric_envelope(levels, contributions)
     return PsiEstimate(spec=spec, truncation=truncation, inner_size=inner_size,
@@ -563,9 +577,9 @@ def variance_via_martingale(spec: MeasureSpec, psi: PsiEstimate, n: int,
     lag1 = np.zeros(replicas)
     prev_d = None
     noise_acc = float(np.mean(var_prev))
-    for log_norms, x in _vector_steps(spec, stream, w0[:, None], n):
-        psi_cur, var_cur = psi.evaluate(x[:, 0], stream)
-        d = log_norms[:, 0] - lambda_hat + psi_cur - psi_prev
+    for log_norms, x in _vector_steps(spec, stream, w0, n):
+        psi_cur, var_cur = psi.evaluate(x, stream)
+        d = log_norms - lambda_hat + psi_cur - psi_prev
         sum_d2 += d * d
         sum_d += d
         if prev_d is not None:

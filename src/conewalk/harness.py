@@ -186,17 +186,8 @@ class SweepResult:
     ordering_violation: float
 
 
-def _chunk_sizes(replicas: int, chunk: int):
-    sizes = []
-    left = replicas
-    while left > 0:
-        sizes.append(min(chunk, left))
-        left -= sizes[-1]
-    return sizes
-
-
 def _sweep_chunk(spec, seed, size, key, grid, functionals, x, y):
-    batch = BatchedProducts(spec, seed, size, key=key)
+    batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, key), size)
     out = {}
     violation = 0.0
     for n in grid:
@@ -229,21 +220,23 @@ def functional_sweep(spec: MeasureSpec, n_grid, replicas: int, seed: int,
                      chunk: int = _CHUNK) -> SweepResult:
     """Simulate all requested functionals on one set of shared paths.
 
-    Replicas are split into fixed-size chunks; chunk k is
-    ``BatchedProducts(spec, seed, size, key=k)`` on the stream
-    (seed, FORWARD, k), so the result depends only on (spec, seed,
-    replicas, chunk) and never on the worker-pool width.
+    Replicas are split into chunks of ``chunk`` (the last one shorter);
+    chunk k is one ``BatchedProducts`` run on the stream (seed, FORWARD, k),
+    so the result depends only on (spec, seed, replicas, chunk) and never
+    on the worker-pool width.
     """
     grid = sorted(int(n) for n in n_grid)
     if not grid or grid[0] < 1:
         raise ValueError("n_grid must hold at least one step, all >= 1")
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     for name in functionals:
         if name not in FUNCTIONALS:
             raise ValueError(f"unknown functional {name!r}")
     xp, yp = as_point(x, spec.d, "x"), as_point(y, spec.d, "y")
-    sizes = _chunk_sizes(replicas, chunk)
+    sizes = [min(chunk, replicas - start) for start in range(0, replicas, chunk)]
     jobs = [(spec, seed, size, idx, grid, tuple(functionals), xp, yp)
             for idx, size in enumerate(sizes)]
     if threads > 1 and len(jobs) > 1:
@@ -430,7 +423,7 @@ def asip_proxy(spec: MeasureSpec, n: int, replicas: int, seed: int = 0,
             s = float(top.std(ddof=1) / np.sqrt(min(n, 4096)))
     if not s > 0:
         raise ValueError("s must be positive")
-    batch = BatchedProducts(spec, seed, replicas)
+    batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
     running_max = np.zeros(replicas)
     k_levels = int(np.floor(np.log2(n)))
     marks = {2 ** j for j in range(min_block_exp, k_levels + 1)}
@@ -500,12 +493,14 @@ def deviation_tail_sums(spec: MeasureSpec, alpha: float, p: float, eps: float,
         raise ValueError("variant must be 'cocycle' or 'coefficient'")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
     xp = as_point(x, spec.d, "x")
     if lambda_hat is None:
         lambda_hat = functional_sweep(spec, [n_max], max(replicas // 4, 1024),
                                       rngmod.child_seed(seed, Purpose.DRIFT_PRESWEEP),
                                       functionals=("norm",)).lambda_hat
-    batch = BatchedProducts(spec, seed, replicas)
+    batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
     running_max = np.zeros(replicas)
     ns, probs, partials = [], [], []
     acc = 0.0
@@ -601,10 +596,13 @@ def fixture_a_report(n_values=(2, 3, 4), replicas: int = 20000,
                      seed: int = 0, kurtosis_threshold: float = 10.0,
                      ) -> FixtureAReport:
     """Contrast the stable norm drift with the heavy-tailed lower gauge."""
+    if any(n < 1 for n in n_values):
+        raise ValueError(f"n_values must all be >= 1, got {tuple(n_values)}")
     fixture_a, _ = pathology_fixtures()
     lam, v_mean, v_med, v_kurt, v_share = [], [], [], [], []
     for idx, n in enumerate(n_values):
-        batch = BatchedProducts(fixture_a, seed, replicas, key=idx)
+        stream = rngmod.derived_stream(seed, Purpose.FORWARD, idx)
+        batch = BatchedProducts(fixture_a, stream, replicas)
         batch.run(int(n))
         norm = batch.log_norm() / n
         lam.append((float(norm.mean()), float(norm.std(ddof=1) / np.sqrt(replicas))))
@@ -637,7 +635,7 @@ def fixture_b_zero_fraction(n: int, replicas: int, seed: int = 0) -> tuple[float
     float comparison against zero is sound here.
     """
     _, fixture_b = pathology_fixtures()
-    batch = BatchedProducts(fixture_b, seed, replicas)
+    batch = BatchedProducts(fixture_b, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
     batch.run(int(n))
     hits = batch.P[:, 0, 1] == 0.0
     frac = float(hits.mean())

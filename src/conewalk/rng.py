@@ -33,7 +33,7 @@ class Purpose(IntEnum):
     """
 
     # streams: derived_stream(seed, purpose, *index)
-    FORWARD = 1              # estimators.BatchedProducts; index: batch key (sweep chunk)
+    FORWARD = 1              # non-psi forward products; index: 0, sweep chunk or n_values index
     BACKWARD_BATCH = 2       # walk.backward_invariant_batch
     BACKWARD_PATH = 3        # walk.backward_invariant_sample; index: replica
     CONTRACTION_SEARCH = 4   # walk.detect_contraction; index: product length r

@@ -144,6 +144,9 @@ class TestVarianceRoutes:
     def test_series_rejects_empty_lag_window(self):
         with pytest.raises(ValueError, match="n_lag_max"):
             estimate_variance_series(SINGLE, 0, 20, 0.0, envelope=(1.0, 0.5))
+        for replicas in (0, 1):
+            with pytest.raises(ValueError, match="replicas"):
+                estimate_variance_series(SINGLE, 4, replicas, 0.0)
 
 
 def _einsum_inner_paths(spec, rng, pts, m, levels):
@@ -209,6 +212,15 @@ class TestPsiKernel:
             estimate_psi(SINGLE, 4, 1, 0.0)
         with pytest.raises(ValueError, match="truncation"):
             estimate_psi(SINGLE, 0, 16, 0.0)
+        for fit_points in (0, -2):
+            with pytest.raises(ValueError, match="fit_points"):
+                estimate_psi(SINGLE, 4, 16, 0.0, fit_points=fit_points)
+        psi = estimate_psi(SINGLE, 2, 4, 0.0)
+        bad_points = ([0.2, 0.3, 0.5], np.ones((2, 2, 2)), [[0.5, 0.5], [1.5, -0.5]],
+                      [np.nan, 1.0], [np.inf, 1.0], [[0.5, 0.5], [0.0, 0.0]])
+        for points in bad_points:
+            with pytest.raises(ValueError, match="points"):
+                psi.evaluate(points, rngmod.derived_stream(0, Purpose.PSI_FIT))
 
 
 def _einsum_outer_steps(spec, rng, x, n):
@@ -272,11 +284,11 @@ class TestOuterVectorSteps:
         spec = MeasureSpec.parametric("lognormal", d, mu=0.0, sigma=1.0)
         x0 = np.random.default_rng(50).dirichlet(np.ones(d), size=64)
         rng, ref_rng = rngmod.derived_stream(51, d), rngmod.derived_stream(51, d)
-        steps = estimators._vector_steps(spec, rng, x0[:, None], 12)
+        steps = estimators._vector_steps(spec, rng, x0, 12)
         for (log_norms, x), (ref_log_norms, ref_x) in zip(
                 steps, _einsum_outer_steps(spec, ref_rng, x0, 12), strict=True):
-            assert np.max(np.abs(log_norms[:, 0] - ref_log_norms)) <= 1e-15
-            assert np.max(np.abs(x[:, 0] - ref_x)) <= 1e-15
+            assert np.max(np.abs(log_norms - ref_log_norms)) <= 1e-15
+            assert np.max(np.abs(x - ref_x)) <= 1e-15
             # draws between steps keep their place: the generator draws lazily
             assert rng.random() == ref_rng.random()
         assert _state(rng) == _state(ref_rng)
@@ -496,7 +508,7 @@ class TestMomentSanity:
 
 class TestBatchedProducts:
     def test_matches_scalar_walk_functionals(self, reference_spec):
-        batch = BatchedProducts(reference_spec, 31, 4)
+        batch = BatchedProducts(reference_spec, rngmod.derived_stream(31, Purpose.FORWARD, 0), 4)
         batch.run(50)
         assert np.all(batch.log_v() <= batch.log_kappa() + 1e-9)
         assert np.all(batch.log_kappa() <= batch.log_norm() + 1e-9)
@@ -507,12 +519,16 @@ class TestBatchedProducts:
         assert np.all(sig >= batch.log_v() - 1e-12)
 
     def test_determinism(self, reference_spec):
-        a = BatchedProducts(reference_spec, 33, 8)
-        b = BatchedProducts(reference_spec, 33, 8)
+        a = BatchedProducts(reference_spec, rngmod.derived_stream(33, Purpose.FORWARD, 0), 8)
+        b = BatchedProducts(reference_spec, rngmod.derived_stream(33, Purpose.FORWARD, 0), 8)
         a.run(20)
         b.run(20)
         assert np.array_equal(a.P, b.P)
         assert np.array_equal(a.log_scale, b.log_scale)
+
+    def test_rejects_a_seed_in_place_of_a_stream(self, reference_spec):
+        with pytest.raises(TypeError, match="rng must be a numpy Generator, got int"):
+            BatchedProducts(reference_spec, 33, 8)
 
 
 def reference_forward_step(P, log_scale, mats):
@@ -545,7 +561,7 @@ class TestForwardKernel:
                              ids=[name for name, _ in KERNEL_SPECS])
     def test_pinned_against_matmul_step(self, spec):
         R, d = 64, spec.d
-        batch = BatchedProducts(spec, 35, R, key=2)
+        batch = BatchedProducts(spec, rngmod.derived_stream(35, Purpose.FORWARD, 2), R)
         replay = rngmod.derived_stream(35, Purpose.FORWARD, 2)
         P, log_scale = np.broadcast_to(np.eye(d), (R, d, d)).copy(), np.zeros(R)
         for n in range(500):
@@ -569,7 +585,7 @@ class TestForwardKernel:
                              ids=[name for name, _ in KERNEL_SPECS])
     def test_functionals_match_matmul_formulas(self, spec):
         R, d = 64, spec.d
-        batch = BatchedProducts(spec, 36, R)
+        batch = BatchedProducts(spec, rngmod.derived_stream(36, Purpose.FORWARD, 0), R)
         batch.run(40)
         P, ls = batch.P, batch.log_scale
         rng = np.random.default_rng(36)
@@ -594,7 +610,7 @@ class TestForwardKernel:
     def test_fixture_b_exact_zero_survives(self):
         _, fixture_b = harness.pathology_fixtures()
         R = 256
-        batch = BatchedProducts(fixture_b, 37, R)
+        batch = BatchedProducts(fixture_b, rngmod.derived_stream(37, Purpose.FORWARD, 0), R)
         replay = rngmod.derived_stream(37, Purpose.FORWARD, 0)
         P, log_scale = np.broadcast_to(np.eye(2), (R, 2, 2)).copy(), np.zeros(R)
         for _ in range(4):

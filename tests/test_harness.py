@@ -83,10 +83,11 @@ class TestFunctionalSweep:
         two = hz.functional_sweep(spec, threads=2, **kw)
         for key, vals in one.samples.items():
             assert np.array_equal(vals, two.samples[key])
-        # documented layout: chunk k of the replicas runs BatchedProducts key k
+        # documented layout: chunk k of the replicas runs on stream (seed, FORWARD, k)
         norms = []
         for k, start in enumerate(range(0, replicas, chunk)):
-            batch = BatchedProducts(spec, seed, min(chunk, replicas - start), key=k)
+            stream = rngmod.derived_stream(seed, Purpose.FORWARD, k)
+            batch = BatchedProducts(spec, stream, min(chunk, replicas - start))
             batch.run(6)
             norms.append(batch.log_norm())
         assert np.array_equal(one.samples[("norm", 6)], np.concatenate(norms))
@@ -94,6 +95,9 @@ class TestFunctionalSweep:
     def test_rejects_empty_replica_set(self, reference_spec):
         with pytest.raises(ValueError, match="replicas"):
             hz.functional_sweep(reference_spec, [4], 0, 0)
+        for chunk in (0, -3):
+            with pytest.raises(ValueError, match="chunk"):
+                hz.functional_sweep(reference_spec, [4], 10, 0, chunk=chunk)
 
     def test_rejects_empty_grid(self, reference_spec):
         with pytest.raises(ValueError, match="n_grid"):
@@ -235,7 +239,7 @@ class TestDeviation:
         # range between the smallest and largest matrix entry
         from conewalk.estimators import BatchedProducts
 
-        batch = BatchedProducts(reference_spec, 99, 200)
+        batch = BatchedProducts(reference_spec, rngmod.derived_stream(99, Purpose.FORWARD, 0), 200)
         batch.run(16)
         rng = np.random.default_rng(0)
         xs = rng.dirichlet(np.ones(2), size=200)
@@ -259,6 +263,10 @@ class TestDeviation:
     def test_rejects_empty_step_range(self, reference_spec):
         with pytest.raises(ValueError, match="n_max"):
             hz.deviation_tail_sums(reference_spec, 1.0, 2.0, 0.5, 0, 10, lambda_hat=0.5)
+        for every in (0, -3):
+            with pytest.raises(ValueError, match="record_every"):
+                hz.deviation_tail_sums(reference_spec, 1.0, 2.0, 0.5, 8, 10,
+                                       lambda_hat=0.5, record_every=every)
 
 
 class TestFixtures:
@@ -314,6 +322,11 @@ class TestFixtures:
         assert max(rep.v_excess_kurtosis) > 10.0
         # the lower-gauge mean sits well below its median: outliers drag it
         assert any(m < med for m, med in zip(rep.v_mean, rep.v_median))
+
+    def test_fixture_a_rejects_empty_products(self):
+        for n_values in ((0, 2), (2, -1)):
+            with pytest.raises(ValueError, match="n_values"):
+                hz.fixture_a_report(n_values=n_values, replicas=10)
 
 
 def reference_gap_check(spec, n_max, paths, seed=0):

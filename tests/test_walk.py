@@ -23,8 +23,8 @@ TWO = MeasureSpec.atomic([[[2.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 2.0]]],
 
 
 def replayed_draws(spec, seed, replicas, n, key=0):
-    """The draws of ``BatchedProducts(spec, seed, replicas, key)``, replayed
-    from its stream."""
+    """The draws of a ``BatchedProducts`` run of ``replicas`` replicas on the
+    stream (seed, FORWARD, key), replayed from that stream."""
     stream = rngmod.derived_stream(seed, Purpose.FORWARD, key)
     return [sample_batch(spec, stream, replicas) for _ in range(n)]
 
@@ -33,14 +33,14 @@ class TestForwardStream:
     """Forward products A_n = Y_n ... Y_1, batched in ``BatchedProducts``."""
 
     def test_first_step_is_single_cocycle(self):
-        batch = BatchedProducts(SINGLE, 0, 3)
+        batch = BatchedProducts(SINGLE, rngmod.derived_stream(0, Purpose.FORWARD, 0), 3)
         assert np.array_equal(batch.step(), replayed_draws(SINGLE, 0, 3, 1)[0])
         expected = np.log((G1.entries @ barycenter(2).coords).sum())
         assert batch.n == 1
         assert np.allclose(batch.sigma(barycenter(2)), expected, rtol=0, atol=1e-14)
 
     def test_scale_bookkeeping_against_dense_powers(self):
-        batch = BatchedProducts(SINGLE, 0, 2)
+        batch = BatchedProducts(SINGLE, rngmod.derived_stream(0, Purpose.FORWARD, 0), 2)
         power = np.eye(2)
         for _ in range(30):
             batch.step()
@@ -50,14 +50,14 @@ class TestForwardStream:
             assert np.allclose(batch.log_v(), np.log(cs.min()), rtol=0, atol=1e-9)
 
     def test_deterministic_product_converges_to_log_kappa(self):
-        batch = BatchedProducts(SINGLE, 0, 2)
+        batch = BatchedProducts(SINGLE, rngmod.derived_stream(0, Purpose.FORWARD, 0), 2)
         batch.run(400)
         assert np.allclose(batch.sigma(barycenter(2)) / 400,
                            np.log(spectral_radius(G1)), rtol=0, atol=1e-2)
 
     def test_telescoping_of_increments(self):
         seed, replicas, n = 3, 4, 2000
-        batch = BatchedProducts(TWO, seed, replicas)
+        batch = BatchedProducts(TWO, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
         starts = np.eye(2)
         dirs = np.broadcast_to(starts, (replicas, 2, 2)).copy()  # dirs[r, start]
         total = np.zeros((replicas, 2))
@@ -71,7 +71,7 @@ class TestForwardStream:
                 assert np.all(np.abs(total[:, s] - batch.sigma(x)) <= 1e-9)
 
     def test_sigma_between_v_and_norm(self):
-        batch = BatchedProducts(TWO, 5, 4)
+        batch = BatchedProducts(TWO, rngmod.derived_stream(5, Purpose.FORWARD, 0), 4)
         for _ in range(500):
             batch.step()
             sig = batch.sigma((1.0, 0.0))
@@ -79,7 +79,7 @@ class TestForwardStream:
             assert np.all(sig <= batch.log_norm() + 1e-12)
 
     def test_kappa_tracking_brackets(self):
-        batch = BatchedProducts(TWO, 7, 4)
+        batch = BatchedProducts(TWO, rngmod.derived_stream(7, Purpose.FORWARD, 0), 4)
         for _ in range(50):
             batch.step()
             log_kappa = batch.log_kappa()
@@ -90,7 +90,7 @@ class TestForwardStream:
         runs = {}
         for order in ((0, 1, 2), (2, 0, 1)):
             for key in order:
-                batch = BatchedProducts(TWO, 11, 3, key=key)
+                batch = BatchedProducts(TWO, rngmod.derived_stream(11, Purpose.FORWARD, key), 3)
                 batch.run(50)
                 runs.setdefault(key, []).append(batch.sigma(barycenter(2)))
         for pair in runs.values():
@@ -109,7 +109,7 @@ class TestForwardStream:
         # bound the norm/v spread of A_n by the increment-coupling chain of
         # the replayed draws
         seed, replicas, n = 17, 4, 300
-        batch = BatchedProducts(TWO, seed, replicas)
+        batch = BatchedProducts(TWO, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
         bound = np.zeros(replicas)
         cert = np.ones(replicas)
         for draws in replayed_draws(TWO, seed, replicas, n):
@@ -120,7 +120,7 @@ class TestForwardStream:
             assert np.all(batch.log_norm() - batch.log_v() <= bound + 1e-9)
 
     def test_product_state_reconstruction(self):
-        batch = BatchedProducts(SINGLE, 0, 2)
+        batch = BatchedProducts(SINGLE, rngmod.derived_stream(0, Purpose.FORWARD, 0), 2)
         batch.run(40)
         assert batch.n == 40
         assert np.allclose(batch.log_norm(), batch.log_scale, rtol=0, atol=1e-12)
@@ -130,7 +130,7 @@ class TestForwardStream:
         huge = MeasureSpec.atomic([[[2e150, 1e150], [1e150, 1e150]],
                                    [[1e-150, 0.5e-150], [0.5e-150, 1e-150]]],
                                   [0.5, 0.5])
-        batch = BatchedProducts(huge, 0, 4)
+        batch = BatchedProducts(huge, rngmod.derived_stream(0, Purpose.FORWARD, 0), 4)
         with np.errstate(over="raise", under="raise", invalid="raise"):
             for _ in range(200):
                 batch.step()
