@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .measures import MeasureSpec, sample_batch
+from .measures import MeasureSpec, block_steps, sample_batch
 from .rng import Purpose
 from .simplex import as_point, barycenter, contraction_coefficient, point_coords
 from .walk import backward_invariant_batch, detect_contraction
@@ -291,6 +291,8 @@ def coupling_decay(spec: MeasureSpec, p: float, n_grid, replicas: int,
         raise ValueError("block_len must be at least 1")
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
+    if not p > 0:
+        raise ValueError(f"p must be > 0, got {p}")
     n_max = grid[-1]
     batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
     d = spec.d
@@ -374,9 +376,12 @@ def envelope_tail(amp: float, rate: float, n: int) -> float:
 # ---------------------------------------------------------------------
 
 
+_DIRECT_FUNCTIONALS = ("sigma", "norm", "v", "kappa")
+
+
 def estimate_variance_direct(spec: MeasureSpec, n: int, replicas: int,
                              start=None, seed: int = 0,
-                             functionals=("sigma", "norm", "v", "kappa"),
+                             functionals=_DIRECT_FUNCTIONALS,
                              ) -> dict[str, EstimateWithError]:
     """Sample variance of the centered functionals of A_n, divided by n.
 
@@ -388,6 +393,9 @@ def estimate_variance_direct(spec: MeasureSpec, n: int, replicas: int,
         raise ValueError(f"n must be >= 1, got {n}")
     if replicas < 2:
         raise ValueError(f"replicas must be >= 2, got {replicas}")
+    unknown = sorted(set(functionals) - set(_DIRECT_FUNCTIONALS))
+    if unknown:
+        raise ValueError(f"functionals must be among {_DIRECT_FUNCTIONALS}, got {unknown}")
     x = as_point(start, spec.d, "start")
     batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
     batch.run(n)
@@ -434,11 +442,11 @@ def estimate_variance_series(spec: MeasureSpec, n_lag_max: int, replicas: int,
         raise ValueError(f"replicas must be >= 2, got {replicas}")
     w0, _, _ = backward_invariant_batch(spec, seed, w0_tol, replicas)
     stream = rngmod.derived_stream(seed, Purpose.SERIES_PATHS)
-    incs = (log_norms - lambda_hat
-            for log_norms, _ in _vector_steps(spec, stream, w0, n_lag_max))
-    first = next(incs)
+    incs = np.concatenate([log_norms for log_norms, _ in
+                           _vector_steps(spec, stream, w0, n_lag_max)]) - lambda_hat
+    first = incs[0]
     acc = first * first
-    for inc in incs:
+    for inc in incs[1:]:
         acc += 2.0 * first * inc
     est = _mean_with_error(acc, "series")
     if envelope is None:
@@ -454,19 +462,45 @@ def estimate_variance_series(spec: MeasureSpec, n_lag_max: int, replicas: int,
 
 
 def _vector_steps(spec: MeasureSpec, rng: np.random.Generator,
-                  x: np.ndarray, levels: int):
-    """Yield (log norms (R,), directions (R, d)) for ``levels`` vector-steps
-    of the (R, d) directions ``x``, one direction per replica.
+                  x: np.ndarray, steps: int, block: int | None = None):
+    """Walk the (R, d) directions ``x``, one per replica, for ``steps``
+    vector-steps; yield per block of T steps the (T, R) log increments and
+    the (T, d, R) directions after each step.
 
-    Each level is one ``sample_batch(spec, rng, R)`` call, and draw i acts
-    on row i.  Nothing is drawn until the generator is advanced, so callers
-    may draw from ``rng`` between levels.
+    A block is one ``sample_batch(spec, rng, T * R)`` call, draw t * R + i
+    acting on replica i at the block's step t: the draws of T calls of size
+    R, so the block sizes do not change which draw meets which step.  T
+    follows ``block_steps``, or is ``block`` when given.  Nothing is drawn
+    until the generator is advanced: a caller that draws from ``rng`` between
+    steps (the martingale route draws psi's inner paths) passes ``block=1``.
+    Up to ``_WRITTEN_OUT_MAX_D`` the step is written out on length-R arrays,
+    adding the columns in order; above it, one einsum.
     """
-    for _ in range(levels):
-        x = np.einsum("rij,rj->ri", sample_batch(spec, rng, len(x)), x)
-        norms = x.sum(axis=1)
-        x /= norms[:, None]
-        yield np.log(norms), x
+    R, d = x.shape
+    x = x.T
+    written_out = d <= _WRITTEN_OUT_MAX_D
+    done = 0
+    while done < steps:
+        size = block or block_steps(done, R * d * d, steps - done)
+        draws = sample_batch(spec, rng, size * R).reshape(size, R, d, d)
+        if written_out:  # [t, k] is column k of the step-t draws, as (d, R)
+            draws = np.ascontiguousarray(draws.transpose(0, 3, 2, 1))
+        dirs = np.empty((size, d, R))
+        norms = np.empty((size, R))
+        for t in range(size):
+            new = dirs[t]
+            if written_out:
+                np.multiply(draws[t, 0], x[0], out=new)
+                for k in range(1, d):
+                    new += draws[t, k] * x[k]
+            else:
+                np.einsum("rij,jr->ir", draws[t], x, out=new)
+            np.sum(new, axis=0, out=norms[t])
+            new /= norms[t]
+            x = new
+        del draws  # freed before the next block is drawn
+        done += size
+        yield np.log(norms), dirs
 
 
 @dataclass
@@ -577,9 +611,9 @@ def variance_via_martingale(spec: MeasureSpec, psi: PsiEstimate, n: int,
     lag1 = np.zeros(replicas)
     prev_d = None
     noise_acc = float(np.mean(var_prev))
-    for log_norms, x in _vector_steps(spec, stream, w0, n):
-        psi_cur, var_cur = psi.evaluate(x, stream)
-        d = log_norms - lambda_hat + psi_cur - psi_prev
+    for log_norms, dirs in _vector_steps(spec, stream, w0, n, block=1):
+        psi_cur, var_cur = psi.evaluate(dirs[0].T, stream)
+        d = log_norms[0] - lambda_hat + psi_cur - psi_prev
         sum_d2 += d * d
         sum_d += d
         if prev_d is not None:

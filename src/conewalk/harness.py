@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import rng as rngmod
-from .estimators import BatchedProducts, moment_sanity
+from .estimators import BatchedProducts, _vector_steps, moment_sanity
 from .measures import MeasureSpec, sample_batch
 from .posmat import g_delta_level
 from .rng import Purpose
@@ -402,11 +402,29 @@ class AsipReport:
     tag: str = "property proxy"
 
 
+def _cocycle_blocks(spec, seed, x, n, replicas):
+    """Yield, per block of the vector walk from x on the stream (seed,
+    FORWARD, 0), the steps k (T,), sigma(A_k, x) as (T, R) running sums of
+    the log increments, and the (T, d, R) directions v_k."""
+    start = np.broadcast_to(x.coords, (replicas, spec.d))
+    total, k = np.zeros(replicas), 0
+    for incs, dirs in _vector_steps(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0),
+                                    start, n):
+        incs[0] += total
+        total = np.cumsum(incs, axis=0, out=incs)[-1]
+        yield np.arange(k + 1, k + len(incs) + 1), incs, dirs
+        k += len(incs)
+
+
 def asip_proxy(spec: MeasureSpec, n: int, replicas: int, seed: int = 0,
                eps: float = 0.2, s: float | None = None,
                lambda_hat: float | None = None, variant: str = "sigma",
                x=None, y=None, min_block_exp: int = 6) -> AsipReport:
-    """Track running deviations of one replica batch up to step n."""
+    """Track running deviations of one replica batch up to step n.
+
+    Both variants follow the vector walk from x alone, since
+    log <y, A_k x> = sigma(A_k, x) + log <y, v_k>.
+    """
     if variant not in ("sigma", "coeff"):
         raise ValueError("variant must be 'sigma' or 'coeff'")
     if n < 3:
@@ -423,19 +441,19 @@ def asip_proxy(spec: MeasureSpec, n: int, replicas: int, seed: int = 0,
             s = float(top.std(ddof=1) / np.sqrt(min(n, 4096)))
     if not s > 0:
         raise ValueError("s must be positive")
-    batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
     running_max = np.zeros(replicas)
     k_levels = int(np.floor(np.log2(n)))
-    marks = {2 ** j for j in range(min_block_exp, k_levels + 1)}
+    marks = [2 ** j for j in range(min_block_exp, k_levels + 1)]
     level_vals = {}
-    pull = (lambda: batch.sigma(xp)) if variant == "sigma" \
-        else (lambda: batch.log_coeff(xp, yp))
-    for k in range(1, n + 1):
-        batch.step()
-        sk = pull()
-        np.maximum(running_max, np.abs(sk - k * lambda_hat), out=running_max)
-        if k in marks:
-            level_vals[k] = sk.copy()
+    for ks, vals, dirs in _cocycle_blocks(spec, seed, xp, n, replicas):
+        if variant == "coeff":
+            with np.errstate(divide="ignore"):
+                vals = vals + np.log(yp.coords @ dirs)
+        dev = np.abs(vals - ks[:, None] * lambda_hat)
+        np.maximum(running_max, dev.max(axis=0), out=running_max)
+        for k in marks:
+            if ks[0] <= k <= ks[-1]:
+                level_vals[k] = vals[k - ks[0]].copy()
     envelope = (1.0 + eps) * np.sqrt(2.0 * s * s * n * np.log(np.log(n)))
     stat = running_max / np.sqrt(2.0 * s * s * n * np.log(np.log(n)))
     frac = float(np.mean(running_max <= envelope))
@@ -479,6 +497,31 @@ class DeviationReport:
     verdict: str
 
 
+def _cocycle_deviations(spec, seed, x, n_max, replicas, lambda_hat):
+    """Yield max over j <= n of |sigma(A_j, x) - j lambda| for n = 1..n_max."""
+    running_max = np.zeros(replicas)
+    for ks, vals, _ in _cocycle_blocks(spec, seed, x, n_max, replicas):
+        dev = np.abs(vals - ks[:, None] * lambda_hat)
+        np.maximum(dev[0], running_max, out=dev[0])
+        running_max = np.maximum.accumulate(dev, axis=0, out=dev)[-1]
+        yield from dev
+
+
+def _coefficient_deviations(spec, seed, n_max, replicas, lambda_hat):
+    """Yield the larger deviation of the extreme log entries of A_n from n lambda.
+
+    Coefficient deviations carry no inner maximum: a single vanishing
+    coefficient would freeze the maximum at +inf.  The bilinear form over
+    simplex pairs ranges between the extreme matrix entries, so the sup
+    sits at one of the two.
+    """
+    batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
+    for n in range(1, n_max + 1):
+        batch.step()
+        yield np.maximum(np.abs(batch.log_max_entry() - n * lambda_hat),
+                         np.abs(batch.log_min_entry() - n * lambda_hat))
+
+
 def deviation_tail_sums(spec: MeasureSpec, alpha: float, p: float, eps: float,
                         n_max: int, replicas: int, seed: int = 0,
                         variant: str = "cocycle",
@@ -500,25 +543,13 @@ def deviation_tail_sums(spec: MeasureSpec, alpha: float, p: float, eps: float,
         lambda_hat = functional_sweep(spec, [n_max], max(replicas // 4, 1024),
                                       rngmod.child_seed(seed, Purpose.DRIFT_PRESWEEP),
                                       functionals=("norm",)).lambda_hat
-    batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
-    running_max = np.zeros(replicas)
+    if variant == "cocycle":
+        stats = _cocycle_deviations(spec, seed, xp, n_max, replicas, lambda_hat)
+    else:
+        stats = _coefficient_deviations(spec, seed, n_max, replicas, lambda_hat)
     ns, probs, partials = [], [], []
     acc = 0.0
-    for n in range(1, n_max + 1):
-        batch.step()
-        if variant == "cocycle":
-            dev = np.abs(batch.sigma(xp) - n * lambda_hat)
-            np.maximum(running_max, dev, out=running_max)
-            stat = running_max
-        else:
-            # coefficient deviations carry no inner maximum: a single
-            # vanishing coefficient would freeze the maximum at +inf.
-            # The bilinear form over simplex pairs ranges between the
-            # extreme matrix entries, so the sup sits at one of the two.
-            top = batch.log_max_entry()
-            bot = batch.log_min_entry()
-            stat = np.maximum(np.abs(top - n * lambda_hat),
-                              np.abs(bot - n * lambda_hat))
+    for n, stat in enumerate(stats, 1):
         prob = float(np.mean(stat >= eps * n ** alpha))
         acc += n ** (alpha * p - 2.0) * prob
         if n % record_every == 0 or n == n_max:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .measures import MeasureSpec, sample_batch
+from .measures import MeasureSpec, block_steps, sample_batch
 from .rng import Purpose
 from .simplex import SimplexPoint, as_point, contraction_coefficient
 
@@ -80,13 +80,17 @@ def _backward_products(spec: MeasureSpec, seed: int, stream: np.random.Generator
                        step_cap: int):
     """Run n_paths backward products until each certificate reaches tol.
 
-    Each step draws all n_paths matrices in one ``sample_batch`` call, so
-    a path's draws do not depend on when the others finish; finished paths
-    leave the working arrays.  Returns (points (R, d), certificates (R,),
-    steps (R,)).
+    Path i's draw at step n is draw i of the n-th ``sample_batch(spec,
+    stream, n_paths)``; blocks of steps come from one call each, which
+    gives the same draws, so a path's draws do not depend on when the
+    others finish.  Finished paths leave the working arrays, and draws
+    past the last stop are discarded.  Returns (points (R, d),
+    certificates (R,), steps (R,)).
     """
     if not 0 < tol <= 1:
         raise ValueError("tol must lie in (0, 1]")
+    if step_cap < 0:
+        raise ValueError(f"step_cap must be >= 0, got {step_cap}")
     x0 = as_point(start, spec.d, "start").coords
     if tol >= 1.0:
         return np.tile(x0, (n_paths, 1)), np.ones(n_paths), np.zeros(n_paths, dtype=int)
@@ -95,38 +99,48 @@ def _backward_products(spec: MeasureSpec, seed: int, stream: np.random.Generator
     elif block_len < 1:
         raise ValueError("block_len must be at least 1")
     d = spec.d
-    eye = np.eye(d)
     pts = np.empty((n_paths, d))
     steps = np.empty(n_paths, dtype=int)
     live = np.arange(n_paths)
-    P = np.broadcast_to(eye, (n_paths, d, d)).copy()
-    blk = P.copy()
+    P = np.broadcast_to(np.eye(d), (n_paths, d, d)).copy()
     cert = np.ones(n_paths)
-    n = 0
+    done, cap = 0, step_cap // block_len  # in blocks
     while live.size:
-        if n == step_cap:
+        if done >= cap:
             raise ContractionFailure(
                 f"{live.size} of {n_paths} paths missed the certificate target "
                 f"{tol:.3e} within {step_cap} steps (best certificate "
                 f"{cert[live].min():.3e}); the measure may not be strictly contracting")
-        n += 1
-        draws = sample_batch(spec, stream, n_paths)
+        size = block_steps(done, block_len * n_paths * d * d, cap - done)
+        draws = sample_batch(spec, stream, size * block_len * n_paths).reshape(
+            size * block_len, n_paths, d, d)
         if live.size < n_paths:
-            draws = draws[live]
-        P = np.matmul(P, draws)
-        P /= P.sum(axis=1).max(axis=1)[:, None, None]
-        blk = np.matmul(blk, draws)
-        blk /= blk.reshape(live.size, -1).max(axis=1)[:, None, None]
-        if n % block_len:
-            continue
-        cert[live] *= contraction_coefficient(blk)
-        blk[:] = eye
-        done = cert[live] <= tol
-        if done.any():
-            pts[live[done]] = np.matmul(P[done], x0)
-            steps[live[done]] = n
-            keep = ~done
-            live, P, blk = live[keep], P[keep], blk[keep]
+            draws = draws[:, live]
+        # each block's product, right-multiplied and renormalized every step
+        blk = draws[::block_len]
+        blk = blk / blk.reshape(size, live.size, -1).max(axis=2)[..., None, None]
+        for j in range(1, block_len):
+            blk = np.matmul(blk, draws[j::block_len])
+            blk /= blk.reshape(size, live.size, -1).max(axis=2)[..., None, None]
+        certs = contraction_coefficient(blk.reshape(-1, d, d)).reshape(size, live.size)
+        certs[0] *= cert[live]
+        # cumprod multiplies in the order of one cert *= c per block, bit for bit
+        np.cumprod(certs, axis=0, out=certs)
+        hit = certs <= tol
+        stop = np.where(hit.any(axis=0), hit.argmax(axis=0), size)
+        cert[live] = certs[np.minimum(stop, size - 1), np.arange(live.size)]
+        stopping = set(stop.tolist())
+        for b in range(min(size, max(stopping) + 1)):
+            for t in range(b * block_len, (b + 1) * block_len):
+                P = np.matmul(P, draws[t])
+                P /= P.sum(axis=1).max(axis=1)[:, None, None]
+            if b in stopping:
+                ends = stop == b
+                pts[live[ends]] = np.matmul(P[ends], x0)
+                steps[live[ends]] = (done + b + 1) * block_len
+        keep = stop == size
+        live, P = live[keep], P[keep]
+        done += size
     pts /= pts.sum(axis=1, keepdims=True)
     return pts, cert, steps
 
@@ -154,8 +168,9 @@ def backward_invariant_batch(spec: MeasureSpec, seed: int, tol: float,
                              step_cap: int = STEP_CAP):
     """Vectorized backward sampler: n_samples points with certificates.
 
-    Uses a single derived stream with chunked draws (layout differs from
-    the one-path API; determinism holds for fixed seed and n_samples).
+    Draws come from the stream keyed (seed, BACKWARD_BATCH): sample i takes
+    draw i of every n_samples draws, one per step, so its draws depend on
+    the seed and on n_samples.
     Returns (points (R, d), certificates (R,), steps (R,)).
     """
     stream = rngmod.derived_stream(seed, Purpose.BACKWARD_BATCH)
@@ -231,9 +246,8 @@ def hitting_time(spec: MeasureSpec, seed: int, delta: float,
     d = spec.d
     done = 0
     while done < cap:
-        # chunks double from 16 blocks, capped near 2**16 entries; draws past
-        # the first hit come from this call's own stream and are discarded
-        size = min(max(16, done), max(1, 2**16 // (block_len * d * d)), cap - done)
+        # draws past the first hit come from this call's own stream and are discarded
+        size = block_steps(done, block_len * d * d, cap - done)
         blk = _block_products(spec, stream, size, block_len)
         with np.errstate(invalid="ignore"):  # an underflowed column: nan level, no hit
             level = (blk / blk.sum(axis=1, keepdims=True)).min(axis=(1, 2))

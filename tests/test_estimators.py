@@ -93,6 +93,11 @@ class TestCouplingDecay:
         with pytest.raises(ValueError, match="n_grid"):
             coupling_decay(reference_spec, 1.0, [], 4)
 
+    @pytest.mark.parametrize("p", [0.0, -1.0])
+    def test_moment_order_must_be_positive(self, reference_spec, p):
+        with pytest.raises(ValueError, match="p must"):
+            coupling_decay(reference_spec, p, [1, 2, 3], 16)
+
     def test_envelope_majorizes(self):
         ns = np.arange(1, 21)
         vals = 0.7 * 0.5 ** ns
@@ -108,6 +113,15 @@ class TestVarianceRoutes:
             estimate_variance_direct(reference_spec, 0, 10)
         with pytest.raises(ValueError, match="replicas"):
             estimate_variance_direct(reference_spec, 8, 1)
+
+    def test_direct_rejects_unknown_functional_before_drawing(self, reference_spec,
+                                                              monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew before checking the functionals")
+
+        monkeypatch.setattr(estimators, "sample_batch", no_draws)
+        with pytest.raises(ValueError, match="functionals"):
+            estimate_variance_direct(reference_spec, 8, 4, functionals=("sigma", "bogus"))
 
     def test_single_atom_direct_variance_vanishes(self):
         out = estimate_variance_direct(SINGLE, 64, 50, seed=6)
@@ -284,13 +298,23 @@ class TestOuterVectorSteps:
         spec = MeasureSpec.parametric("lognormal", d, mu=0.0, sigma=1.0)
         x0 = np.random.default_rng(50).dirichlet(np.ones(d), size=64)
         rng, ref_rng = rngmod.derived_stream(51, d), rngmod.derived_stream(51, d)
-        steps = estimators._vector_steps(spec, rng, x0, 12)
+        steps = estimators._vector_steps(spec, rng, x0, 12, block=1)
         for (log_norms, x), (ref_log_norms, ref_x) in zip(
                 steps, _einsum_outer_steps(spec, ref_rng, x0, 12), strict=True):
-            assert np.max(np.abs(log_norms - ref_log_norms)) <= 1e-15
-            assert np.max(np.abs(x - ref_x)) <= 1e-15
+            assert np.max(np.abs(log_norms[0] - ref_log_norms)) <= 1e-15
+            assert np.max(np.abs(x[0].T - ref_x)) <= 1e-15
             # draws between steps keep their place: the generator draws lazily
             assert rng.random() == ref_rng.random()
+        assert _state(rng) == _state(ref_rng)
+        # blocks of steps per draw call meet the same draws at the same steps
+        rng, ref_rng = rngmod.derived_stream(52, d), rngmod.derived_stream(52, d)
+        blocks = list(estimators._vector_steps(spec, rng, x0, 40))
+        assert len(blocks) > 1
+        log_norms = np.concatenate([b[0] for b in blocks])
+        x = np.concatenate([b[1] for b in blocks]).transpose(0, 2, 1)
+        ref = list(_einsum_outer_steps(spec, ref_rng, x0, 40))
+        assert np.max(np.abs(log_norms - [r[0] for r in ref])) <= 1e-15
+        assert np.max(np.abs(x - [r[1] for r in ref])) <= 1e-15
         assert _state(rng) == _state(ref_rng)
 
     @pytest.mark.parametrize("d", [2, 3, 8])

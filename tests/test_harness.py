@@ -171,6 +171,52 @@ class TestAsipProxy:
             hz.asip_proxy(reference_spec, n, 10, s=1.0, lambda_hat=0.5)
 
 
+def reference_forward_walk(spec, seed, n, replicas, lam, variant, x, y):
+    """The ``BatchedProducts`` loop that ``asip_proxy`` and the cocycle
+    deviations ran before the vector walk: per step (n, R) the values
+    sigma(A_k, x) or log <y, A_k x>, and the running maxima of |value - k lam|."""
+    batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
+    vals, maxima = [], [np.zeros(replicas)]
+    for k in range(1, n + 1):
+        batch.step()
+        vals.append(batch.sigma(x) if variant == "sigma" else batch.log_coeff(x, y))
+        maxima.append(np.maximum(maxima[-1], np.abs(vals[-1] - k * lam)))
+    return np.array(vals), np.array(maxima[1:])
+
+
+class TestVectorWalkAgainstBatchedProducts:
+    N, R, LAM, S, EPS = 4096, 64, 0.5, 0.9, 0.2
+    X, Y = (0.3, 0.7), (0.6, 0.4)
+
+    @pytest.mark.parametrize("variant", ["sigma", "coeff"])
+    def test_asip_proxy(self, reference_spec, variant):
+        rep = hz.asip_proxy(reference_spec, self.N, self.R, seed=21, eps=self.EPS,
+                            s=self.S, lambda_hat=self.LAM, variant=variant,
+                            x=self.X, y=self.Y)
+        vals, maxima = reference_forward_walk(reference_spec, 21, self.N, self.R,
+                                              self.LAM, variant, self.X, self.Y)
+        scale = np.sqrt(2.0 * self.S ** 2 * self.N * np.log(np.log(self.N)))
+        assert rep.envelope_quantile_99 == pytest.approx(
+            np.quantile(maxima[-1] / scale, 0.99), rel=1e-12, abs=0)
+        assert rep.envelope_fraction == np.mean(maxima[-1] <= (1.0 + self.EPS) * scale)
+        marks = [2 ** j for j in range(6, 13)]
+        assert [k for k, _ in rep.block_ks] == marks[1:]
+        for (k, ks), prev in zip(rep.block_ks, marks):
+            z = (vals[k - 1] - vals[prev - 1] - (k - prev) * self.LAM) / np.sqrt(k - prev)
+            assert ks == pytest.approx(hz.ks_to_gaussian(z, self.S), rel=1e-9)
+
+    def test_cocycle_deviations(self, reference_spec):
+        rep = hz.deviation_tail_sums(reference_spec, 1.0, 2.0, 0.05, self.N, self.R,
+                                     seed=22, lambda_hat=self.LAM, x=self.X)
+        _, maxima = reference_forward_walk(reference_spec, 22, self.N, self.R,
+                                           self.LAM, "sigma", self.X, None)
+        ns = np.arange(1, self.N + 1)
+        probs = [float(np.mean(m >= 0.05 * n)) for n, m in zip(ns, maxima)]
+        assert rep.probabilities == tuple(probs)
+        assert 0 < probs[-1] < 1
+        assert np.allclose(rep.partial_sums, np.cumsum(probs), rtol=1e-12, atol=0)
+
+
 def test_start_points_are_validated_once_per_call(reference_spec, monkeypatch):
     # the per-step functionals read the validated point, so the count does
     # not grow with the number of steps or grid points

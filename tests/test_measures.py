@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conewalk import rng as rngmod
-from conewalk.measures import MeasureSpec, sample_batch, sample_indices, sample_matrix
+from conewalk.harness import reference_spec
+from conewalk.measures import (MeasureSpec, block_steps, sample_batch, sample_indices,
+                               sample_matrix)
 from conewalk.posmat import AllowableMatrix
 from conewalk.rng import Purpose
 
@@ -149,6 +151,29 @@ class TestSampling:
                 assert np.array_equal(batch, [sample_matrix(spec, b).entries
                                               for _ in range(size)])
             assert a.random() == b.random()
+
+    @pytest.mark.parametrize("spec", [
+        reference_spec(),
+        reference_spec().transposed(),
+        MeasureSpec.parametric("lognormal", 8, mu=0.0, sigma=1.0),
+        MeasureSpec.parametric("uniform", 2, lo=0.0, hi=1.0),
+    ], ids=["reference", "transposed", "lognormal-d8", "uniform-d2"])
+    def test_one_block_call_is_successive_calls(self, spec):
+        # loops that draw a block of T steps per call keep the mapping of
+        # one call per step, stream state included
+        a, b = rngmod.derived_stream(10, 3), rngmod.derived_stream(10, 3)
+        for steps, size in ((16, 5), (3, 64), (1, 7)):
+            block = sample_batch(spec, a, steps * size).reshape(steps, size, spec.d, spec.d)
+            assert np.array_equal(block, [sample_batch(spec, b, size) for _ in range(steps)])
+            assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+
+    def test_block_steps_double_from_16_up_to_the_entry_cap(self):
+        sizes = []
+        while sum(sizes) < 1000:
+            sizes.append(block_steps(sum(sizes), 128 * 4, 1000 - sum(sizes)))
+        assert sizes == [16, 16] + [32] * 30 + [8]
+        assert block_steps(10**6, 1, 10**9) == 2**14
+        assert block_steps(0, 2**20, 10) == 1
 
     def test_atom_stack_built_once_and_read_only(self, two_atom_spec):
         stack = two_atom_spec.atom_array()

@@ -165,6 +165,38 @@ def reference_backward_sample(spec, seed, tol, start=None, block_len=1, replica=
     raise AssertionError("reference loop did not certify")
 
 
+def reference_backward_batch(spec, seed, tol, n_paths, start, block_len):
+    """The loop that drew one step of all paths per ``sample_batch`` call,
+    kept as the reference for ``backward_invariant_batch``."""
+    stream = rngmod.derived_stream(seed, Purpose.BACKWARD_BATCH)
+    d = spec.d
+    x0 = barycenter(d).coords if start is None else SimplexPoint(start).coords
+    pts = np.empty((n_paths, d))
+    steps = np.empty(n_paths, dtype=int)
+    live = np.arange(n_paths)
+    P = np.broadcast_to(np.eye(d), (n_paths, d, d)).copy()
+    blk = P.copy()
+    cert = np.ones(n_paths)
+    n = 0
+    while live.size:
+        n += 1
+        draws = sample_batch(spec, stream, n_paths)[live]
+        P = np.matmul(P, draws)
+        P /= P.sum(axis=1).max(axis=1)[:, None, None]
+        blk = np.matmul(blk, draws)
+        blk /= blk.reshape(live.size, -1).max(axis=1)[:, None, None]
+        if n % block_len:
+            continue
+        cert[live] *= contraction_coefficient(blk)
+        blk[:] = np.eye(d)
+        done = cert[live] <= tol
+        pts[live[done]] = np.matmul(P[done], x0)
+        steps[live[done]] = n
+        live, P, blk = live[~done], P[~done], blk[~done]
+    pts /= pts.sum(axis=1, keepdims=True)
+    return pts, cert, steps
+
+
 PINNED_SPECS = {
     "reference": (reference_spec(), 1e-10, None, 1),
     "reference-start": (reference_spec(), 1e-10, (0.0, 1.0), 1),
@@ -228,9 +260,29 @@ class TestBackwardSampler:
         assert np.array_equal(steps[1.0], steps[1e150])
         assert steps[1.0].min() > 3
 
+    @pytest.mark.parametrize("block_len", [1, 3])
+    @pytest.mark.parametrize("name", ["reference", "transposed", "scaled-1e150",
+                                      "lognormal-d8"])
+    def test_batch_pinned_against_per_step_loop(self, name, block_len):
+        ref = reference_spec()
+        spec = {"reference": ref, "transposed": ref.transposed(),
+                "scaled-1e150": MeasureSpec.atomic([a.entries * 1e150 for a in ref.atoms],
+                                                   ref.weights),
+                "lognormal-d8": MeasureSpec.parametric("lognormal", 8, mu=0.0, sigma=1.0),
+                }[name]
+        got = backward_invariant_batch(spec, 6, 1e-10, 40, block_len=block_len)
+        want = reference_backward_batch(spec, 6, 1e-10, 40, None, block_len)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
+
     def test_block_len_must_be_positive(self):
         with pytest.raises(ValueError, match="block_len"):
             backward_invariant_batch(TWO, 0, 1e-8, 4, block_len=0)
+
+    def test_step_cap_must_be_nonnegative(self):
+        # a negative cap used to mean no cap at all
+        with pytest.raises(ValueError, match="step_cap"):
+            backward_invariant_sample(TWO, 0, 1e-8, step_cap=-1)
 
     def test_batch_certificates_and_determinism(self):
         pts, certs, steps = backward_invariant_batch(TWO, 5, 1e-8, 50)
