@@ -406,7 +406,7 @@ _FLAGS = {
     "p": (float, None),
     "cone": (str, "orthant:d | lorentz:n | psd:n"),
     "tol": (float, None),
-    "threads": (int, "worker-pool width; results do not depend on it"),
+    "threads": (int, "worker processes for the replica sweep; results do not depend on it"),
     "alpha": (float, None),
     "eps": (float, None),
     "out": (str, "output directory"),

@@ -393,6 +393,22 @@ class LorentzCone(ConeModel):
         c = _coords(x)
         return bool(c[-1] > tol and np.linalg.norm(c[:-1]) < c[-1] - tol)
 
+    def _m_closed(self, x, y):
+        # lam y <= x iff lam <= z_x / z_y and q(lam) = (z_x - lam z_y)^2 -
+        # |u_x - lam u_y|^2 = a lam^2 - 2 b lam + c >= 0.  m is the smaller
+        # root of q, c / (b + sqrt(b^2 - ac)), finite when y is on the
+        # boundary (a = 0).  b^2 - ac is summed from 2x2 minors of (x, y),
+        # which keeps the near-double root of near-parallel x, y accurate.
+        ux, zx, uy, zy = x[:-1], float(x[-1]), y[:-1], float(y[-1])
+        b = zx * zy - float(ux @ uy)
+        c = zx * zx - float(ux @ ux)
+        w = np.outer(ux, uy)
+        disc = float(np.sum((zy * ux - zx * uy) ** 2) - 0.5 * np.sum((w - w.T) ** 2))
+        den = b + max(disc, 0.0) ** 0.5
+        if den <= 1e-14 * zx * zy:
+            return zx / zy  # 0/0: both on the boundary and parallel
+        return max(c / den, 0.0)
+
     def _dual_cap_support(self, x):
         # The dual cap is the spindle K meet (x0* - K).  Its extreme points
         # are the apexes 0 and e_z and the equator {(v/2, 1/2) : |v| = 1},

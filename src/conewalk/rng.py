@@ -10,8 +10,8 @@ hands its own seed to a public routine derives it with
 run never meet the stages of a run at a neighbouring seed.
 
 Results therefore depend on the spec, the seed and the sizes (for the
-functional sweep also on its chunk length), never on the worker-pool
-width.  Batched routines draw a whole batch from one stream; only
+functional sweep also on its chunk length), never on the number of
+worker processes.  Batched routines draw a whole batch from one stream; only
 ``backward_invariant_sample``, ``hitting_time`` and
 ``coefficient_gap_check`` key a stream per replica or path.
 """

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conewalk.cones import (CertificationError, lorentz_cone, orthant_cone,
-                            psd_cone, psd_map_congruence, psd_map_rank_one,
-                            coords_to_sym, sym_to_coords)
+from conewalk.cones import (BISECTION_TOL, CertificationError, lorentz_cone,
+                            orthant_cone, psd_cone, psd_map_congruence,
+                            psd_map_rank_one, coords_to_sym, sym_to_coords)
 from conewalk.simplex import hilbert_distance, m_ratio
 
 from conftest import sample_simplex_batch
@@ -81,7 +81,32 @@ class TestLorentz:
     def test_m_self_is_one_by_bisection(self):
         cone = lorentz_cone(3)
         x = cone.sample_slice(np.random.default_rng(4))
-        assert cone.m(x, x) == pytest.approx(1.0, abs=1e-9)
+        assert cone.m(x, x, method="bisection") == pytest.approx(1.0, abs=1e-9)
+        assert cone.m(x, x) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_closed_form_matches_bisection(self, n):
+        cone = lorentz_cone(n)
+        rng = np.random.default_rng(40 + n)
+        for i in range(60):
+            x = cone.sample_slice(rng, boundary=i % 3 == 0) * rng.uniform(0.05, 20.0)
+            y = cone.sample_slice(rng, boundary=i % 3 == 1) * rng.uniform(0.05, 20.0)
+            if i % 5 == 4:
+                y = x * rng.uniform(0.1, 10.0)  # parallel: the double root
+            for p, q in ((x, y), (y, x)):
+                assert cone.m(p, q, method="closed") == pytest.approx(
+                    cone.m(p, q, method="bisection"), rel=1e-9, abs=BISECTION_TOL)
+
+    def test_closed_form_on_parallel_boundary_points(self):
+        cone = lorentz_cone(2)
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            ray = cone.sample_slice(rng, boundary=True)
+            sx, sy = rng.uniform(0.1, 10.0, 2)
+            assert cone.m(sx * ray, sy * ray, method="closed") == sx / sy
+            other = cone.sample_slice(rng, boundary=True)
+            assert cone.m(sx * ray, sy * other, method="closed") == pytest.approx(
+                0.0, abs=BISECTION_TOL)
 
     def test_boundary_interior_distance_is_one(self):
         cone = lorentz_cone(2)

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,16 @@ from conewalk.posmat import AllowableMatrix, g_delta_level, perron_vector, spect
 from conewalk.rng import Purpose
 
 SINGLE = MeasureSpec.single_atom(AllowableMatrix([[2.0, 1.0], [1.0, 1.0]]))
+
+
+_real_chunk = hz._sweep_chunk
+
+
+def _failing_chunk(spec, seed, size, key, *rest):
+    # module level, so the pool can pickle it by name
+    if key == 1:
+        raise RuntimeError(f"chunk {key} failed")
+    return _real_chunk(spec, seed, size, key, *rest)
 
 
 class TestKsMachinery:
@@ -91,6 +103,51 @@ class TestFunctionalSweep:
             batch.run(6)
             norms.append(batch.log_norm())
         assert np.array_equal(one.samples[("norm", 6)], np.concatenate(norms))
+
+    def test_no_worker_outlives_the_sweep(self, reference_spec):
+        hz.functional_sweep(reference_spec, [4], 40, seed=3, chunk=10, threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_chunk_error_reaches_caller_and_workers_exit(self, reference_spec, monkeypatch):
+        monkeypatch.setattr(hz, "_sweep_chunk", _failing_chunk)
+        with pytest.raises(RuntimeError, match="chunk 1 failed"):
+            hz.functional_sweep(reference_spec, [4], 40, seed=3, chunk=10, threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_spawned_workers_match_in_process_run(self, reference_spec, monkeypatch):
+        used = []
+
+        def get_context(method=None):
+            used.append(method)
+            return ctx(method)
+
+        ctx = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
+        kw = dict(n_grid=[2, 5], replicas=7, seed=11, chunk=3,
+                  functionals=("sigma", "norm", "kappa"))
+        spawned = hz.functional_sweep(reference_spec, threads=2, **kw)
+        assert used == ["spawn"]
+        inline = hz.functional_sweep(reference_spec, threads=1, **kw)
+        for key, vals in inline.samples.items():
+            assert np.array_equal(vals, spawned.samples[key])
+        assert inline.lambda_hat == spawned.lambda_hat
+        assert inline.ordering_violation == spawned.ordering_violation
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_rejects_threads_below_one_before_drawing(self, reference_spec,
+                                                      monkeypatch, threads):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before checking threads")
+
+        monkeypatch.setattr(hz, "BatchedProducts", no_draws)
+        monkeypatch.setattr(hz, "moment_sanity", no_draws)
+        with pytest.raises(ValueError, match="threads"):
+            hz.functional_sweep(reference_spec, [4], 10, 0, threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            hz.berry_esseen_fit(reference_spec, "sigma", 3.0, [4, 8], 10,
+                                threads=threads)
 
     def test_rejects_empty_replica_set(self, reference_spec):
         with pytest.raises(ValueError, match="replicas"):
