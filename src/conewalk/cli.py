@@ -31,12 +31,6 @@ from .rng import Purpose
 from .simplex import contraction_coefficient, hilbert_distance, sample_point
 from .walk import backward_invariant_sample, detect_contraction
 
-COMMANDS = ("validate-spec", "detect-contraction", "lyapunov", "invariant-sample",
-            "coupling-decay", "variance", "normality", "berry-esseen",
-            "asip-proxy", "deviation", "regularity", "aperiodicity",
-            "cone-demo", "fixtures")
-
-
 class InputError(Exception):
     pass
 
@@ -119,7 +113,7 @@ def _parse_cone(text: str):
 
 
 def _positive(config):
-    for name in ("replicas", "n", "threads", "tol", "p"):
+    for name in ("replicas", "n", "threads", "tol", "p", "eps"):
         value = config.get(name)
         if value is not None and value <= 0:
             raise InputError(f"--{name} must be positive, got {value}")

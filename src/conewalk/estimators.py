@@ -81,51 +81,72 @@ def _variance_with_error(samples: np.ndarray, scale: float, method: str) -> Esti
 
 
 # Up to this dimension the forward step is written out on length-R
-# arrays of a (d, d, R) layout; above it one np.matmul on (R, d, d) is
-# faster.  Kernel alone, ns per matrix-step, matmul against written out
-# (2-vCPU Xeon): d=2 271 vs 25, d=4 354 vs 214 (R=8192); d=8 763 vs
-# 4038 (R=4096).
+# arrays of a (d, c, R) layout; above it one np.matmul on (R, d, c) is
+# faster.  Kernel alone, ns per step and replica, matmul against written
+# out (2-vCPU Xeon, R=8192): products d=2 94 vs 16, d=4 149 vs 209;
+# directions (c=1) d=2 82 vs 8, d=4 110 vs 36.  At d=8 (R=4096):
+# products 296 vs 2905, directions 139 vs 420.
 _WRITTEN_OUT_MAX_D = 4
 
 
-def _matmul_step(mats: np.ndarray, entries: np.ndarray):
-    """Y A for (R, d, d) draws Y and the (d, d, R) view of A, by np.matmul.
+def _step(y: np.ndarray, state: np.ndarray):
+    """One forward step Y A of the (d, c, R) ``state`` A, for ``y`` the
+    (d, d, R) view of the draws Y, renormalised by its max column sums;
+    returns the new (d, c, R) state and those sums.
 
-    Returns the (d, d, R) view of the product and its max column sums.
+    c = d for products started from the identity, c = 1 for a walk of
+    directions.  Up to ``_WRITTEN_OUT_MAX_D`` row i of Y A is the sum over
+    k, in order, of Y[i, k] times row k of A, on length-R arrays; above it,
+    one np.matmul, whose BLAS kernel may fuse the multiply-adds.  The column
+    sums add the rows in order and the scale is their running maximum.
     """
-    prod = np.matmul(mats, entries.transpose(2, 0, 1))
-    return prod.transpose(1, 2, 0), prod.sum(axis=1).max(axis=1)
-
-
-def _written_out_step(mats: np.ndarray, entries: np.ndarray):
-    """:func:`_matmul_step` written out on length-R arrays of (d, d, R) entries.
-
-    Row i of the product is the sum over k, in order, of Y[i, k] times
-    row k of A; the column sums add the rows in order and the scale is
-    their running maximum.  Only the multiply-adds can round differently
-    from the matmul step, whose BLAS kernel fuses them.
-    """
-    d = len(entries)
-    y = mats.transpose(1, 2, 0)
-    new = np.empty_like(entries)
-    term = np.empty(entries.shape[1:])
-    for i in range(d):
-        np.multiply(y[i, 0], entries[0], out=new[i])
+    d, c, R = state.shape
+    if d <= _WRITTEN_OUT_MAX_D:
+        # given outputs keep the (d, c, R) layout; left to itself numpy
+        # would follow the strides of y and put R outermost
+        out, term = np.empty((d, c, R)), np.empty((d, c, R))
+        np.multiply(y[:, 0, None], state[0], out=out)
         for k in range(1, d):
-            new[i] += np.multiply(y[i, k], entries[k], out=term)
-    col_sums = new[0].copy()
-    for i in range(1, d):
-        col_sums += new[i]
-    scale = col_sums[0]
-    for j in range(1, d):
-        scale = np.maximum(scale, col_sums[j])
-    return new, scale
+            out += np.multiply(y[:, k, None], state[k], out=term)
+    else:
+        out = np.matmul(y.transpose(2, 0, 1), state.transpose(2, 0, 1)).transpose(1, 2, 0)
+    sums = out[0] + out[1]
+    for i in range(2, d):
+        sums += out[i]
+    scale = sums[0]
+    # in place: one more (R,) temporary per step took 28 against 16 ns per
+    # step and replica at d=2, R=8192
+    for j in range(1, c):
+        np.maximum(scale, sums[j], out=scale)
+    out /= scale
+    return out, scale
 
 
-def _forward_kernel(d: int):
-    """The step for dimension d: written out up to ``_WRITTEN_OUT_MAX_D``,
-    np.matmul above (its products are then views of (R, d, d) arrays)."""
-    return _written_out_step if d <= _WRITTEN_OUT_MAX_D else _matmul_step
+def _forward_blocks(spec: MeasureSpec, rng: np.random.Generator,
+                    state: np.ndarray, steps: int, block: int | None = None):
+    """Run the (d, c, R) ``state`` forward ``steps`` steps; yield per block
+    of T steps the (T, R) log increments and the list of T (d, c, R) states
+    after each step.
+
+    A block is one ``sample_batch(spec, rng, T * R)`` call, draw t * R + i
+    acting on replica i at the block's step t: the draws of T calls of size
+    R, so the block sizes do not change which draw meets which step.  T
+    follows ``block_steps``, or is ``block`` when given.  Nothing is drawn
+    until the generator is advanced: a caller that draws from ``rng`` between
+    steps (the martingale route draws psi's inner paths) passes ``block=1``.
+    """
+    d, c, R = state.shape
+    done = 0
+    while done < steps:
+        size = block or block_steps(done, R * d * d, steps - done)
+        y = sample_batch(spec, rng, size * R).reshape(size, R, d, d).transpose(0, 2, 3, 1)
+        states, scales = [], np.empty((size, R))
+        for t in range(size):
+            state, scales[t] = _step(y[t], state)
+            states.append(state)
+        del y  # the draws are freed before the next block is drawn
+        done += size
+        yield np.log(scales), states
 
 
 class BatchedProducts:
@@ -144,7 +165,6 @@ class BatchedProducts:
         self.rng = rng
         self.replicas = int(replicas)
         d = spec.d
-        self._kernel = _forward_kernel(d)
         self._entries = np.broadcast_to(np.eye(d)[:, :, None], (d, d, self.replicas)).copy()
         self.log_scale = np.zeros(self.replicas)
         self.n = 0
@@ -157,16 +177,19 @@ class BatchedProducts:
     def step(self) -> np.ndarray:
         """Advance all replicas one draw from ``rng``; returns the (R, d, d) draws."""
         mats = sample_batch(self.spec, self.rng, self.replicas)
-        entries, scale = self._kernel(mats, self._entries)
-        entries /= scale
-        self._entries = entries
+        self._entries, scale = _step(mats.transpose(1, 2, 0), self._entries)
         self.log_scale += np.log(scale)
         self.n += 1
         return mats
 
     def run(self, n: int) -> None:
-        for _ in range(n):
-            self.step()
+        """``n`` steps, drawn in blocks: the same draws, products and stream
+        state as ``n`` calls of ``step``."""
+        for incs, states in _forward_blocks(self.spec, self.rng, self._entries, n):
+            for inc in incs:
+                self.log_scale += inc
+            self._entries = states[-1]
+            self.n += len(states)
 
     # -- functionals of A_n ------------------------------------------------
 
@@ -443,7 +466,7 @@ def estimate_variance_series(spec: MeasureSpec, n_lag_max: int, replicas: int,
     w0, _, _ = backward_invariant_batch(spec, seed, w0_tol, replicas)
     stream = rngmod.derived_stream(seed, Purpose.SERIES_PATHS)
     incs = np.concatenate([log_norms for log_norms, _ in
-                           _vector_steps(spec, stream, w0, n_lag_max)]) - lambda_hat
+                           _forward_blocks(spec, stream, w0.T[:, None], n_lag_max)]) - lambda_hat
     first = incs[0]
     acc = first * first
     for inc in incs[1:]:
@@ -459,48 +482,6 @@ def estimate_variance_series(spec: MeasureSpec, n_lag_max: int, replicas: int,
 # ---------------------------------------------------------------------
 # Asymptotic variance, route 3: martingale differences
 # ---------------------------------------------------------------------
-
-
-def _vector_steps(spec: MeasureSpec, rng: np.random.Generator,
-                  x: np.ndarray, steps: int, block: int | None = None):
-    """Walk the (R, d) directions ``x``, one per replica, for ``steps``
-    vector-steps; yield per block of T steps the (T, R) log increments and
-    the (T, d, R) directions after each step.
-
-    A block is one ``sample_batch(spec, rng, T * R)`` call, draw t * R + i
-    acting on replica i at the block's step t: the draws of T calls of size
-    R, so the block sizes do not change which draw meets which step.  T
-    follows ``block_steps``, or is ``block`` when given.  Nothing is drawn
-    until the generator is advanced: a caller that draws from ``rng`` between
-    steps (the martingale route draws psi's inner paths) passes ``block=1``.
-    Up to ``_WRITTEN_OUT_MAX_D`` the step is written out on length-R arrays,
-    adding the columns in order; above it, one einsum.
-    """
-    R, d = x.shape
-    x = x.T
-    written_out = d <= _WRITTEN_OUT_MAX_D
-    done = 0
-    while done < steps:
-        size = block or block_steps(done, R * d * d, steps - done)
-        draws = sample_batch(spec, rng, size * R).reshape(size, R, d, d)
-        if written_out:  # [t, k] is column k of the step-t draws, as (d, R)
-            draws = np.ascontiguousarray(draws.transpose(0, 3, 2, 1))
-        dirs = np.empty((size, d, R))
-        norms = np.empty((size, R))
-        for t in range(size):
-            new = dirs[t]
-            if written_out:
-                np.multiply(draws[t, 0], x[0], out=new)
-                for k in range(1, d):
-                    new += draws[t, k] * x[k]
-            else:
-                np.einsum("rij,jr->ir", draws[t], x, out=new)
-            np.sum(new, axis=0, out=norms[t])
-            new /= norms[t]
-            x = new
-        del draws  # freed before the next block is drawn
-        done += size
-        yield np.log(norms), dirs
 
 
 @dataclass
@@ -611,8 +592,8 @@ def variance_via_martingale(spec: MeasureSpec, psi: PsiEstimate, n: int,
     lag1 = np.zeros(replicas)
     prev_d = None
     noise_acc = float(np.mean(var_prev))
-    for log_norms, dirs in _vector_steps(spec, stream, w0, n, block=1):
-        psi_cur, var_cur = psi.evaluate(dirs[0].T, stream)
+    for log_norms, dirs in _forward_blocks(spec, stream, w0.T[:, None], n, block=1):
+        psi_cur, var_cur = psi.evaluate(dirs[0][:, 0].T, stream)
         d = log_norms[0] - lambda_hat + psi_cur - psi_prev
         sum_d2 += d * d
         sum_d += d
@@ -744,6 +725,8 @@ def invariant_regularity(spec: MeasureSpec, p: float, samples: int,
     be strictly contracting, with a stable order-p moment, for the
     integral to be finite.
     """
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2 for a standard error, got {samples}")
     views = ((spec, "measure", seed),
              (spec.transposed(), "transpose view",
               rngmod.child_seed(seed, Purpose.TRANSPOSE_SEARCH)))
@@ -777,7 +760,14 @@ class MomentSanity:
 
 def moment_sanity(spec: MeasureSpec, p: float, samples: int,
                   seed: int = 0) -> MomentSanity:
-    """Check that the p-th moment of log N(Y_1) looks finite and stable."""
+    """Check that the p-th moment of log N(Y_1) looks finite and stable.
+
+    The stability check compares the mean over all ``samples`` with the
+    mean over the first half, each with its standard error, so it needs
+    at least two samples in each half.
+    """
+    if samples < 4:
+        raise ValueError(f"samples must be >= 4, got {samples}")
     stream = rngmod.derived_stream(seed, Purpose.MOMENT_DRAWS)
     draws = sample_batch(spec, stream, samples)
     cs = draws.sum(axis=1)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import rng as rngmod
-from .estimators import BatchedProducts, _vector_steps, moment_sanity
+from .estimators import BatchedProducts, _forward_blocks, moment_sanity
 from .measures import MeasureSpec, sample_batch
 from .posmat import g_delta_level
 from .rng import Purpose
@@ -417,13 +417,13 @@ class AsipReport:
 
 
 def _cocycle_blocks(spec, seed, x, n, replicas):
-    """Yield, per block of the vector walk from x on the stream (seed,
+    """Yield, per block of the walk of one column from x on the stream (seed,
     FORWARD, 0), the steps k (T,), sigma(A_k, x) as (T, R) running sums of
-    the log increments, and the (T, d, R) directions v_k."""
-    start = np.broadcast_to(x.coords, (replicas, spec.d))
+    the log increments, and the T (d, 1, R) directions v_k."""
+    start = np.broadcast_to(x.coords[:, None, None], (spec.d, 1, replicas))
     total, k = np.zeros(replicas), 0
-    for incs, dirs in _vector_steps(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0),
-                                    start, n):
+    for incs, dirs in _forward_blocks(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0),
+                                      start, n):
         incs[0] += total
         total = np.cumsum(incs, axis=0, out=incs)[-1]
         yield np.arange(k + 1, k + len(incs) + 1), incs, dirs
@@ -436,13 +436,15 @@ def asip_proxy(spec: MeasureSpec, n: int, replicas: int, seed: int = 0,
                x=None, y=None, min_block_exp: int = 6) -> AsipReport:
     """Track running deviations of one replica batch up to step n.
 
-    Both variants follow the vector walk from x alone, since
+    Both variants follow the walk of one column from x alone, since
     log <y, A_k x> = sigma(A_k, x) + log <y, v_k>.
     """
     if variant not in ("sigma", "coeff"):
         raise ValueError("variant must be 'sigma' or 'coeff'")
     if n < 3:
         raise ValueError(f"n must be >= 3 so that log log n > 0, got {n}")
+    if not eps > 0:
+        raise ValueError(f"eps must be > 0, got {eps}")
     xp, yp = as_point(x, spec.d, "x"), as_point(y, spec.d, "y")
     if lambda_hat is None or s is None:
         pre = functional_sweep(spec, [min(n, 4096)], max(2048, replicas),
@@ -462,7 +464,7 @@ def asip_proxy(spec: MeasureSpec, n: int, replicas: int, seed: int = 0,
     for ks, vals, dirs in _cocycle_blocks(spec, seed, xp, n, replicas):
         if variant == "coeff":
             with np.errstate(divide="ignore"):
-                vals = vals + np.log(yp.coords @ dirs)
+                vals = vals + np.log(yp.coords @ np.stack(dirs)[:, :, 0])
         dev = np.abs(vals - ks[:, None] * lambda_hat)
         np.maximum(running_max, dev.max(axis=0), out=running_max)
         for k in marks:
@@ -552,6 +554,8 @@ def deviation_tail_sums(spec: MeasureSpec, alpha: float, p: float, eps: float,
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
+    if not eps > 0:
+        raise ValueError(f"eps must be > 0, got {eps}")
     xp = as_point(x, spec.d, "x")
     if lambda_hat is None:
         lambda_hat = functional_sweep(spec, [n_max], max(replicas // 4, 1024),

@@ -108,6 +108,12 @@ class TestArgumentHandling:
         assert run(["lyapunov", "--replicas", "-5", "--out", str(tmp_path)]) == 1
         assert "--replicas" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["asip-proxy", "deviation"])
+    def test_nonpositive_eps_rejected(self, tmp_path, capsys, command):
+        assert run([command, "--eps", "-1", "--out", str(tmp_path / "o")]) == 1
+        assert "--eps must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_cone_string(self, tmp_path, capsys):
         assert run(["cone-demo", "--cone", "torus:7", "--out", str(tmp_path)]) == 1
 

@@ -290,6 +290,13 @@ def reference_martingale(spec, psi, n, replicas, lam, seed):
     return sum_d2, sum_d, lag1, stream
 
 
+def _one_column_walk(spec, rng, x, steps, block=None):
+    """The forward blocks from the (R, d) directions ``x`` as a one-column
+    state; yields per block the (T, R) log increments and (T, d, R) directions."""
+    for log_norms, states in estimators._forward_blocks(spec, rng, x.T[:, None], steps, block):
+        yield log_norms, np.stack(states)[:, :, 0]
+
+
 class TestOuterVectorSteps:
     LAM = 0.4
 
@@ -298,7 +305,7 @@ class TestOuterVectorSteps:
         spec = MeasureSpec.parametric("lognormal", d, mu=0.0, sigma=1.0)
         x0 = np.random.default_rng(50).dirichlet(np.ones(d), size=64)
         rng, ref_rng = rngmod.derived_stream(51, d), rngmod.derived_stream(51, d)
-        steps = estimators._vector_steps(spec, rng, x0, 12, block=1)
+        steps = _one_column_walk(spec, rng, x0, 12, block=1)
         for (log_norms, x), (ref_log_norms, ref_x) in zip(
                 steps, _einsum_outer_steps(spec, ref_rng, x0, 12), strict=True):
             assert np.max(np.abs(log_norms[0] - ref_log_norms)) <= 1e-15
@@ -308,7 +315,7 @@ class TestOuterVectorSteps:
         assert _state(rng) == _state(ref_rng)
         # blocks of steps per draw call meet the same draws at the same steps
         rng, ref_rng = rngmod.derived_stream(52, d), rngmod.derived_stream(52, d)
-        blocks = list(estimators._vector_steps(spec, rng, x0, 40))
+        blocks = list(_one_column_walk(spec, rng, x0, 40))
         assert len(blocks) > 1
         log_norms = np.concatenate([b[0] for b in blocks])
         x = np.concatenate([b[1] for b in blocks]).transpose(0, 2, 1)
@@ -517,6 +524,12 @@ class TestRegularity:
         with pytest.raises(ValueError, match="strictly positive"):
             invariant_regularity(perm, 2.0, 10, 0.5, seed=26)
 
+    @pytest.mark.parametrize("samples", [1, 0])
+    def test_rejects_too_few_samples_for_an_error(self, samples):
+        # one sample has no standard error
+        with pytest.raises(ValueError, match="samples must be >= 2"):
+            invariant_regularity(SINGLE, 2.0, samples, 1e-10, seed=23)
+
 
 class TestMomentSanity:
     def test_bounded_support_is_stable(self, reference_spec):
@@ -528,6 +541,17 @@ class TestMomentSanity:
         rep = moment_sanity(SINGLE, 2.0, 100, seed=28)
         expected = np.log(gauges(G1).N) ** 2.0
         assert rep.moment.value == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_rejects_too_few_samples_for_the_halves(self, samples):
+        # the stability check needs a standard error for each half
+        with pytest.raises(ValueError, match="samples must be >= 4"):
+            moment_sanity(SINGLE, 2.0, samples)
+
+    def test_four_samples_give_two_errors(self, reference_spec):
+        rep = moment_sanity(reference_spec, 2.0, 4, seed=29)
+        assert np.isfinite(rep.half_moment)
+        assert rep.moment.std_error > 0
 
 
 class TestBatchedProducts:
@@ -604,6 +628,44 @@ class TestForwardKernel:
         assert not batch.P.flags.owndata  # a view of the kernel's layout
         np.testing.assert_allclose(batch.P, P, rtol=1e-13, atol=0)
         np.testing.assert_allclose(batch.log_scale, log_scale, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("spec", [s for _, s in KERNEL_SPECS if s.d <= 4],
+                             ids=[name for name, s in KERNEL_SPECS if s.d <= 4])
+    @pytest.mark.parametrize("R, n", [(64, 150), (4096, 20)])
+    def test_run_matches_single_steps(self, spec, R, n):
+        # blocks of up to 64 steps at R = 64, and one step per block at
+        # R = 4096, where a step alone fills the block cap
+        ran = BatchedProducts(spec, rngmod.derived_stream(38, Purpose.FORWARD, 0), R)
+        stepped = BatchedProducts(spec, rngmod.derived_stream(38, Purpose.FORWARD, 0), R)
+        ran.run(n)
+        ran.run(7)
+        for _ in range(n + 7):
+            stepped.step()
+        assert ran.n == stepped.n == n + 7
+        assert np.array_equal(ran.P, stepped.P)
+        assert np.array_equal(ran.log_scale, stepped.log_scale)
+        assert _state(ran.rng) == _state(stepped.rng)
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_one_column_walk_is_the_cocycle(self, d):
+        # sigma(A_n, x) = sum of the walk's log increments from x, and its
+        # direction is A_n x / |A_n x|_1, on equal streams
+        spec = MeasureSpec.parametric("lognormal", d, mu=0.0, sigma=1.0)
+        R, x = 64, np.random.default_rng(39).dirichlet(np.ones(d))
+        batch = BatchedProducts(spec, rngmod.derived_stream(39, Purpose.FORWARD, 0), R)
+        walk_rng = rngmod.derived_stream(39, Purpose.FORWARD, 0)
+        start = np.broadcast_to(x[:, None, None], (d, 1, R))
+        total = np.zeros(R)
+        for incs, states in estimators._forward_blocks(spec, walk_rng, start, 60):
+            for inc, state in zip(incs, states):
+                batch.step()
+                total += inc
+                np.testing.assert_allclose(total, batch.sigma(x), rtol=0, atol=1e-12)
+                image = np.matmul(batch.P, x)
+                np.testing.assert_allclose(state[:, 0], (image / image.sum(axis=1)[:, None]).T,
+                                           rtol=0, atol=1e-12)
+        assert batch.n == 60
+        assert _state(walk_rng) == _state(batch.rng)
 
     @pytest.mark.parametrize("spec", [s for _, s in KERNEL_SPECS],
                              ids=[name for name, _ in KERNEL_SPECS])

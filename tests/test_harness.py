@@ -227,6 +227,11 @@ class TestAsipProxy:
         with pytest.raises(ValueError, match="n must"):
             hz.asip_proxy(reference_spec, n, 10, s=1.0, lambda_hat=0.5)
 
+    @pytest.mark.parametrize("eps", [0.0, -3.0, float("nan")])
+    def test_rejects_nonpositive_eps(self, reference_spec, eps):
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            hz.asip_proxy(reference_spec, 64, 10, eps=eps)
+
 
 def reference_forward_walk(spec, seed, n, replicas, lam, variant, x, y):
     """The ``BatchedProducts`` loop that ``asip_proxy`` and the cocycle
@@ -370,6 +375,11 @@ class TestDeviation:
             with pytest.raises(ValueError, match="record_every"):
                 hz.deviation_tail_sums(reference_spec, 1.0, 2.0, 0.5, 8, 10,
                                        lambda_hat=0.5, record_every=every)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_eps(self, reference_spec, eps):
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            hz.deviation_tail_sums(reference_spec, 1.0, 2.0, eps, 8, 10)
 
 
 class TestFixtures:
