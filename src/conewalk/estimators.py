@@ -15,6 +15,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .measures import MeasureSpec, block_steps, sample_batch
+from .posmat import _check_iteration, _dense_spectral_radius, _power_iteration, _step
 from .rng import Purpose
 from .simplex import as_point, barycenter, contraction_coefficient, point_coords
 from .walk import backward_invariant_batch, detect_contraction
@@ -60,7 +61,7 @@ class EstimateWithError:
 def _mean_with_error(samples: np.ndarray, method: str) -> EstimateWithError:
     samples = np.asarray(samples, dtype=float)
     r = samples.size
-    se = float(samples.std(ddof=1) / np.sqrt(r)) if r > 1 else 0.0
+    se = float(samples.std(ddof=1) / np.sqrt(r))
     return EstimateWithError(float(samples.mean()), se, r, method)
 
 
@@ -80,53 +81,11 @@ def _variance_with_error(samples: np.ndarray, scale: float, method: str) -> Esti
 # ---------------------------------------------------------------------
 
 
-# Up to this dimension the forward step is written out on length-R
-# arrays of a (d, c, R) layout; above it one np.matmul on (R, d, c) is
-# faster.  Kernel alone, ns per step and replica, matmul against written
-# out (2-vCPU Xeon, R=8192): products d=2 94 vs 16, d=4 149 vs 209;
-# directions (c=1) d=2 82 vs 8, d=4 110 vs 36.  At d=8 (R=4096):
-# products 296 vs 2905, directions 139 vs 420.
-_WRITTEN_OUT_MAX_D = 4
-
-
-def _step(y: np.ndarray, state: np.ndarray):
-    """One forward step Y A of the (d, c, R) ``state`` A, for ``y`` the
-    (d, d, R) view of the draws Y, renormalised by its max column sums;
-    returns the new (d, c, R) state and those sums.
-
-    c = d for products started from the identity, c = 1 for a walk of
-    directions.  Up to ``_WRITTEN_OUT_MAX_D`` row i of Y A is the sum over
-    k, in order, of Y[i, k] times row k of A, on length-R arrays; above it,
-    one np.matmul, whose BLAS kernel may fuse the multiply-adds.  The column
-    sums add the rows in order and the scale is their running maximum.
-    """
-    d, c, R = state.shape
-    if d <= _WRITTEN_OUT_MAX_D:
-        # given outputs keep the (d, c, R) layout; left to itself numpy
-        # would follow the strides of y and put R outermost
-        out, term = np.empty((d, c, R)), np.empty((d, c, R))
-        np.multiply(y[:, 0, None], state[0], out=out)
-        for k in range(1, d):
-            out += np.multiply(y[:, k, None], state[k], out=term)
-    else:
-        out = np.matmul(y.transpose(2, 0, 1), state.transpose(2, 0, 1)).transpose(1, 2, 0)
-    sums = out[0] + out[1]
-    for i in range(2, d):
-        sums += out[i]
-    scale = sums[0]
-    # in place: one more (R,) temporary per step took 28 against 16 ns per
-    # step and replica at d=2, R=8192
-    for j in range(1, c):
-        np.maximum(scale, sums[j], out=scale)
-    out /= scale
-    return out, scale
-
-
 def _forward_blocks(spec: MeasureSpec, rng: np.random.Generator,
                     state: np.ndarray, steps: int, block: int | None = None):
     """Run the (d, c, R) ``state`` forward ``steps`` steps; yield per block
-    of T steps the (T, R) log increments and the list of T (d, c, R) states
-    after each step.
+    of T steps the (T, R) log increments, the list of T (d, c, R) states
+    after each step and the (T, d, d, R) view of the block's draws.
 
     A block is one ``sample_batch(spec, rng, T * R)`` call, draw t * R + i
     acting on replica i at the block's step t: the draws of T calls of size
@@ -144,9 +103,9 @@ def _forward_blocks(spec: MeasureSpec, rng: np.random.Generator,
         for t in range(size):
             state, scales[t] = _step(y[t], state)
             states.append(state)
-        del y  # the draws are freed before the next block is drawn
         done += size
-        yield np.log(scales), states
+        yield np.log(scales), states, y
+        del y  # the draws are freed before the next block is drawn
 
 
 class BatchedProducts:
@@ -174,22 +133,21 @@ class BatchedProducts:
         """The normalized products, an (R, d, d) view."""
         return self._entries.transpose(2, 0, 1)
 
-    def step(self) -> np.ndarray:
-        """Advance all replicas one draw from ``rng``; returns the (R, d, d) draws."""
-        mats = sample_batch(self.spec, self.rng, self.replicas)
-        self._entries, scale = _step(mats.transpose(1, 2, 0), self._entries)
-        self.log_scale += np.log(scale)
-        self.n += 1
-        return mats
+    def steps(self, n: int):
+        """Advance ``n`` steps, drawn in blocks by ``_forward_blocks``; after
+        each step the products, ``log_scale`` and ``n`` are current, and that
+        step's (d, d, R) draws are yielded."""
+        for incs, states, y in _forward_blocks(self.spec, self.rng, self._entries, n):
+            for inc, state, draws in zip(incs, states, y):
+                self.log_scale += inc
+                self._entries = state
+                self.n += 1
+                yield draws
 
     def run(self, n: int) -> None:
-        """``n`` steps, drawn in blocks: the same draws, products and stream
-        state as ``n`` calls of ``step``."""
-        for incs, states in _forward_blocks(self.spec, self.rng, self._entries, n):
-            for inc in incs:
-                self.log_scale += inc
-            self._entries = states[-1]
-            self.n += len(states)
+        """``n`` steps: the draws, products and stream state of ``n`` calls of ``run(1)``."""
+        for _ in self.steps(n):
+            pass
 
     # -- functionals of A_n ------------------------------------------------
 
@@ -226,22 +184,10 @@ class BatchedProducts:
         Paths that fail to settle (possible for non-primitive products)
         fall back to a dense eigensolver individually.
         """
-        R, d = self.replicas, self.spec.d
-        x = np.full((d, R), 1.0 / d)
-        lam = np.ones(R)
-        settled = np.zeros(R, dtype=bool)
-        for _ in range(max_iter):
-            y = np.einsum("ijr,jr->ir", self._entries, x)
-            new = y.sum(axis=0)
-            y /= new
-            settled = (np.abs(y - x).sum(axis=0) <= tol) \
-                & (np.abs(new - lam) <= tol * np.maximum(1.0, new))
-            x, lam = y, new
-            if settled.all():
-                break
-        if not settled.all():
-            for i in np.flatnonzero(~settled):
-                lam[i] = np.max(np.abs(np.linalg.eigvals(self.P[i])))
+        _check_iteration("tol", tol, max_iter)
+        _, lam, settled = _power_iteration(self._entries, tol, max_iter)
+        for i in np.flatnonzero(~settled):
+            lam[i] = _dense_spectral_radius(self.P[i])
         return self.log_scale + np.log(lam)
 
 
@@ -267,8 +213,10 @@ class LyapunovResult:
 def estimate_lyapunov(spec: MeasureSpec, n: int, replicas: int,
                       start=None, seed: int = 0) -> LyapunovResult:
     """Mean of sigma(A_n, x)/n over replicas."""
-    if n < 1 or replicas < 1:
-        raise ValueError("n and replicas must be positive")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if replicas < 2:
+        raise ValueError(f"replicas must be >= 2, got {replicas}")
     x = as_point(start, spec.d, "start")
     batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
     batch.run(n)
@@ -322,11 +270,10 @@ def coupling_decay(spec: MeasureSpec, p: float, n_grid, replicas: int,
     values = {}
     max_violation = None
     cert = np.ones(replicas)
-    blk = np.broadcast_to(np.eye(d), (replicas, d, d)).copy()
+    blk = eye = np.broadcast_to(np.eye(d)[:, :, None], (d, d, replicas))
     prev_log_cs = batch.log_scale[:, None] + np.log(batch.column_sums())
-    for n in range(1, n_max + 1):
-        cert_before = cert.copy()
-        mats = batch.step()
+    for y in batch.steps(n_max):
+        n = batch.n
         log_cs = batch.log_scale[:, None] + np.log(np.maximum(
             batch.column_sums(), 5e-324))
         ratios = log_cs - prev_log_cs
@@ -335,16 +282,15 @@ def coupling_decay(spec: MeasureSpec, p: float, n_grid, replicas: int,
         if n in grid:
             values[n] = float(np.mean(spread ** p))
         if pathwise_check:
-            cs = mats.sum(axis=1)
-            log_l = np.log(cs.max(axis=1)) - np.log(cs.min(axis=1))
-            bound = (4.0 + 2.0 * log_l) * cert_before
+            cs = y.sum(axis=0)
+            log_l = np.log(cs.max(axis=0)) - np.log(cs.min(axis=0))
+            bound = (4.0 + 2.0 * log_l) * cert
             excess = float(np.max(spread - bound))
             max_violation = excess if max_violation is None else max(max_violation, excess)
-            blk = np.matmul(mats, blk)
-            blk /= blk.reshape(replicas, -1).max(axis=1)[:, None, None]
+            blk, _ = _step(y, blk)
             if n % block_len == 0:
-                cert *= contraction_coefficient(blk)
-                blk[:] = np.eye(d)
+                cert *= contraction_coefficient(blk.transpose(2, 0, 1))
+                blk = eye
     vals = tuple(values[n] for n in grid)
     a_hat, r2 = _fit_rate(grid, vals)
     return CouplingCurve(p=float(p), n_grid=tuple(grid), values=vals,
@@ -465,7 +411,7 @@ def estimate_variance_series(spec: MeasureSpec, n_lag_max: int, replicas: int,
         raise ValueError(f"replicas must be >= 2, got {replicas}")
     w0, _, _ = backward_invariant_batch(spec, seed, w0_tol, replicas)
     stream = rngmod.derived_stream(seed, Purpose.SERIES_PATHS)
-    incs = np.concatenate([log_norms for log_norms, _ in
+    incs = np.concatenate([log_norms for log_norms, _, _ in
                            _forward_blocks(spec, stream, w0.T[:, None], n_lag_max)]) - lambda_hat
     first = incs[0]
     acc = first * first
@@ -542,8 +488,7 @@ def estimate_psi(spec: MeasureSpec, truncation: int, inner_size: int,
     pts = np.stack(probes)
     batch = BatchedProducts(spec, stream, inner_size)
     means = [np.zeros(len(pts))]  # log |x|_1 = 0 on the simplex
-    for _ in range(truncation):
-        batch.step()
+    for _ in batch.steps(truncation):
         means.append(batch.log_scale.mean() + np.log(batch.column_sums() @ pts.T).mean(axis=0))
     contributions = np.abs(np.diff(means, axis=0) - lambda_hat).max(axis=1).tolist()
     levels = np.arange(1, truncation + 1)
@@ -592,7 +537,7 @@ def variance_via_martingale(spec: MeasureSpec, psi: PsiEstimate, n: int,
     lag1 = np.zeros(replicas)
     prev_d = None
     noise_acc = float(np.mean(var_prev))
-    for log_norms, dirs in _forward_blocks(spec, stream, w0.T[:, None], n, block=1):
+    for log_norms, dirs, _ in _forward_blocks(spec, stream, w0.T[:, None], n, block=1):
         psi_cur, var_cur = psi.evaluate(dirs[0][:, 0].T, stream)
         d = log_norms[0] - lambda_hat + psi_cur - psi_prev
         sum_d2 += d * d

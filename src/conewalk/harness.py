@@ -422,8 +422,8 @@ def _cocycle_blocks(spec, seed, x, n, replicas):
     the log increments, and the T (d, 1, R) directions v_k."""
     start = np.broadcast_to(x.coords[:, None, None], (spec.d, 1, replicas))
     total, k = np.zeros(replicas), 0
-    for incs, dirs in _forward_blocks(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0),
-                                      start, n):
+    for incs, dirs, _ in _forward_blocks(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0),
+                                         start, n):
         incs[0] += total
         total = np.cumsum(incs, axis=0, out=incs)[-1]
         yield np.arange(k + 1, k + len(incs) + 1), incs, dirs
@@ -464,7 +464,7 @@ def asip_proxy(spec: MeasureSpec, n: int, replicas: int, seed: int = 0,
     for ks, vals, dirs in _cocycle_blocks(spec, seed, xp, n, replicas):
         if variant == "coeff":
             with np.errstate(divide="ignore"):
-                vals = vals + np.log(yp.coords @ np.stack(dirs)[:, :, 0])
+                vals = vals + np.log([yp.coords @ v[:, 0] for v in dirs])
         dev = np.abs(vals - ks[:, None] * lambda_hat)
         np.maximum(running_max, dev.max(axis=0), out=running_max)
         for k in marks:
@@ -532,10 +532,9 @@ def _coefficient_deviations(spec, seed, n_max, replicas, lambda_hat):
     sits at one of the two.
     """
     batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
-    for n in range(1, n_max + 1):
-        batch.step()
-        yield np.maximum(np.abs(batch.log_max_entry() - n * lambda_hat),
-                         np.abs(batch.log_min_entry() - n * lambda_hat))
+    for _ in batch.steps(n_max):
+        yield np.maximum(np.abs(batch.log_max_entry() - batch.n * lambda_hat),
+                         np.abs(batch.log_min_entry() - batch.n * lambda_hat))
 
 
 def deviation_tail_sums(spec: MeasureSpec, alpha: float, p: float, eps: float,

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .measures import MeasureSpec, block_steps, sample_batch
+from .posmat import _step
 from .rng import Purpose
 from .simplex import SimplexPoint, as_point, contraction_coefficient
 
@@ -193,15 +194,14 @@ class ContractionDetection:
 
 def _block_products(spec: MeasureSpec, stream: np.random.Generator, blocks: int,
                     block_len: int) -> np.ndarray:
-    """(blocks, d, d) forward products (later draws on the left) of consecutive
-    blocks of ``block_len`` draws from one ``sample_batch`` call, each
-    renormalized to max entry 1 after every multiplication."""
-    d = spec.d
-    draws = sample_batch(spec, stream, blocks * block_len).reshape(blocks, block_len, d, d)
-    prod = draws[:, 0]
+    """(d, d, blocks) forward products (later draws on the left) of consecutive
+    blocks of ``block_len`` draws from one ``sample_batch`` call, on
+    ``posmat._step``, which renormalizes each step to max column sum 1."""
+    y = sample_batch(spec, stream, blocks * block_len).reshape(
+        blocks, block_len, spec.d, spec.d).transpose(1, 2, 3, 0)
+    prod = y[0]
     for k in range(1, block_len):
-        prod = np.matmul(draws[:, k], prod)
-        prod /= prod.reshape(blocks, -1).max(axis=1)[:, None, None]
+        prod, _ = _step(y[k], prod)
     return prod
 
 
@@ -220,7 +220,7 @@ def detect_contraction(spec: MeasureSpec, r_max: int, samples: int,
     for r in range(1, r_max + 1):
         stream = rngmod.derived_stream(seed, Purpose.CONTRACTION_SEARCH, r)
         prod = _block_products(spec, stream, samples, r)
-        hits = int(np.count_nonzero((prod > 0).all(axis=(1, 2))))
+        hits = int(np.count_nonzero((prod > 0).all(axis=(0, 1))))
         if hits:
             return ContractionDetection(r=r, frequency=hits / samples)
     return None
@@ -250,7 +250,7 @@ def hitting_time(spec: MeasureSpec, seed: int, delta: float,
         size = block_steps(done, block_len * d * d, cap - done)
         blk = _block_products(spec, stream, size, block_len)
         with np.errstate(invalid="ignore"):  # an underflowed column: nan level, no hit
-            level = (blk / blk.sum(axis=1, keepdims=True)).min(axis=(1, 2))
+            level = (blk / blk.sum(axis=0, keepdims=True)).min(axis=(0, 1))
         hits = np.flatnonzero(level >= delta)
         if hits.size:
             return done + int(hits[0]) + 1

@@ -108,6 +108,11 @@ class TestArgumentHandling:
         assert run(["lyapunov", "--replicas", "-5", "--out", str(tmp_path)]) == 1
         assert "--replicas" in capsys.readouterr().err
 
+    def test_single_replica_rejected(self, tmp_path, capsys):
+        # one replica has no standard error
+        assert run(["lyapunov", "--replicas", "1", "--out", str(tmp_path)]) == 1
+        assert "replicas must be >= 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["asip-proxy", "deviation"])
     def test_nonpositive_eps_rejected(self, tmp_path, capsys, command):
         assert run([command, "--eps", "-1", "--out", str(tmp_path / "o")]) == 1

@@ -25,9 +25,16 @@ STOCHASTIC = MeasureSpec.atomic([[[0.5, 0.3], [0.5, 0.7]],
 class TestLyapunov:
     def test_single_atom_with_perron_start_is_exact(self):
         # from the fixed direction the deterministic path is exactly linear
-        res = estimate_lyapunov(SINGLE, 200, 1, start=perron_vector(G1), seed=0)
+        res = estimate_lyapunov(SINGLE, 200, 2, start=perron_vector(G1), seed=0)
         assert res.estimate.value == pytest.approx(np.log(spectral_radius(G1)), abs=1e-8)
         assert res.estimate.std_error == 0.0
+
+    @pytest.mark.parametrize("n, replicas, field", [(4, 1, "replicas"), (4, 0, "replicas"),
+                                                    (0, 8, "n"), (-2, 8, "n")])
+    def test_rejects_sizes_without_a_standard_error(self, n, replicas, field):
+        # one replica used to report std_error 0.0
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            estimate_lyapunov(SINGLE, n, replicas)
 
     def test_column_stochastic_atoms_give_zero(self):
         res = estimate_lyapunov(STOCHASTIC, 300, 20, seed=1)
@@ -293,7 +300,7 @@ def reference_martingale(spec, psi, n, replicas, lam, seed):
 def _one_column_walk(spec, rng, x, steps, block=None):
     """The forward blocks from the (R, d) directions ``x`` as a one-column
     state; yields per block the (T, R) log increments and (T, d, R) directions."""
-    for log_norms, states in estimators._forward_blocks(spec, rng, x.T[:, None], steps, block):
+    for log_norms, states, _ in estimators._forward_blocks(spec, rng, x.T[:, None], steps, block):
         yield log_norms, np.stack(states)[:, :, 0]
 
 
@@ -574,6 +581,33 @@ class TestBatchedProducts:
         assert np.array_equal(a.P, b.P)
         assert np.array_equal(a.log_scale, b.log_scale)
 
+    @pytest.mark.parametrize("spec", ["reference", "period-two"])
+    def test_log_kappa_is_the_one_path_spectral_radius(self, reference_spec, spec):
+        # one power iteration serves both; the period-two atom keeps its
+        # paths from settling, so they take the dense fallback in both
+        if spec == "reference":
+            batch = BatchedProducts(reference_spec,
+                                    rngmod.derived_stream(34, Purpose.FORWARD, 0), 64)
+            batch.run(40)
+        else:
+            flip = MeasureSpec.atomic([[[0.0, 2.0], [1.0, 0.0]], np.eye(2)], [0.5, 0.5])
+            batch = BatchedProducts(flip, rngmod.derived_stream(34, Purpose.FORWARD, 0), 32)
+            batch.run(7)
+            odd = batch.P[:, 0, 0] == 0.0
+            assert odd.any() and not odd.all()
+        expected = [ls + np.log(spectral_radius(p, max_iter=200))
+                    for ls, p in zip(batch.log_scale, batch.P)]
+        np.testing.assert_allclose(batch.log_kappa(), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kwargs, field", [({"tol": 0.0}, "tol must be > 0"),
+                                               ({"tol": -1.0}, "tol must be > 0"),
+                                               ({"max_iter": 0}, "max_iter must be >= 1")])
+    def test_log_kappa_rejects_malformed_iteration(self, reference_spec, kwargs, field):
+        batch = BatchedProducts(reference_spec, rngmod.derived_stream(34, Purpose.FORWARD, 0), 4)
+        batch.run(3)
+        with pytest.raises(ValueError, match=field):
+            batch.log_kappa(**kwargs)
+
     def test_rejects_a_seed_in_place_of_a_stream(self, reference_spec):
         with pytest.raises(TypeError, match="rng must be a numpy Generator, got int"):
             BatchedProducts(reference_spec, 33, 8)
@@ -613,7 +647,7 @@ class TestForwardKernel:
         replay = rngmod.derived_stream(35, Purpose.FORWARD, 2)
         P, log_scale = np.broadcast_to(np.eye(d), (R, d, d)).copy(), np.zeros(R)
         for n in range(500):
-            mats = batch.step()
+            mats = next(batch.steps(1)).transpose(2, 0, 1)
             expected = sample_batch(spec, replay, R)
             assert mats.shape == (R, d, d)
             assert np.array_equal(mats, expected)
@@ -640,7 +674,7 @@ class TestForwardKernel:
         ran.run(n)
         ran.run(7)
         for _ in range(n + 7):
-            stepped.step()
+            stepped.run(1)
         assert ran.n == stepped.n == n + 7
         assert np.array_equal(ran.P, stepped.P)
         assert np.array_equal(ran.log_scale, stepped.log_scale)
@@ -656,9 +690,9 @@ class TestForwardKernel:
         walk_rng = rngmod.derived_stream(39, Purpose.FORWARD, 0)
         start = np.broadcast_to(x[:, None, None], (d, 1, R))
         total = np.zeros(R)
-        for incs, states in estimators._forward_blocks(spec, walk_rng, start, 60):
+        for incs, states, _ in estimators._forward_blocks(spec, walk_rng, start, 60):
             for inc, state in zip(incs, states):
-                batch.step()
+                batch.run(1)
                 total += inc
                 np.testing.assert_allclose(total, batch.sigma(x), rtol=0, atol=1e-12)
                 image = np.matmul(batch.P, x)
@@ -700,7 +734,7 @@ class TestForwardKernel:
         replay = rngmod.derived_stream(37, Purpose.FORWARD, 0)
         P, log_scale = np.broadcast_to(np.eye(2), (R, 2, 2)).copy(), np.zeros(R)
         for _ in range(4):
-            batch.step()
+            batch.run(1)
             P, log_scale = reference_forward_step(P, log_scale,
                                                   sample_batch(fixture_b, replay, R))
         zeros = batch.P[:, 0, 1] == 0.0

@@ -240,7 +240,7 @@ def reference_forward_walk(spec, seed, n, replicas, lam, variant, x, y):
     batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
     vals, maxima = [], [np.zeros(replicas)]
     for k in range(1, n + 1):
-        batch.step()
+        batch.run(1)
         vals.append(batch.sigma(x) if variant == "sigma" else batch.log_coeff(x, y))
         maxima.append(np.maximum(maxima[-1], np.abs(vals[-1] - k * lam)))
     return np.array(vals), np.array(maxima[1:])

@@ -182,6 +182,17 @@ class TestSpectralRadius:
         assert spectral_radius([[0.0, 2.0], [1.0, 0.0]], max_iter=500) == pytest.approx(
             np.sqrt(2.0), abs=1e-12)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_tol(self, tol):
+        # a negative tol used to run the whole cap and then take the dense fallback
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            spectral_radius([[2.0, 1.0], [1.0, 2.0]], tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_rejects_max_iter_below_one(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            spectral_radius([[2.0, 1.0], [1.0, 2.0]], max_iter=max_iter)
+
 
 class TestPerronVector:
     def test_symmetric_examples(self):
@@ -208,6 +219,31 @@ class TestPerronVector:
     def test_rejects_zero_entry(self):
         with pytest.raises(ValueError, match="strictly positive"):
             perron_vector([[1.0, 0.0], [1.0, 1.0]])
+
+    def test_residual_at_the_returned_point_up_to_norm_100(self):
+        # the stopping rule scales with |g|_1, so the contract holds at the
+        # point returned, not only at the iterate before it
+        rng = np.random.default_rng(30)
+        norms = []
+        for _ in range(60):
+            d = int(rng.integers(2, 7))
+            g = rng.uniform(0.05, 1.0, (d, d)) * 10.0 ** rng.uniform(-1.0, 2.0 - np.log10(d))
+            v = perron_vector(g, residual_tol=1e-12)
+            img = g @ v.coords
+            assert np.abs(img - img.sum() * v.coords).sum() <= 1e-12
+            norms.append(g.sum(axis=0).max())
+        assert max(norms) > 50.0
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_max_iter_below_one(self, max_iter):
+        # max_iter=0 used to raise UnboundLocalError
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            perron_vector([[2.0, 1.0], [1.0, 2.0]], max_iter=max_iter)
+
+    @pytest.mark.parametrize("residual_tol", [0.0, -1e-12, float("nan")])
+    def test_rejects_nonpositive_residual_tol(self, residual_tol):
+        with pytest.raises(ValueError, match="residual_tol must be > 0"):
+            perron_vector([[2.0, 1.0], [1.0, 2.0]], residual_tol=residual_tol)
 
 
 class TestClassifiers:

@@ -34,7 +34,8 @@ class TestForwardStream:
 
     def test_first_step_is_single_cocycle(self):
         batch = BatchedProducts(SINGLE, rngmod.derived_stream(0, Purpose.FORWARD, 0), 3)
-        assert np.array_equal(batch.step(), replayed_draws(SINGLE, 0, 3, 1)[0])
+        assert np.array_equal(next(batch.steps(1)).transpose(2, 0, 1),
+                              replayed_draws(SINGLE, 0, 3, 1)[0])
         expected = np.log((G1.entries @ barycenter(2).coords).sum())
         assert batch.n == 1
         assert np.allclose(batch.sigma(barycenter(2)), expected, rtol=0, atol=1e-14)
@@ -43,7 +44,7 @@ class TestForwardStream:
         batch = BatchedProducts(SINGLE, rngmod.derived_stream(0, Purpose.FORWARD, 0), 2)
         power = np.eye(2)
         for _ in range(30):
-            batch.step()
+            batch.run(1)
             power = G1.entries @ power
             cs = power.sum(axis=0)
             assert np.allclose(batch.log_norm(), np.log(cs.max()), rtol=0, atol=1e-9)
@@ -62,7 +63,7 @@ class TestForwardStream:
         dirs = np.broadcast_to(starts, (replicas, 2, 2)).copy()  # dirs[r, start]
         total = np.zeros((replicas, 2))
         for draws in replayed_draws(TWO, seed, replicas, n):
-            batch.step()
+            batch.run(1)
             img = np.einsum("rij,rsj->rsi", draws, dirs)
             norm = img.sum(axis=2)
             total += np.log(norm)
@@ -73,7 +74,7 @@ class TestForwardStream:
     def test_sigma_between_v_and_norm(self):
         batch = BatchedProducts(TWO, rngmod.derived_stream(5, Purpose.FORWARD, 0), 4)
         for _ in range(500):
-            batch.step()
+            batch.run(1)
             sig = batch.sigma((1.0, 0.0))
             assert np.all(batch.log_v() - 1e-12 <= sig)
             assert np.all(sig <= batch.log_norm() + 1e-12)
@@ -81,7 +82,7 @@ class TestForwardStream:
     def test_kappa_tracking_brackets(self):
         batch = BatchedProducts(TWO, rngmod.derived_stream(7, Purpose.FORWARD, 0), 4)
         for _ in range(50):
-            batch.step()
+            batch.run(1)
             log_kappa = batch.log_kappa()
             assert np.all(batch.log_v() - 1e-9 <= log_kappa)
             assert np.all(log_kappa <= batch.log_norm() + 1e-9)
@@ -116,7 +117,7 @@ class TestForwardStream:
             log_l = np.array([np.log(gauges(AllowableMatrix(y)).L) for y in draws])
             bound += (4.0 + 2.0 * log_l) * cert
             cert *= contraction_coefficient(draws)
-            batch.step()
+            batch.run(1)
             assert np.all(batch.log_norm() - batch.log_v() <= bound + 1e-9)
 
     def test_product_state_reconstruction(self):
@@ -133,7 +134,7 @@ class TestForwardStream:
         batch = BatchedProducts(huge, rngmod.derived_stream(0, Purpose.FORWARD, 0), 4)
         with np.errstate(over="raise", under="raise", invalid="raise"):
             for _ in range(200):
-                batch.step()
+                batch.run(1)
                 assert np.all(np.isfinite(batch.log_norm()))
                 assert np.all(np.isfinite(batch.sigma(barycenter(2))))
         assert np.all(np.abs(batch.log_norm()) > 1000)  # scales accumulate only in the log
