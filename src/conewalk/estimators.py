@@ -458,9 +458,17 @@ class PsiEstimate:
             raise ValueError("points must be finite, nonnegative rows with positive sums")
         batch = BatchedProducts(self.spec, rng, self.inner_size)
         batch.run(self.truncation)
-        total = batch.log_scale[:, None] + np.log(batch.column_sums() @ pts.T)
-        values = total.mean(axis=0) - self.truncation * self.lambda_hat
-        mc_var = total.var(axis=0, ddof=1) / self.inner_size
+        # total = log_scale + log(cs x), centred, all in the (m, b) buffer the
+        # matmul returns: mean() and var(ddof=1)'s operations in their order,
+        # bit for bit, without their whole-matrix temporaries
+        m = self.inner_size
+        total = batch.column_sums() @ pts.T
+        np.log(total, out=total)
+        total += batch.log_scale[:, None]
+        mean = total.mean(axis=0)
+        total -= mean
+        values = mean - self.truncation * self.lambda_hat
+        mc_var = np.einsum("ij,ij->j", total, total) / (m - 1) / m
         return values, mc_var
 
 

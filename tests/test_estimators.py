@@ -205,6 +205,22 @@ class TestPsiKernel:
                            rtol=0, atol=1e-13)
         assert _state(rng) == _state(ref_rng)
 
+    @pytest.mark.parametrize("m, b", [(512, 64), (2048, 256)])
+    def test_evaluate_pinned_against_whole_matrix_formula(self, reference_spec, m, b):
+        # evaluate works in one (m, b) buffer; the whole-matrix formula it
+        # replaced is the reference, bit for bit
+        levels = 9
+        psi = estimate_psi(reference_spec, levels, m, self.LAM, seed=44)
+        pts = np.random.default_rng(45).dirichlet(np.ones(2), size=b)
+        rng, ref_rng = rngmod.derived_stream(46, m), rngmod.derived_stream(46, m)
+        values, mc_var = psi.evaluate(pts, rng)
+        batch = BatchedProducts(reference_spec, ref_rng, m)
+        batch.run(levels)
+        total = batch.log_scale[:, None] + np.log(batch.column_sums() @ pts.T)
+        assert np.array_equal(values, total.mean(axis=0) - levels * self.LAM)
+        assert np.array_equal(mc_var, total.var(axis=0, ddof=1) / m)
+        assert _state(rng) == _state(ref_rng)
+
     @pytest.mark.parametrize("d", [2, 3, 8])
     @pytest.mark.parametrize("b", [1, 8])
     def test_fit_matches_einsum_reference(self, d, b, monkeypatch):

@@ -263,18 +263,28 @@ class TestBackwardSampler:
 
     @pytest.mark.parametrize("block_len", [1, 3])
     @pytest.mark.parametrize("name", ["reference", "transposed", "scaled-1e150",
-                                      "lognormal-d8"])
+                                      "lognormal-d8", "lognormal-d4", "lognormal-d5"])
     def test_batch_pinned_against_per_step_loop(self, name, block_len):
+        # d = 4 and 5 sit on either side of posmat._WRITTEN_OUT_MAX_D, where
+        # the sampler's reductions switch between written-out chains and ufuncs
         ref = reference_spec()
         spec = {"reference": ref, "transposed": ref.transposed(),
                 "scaled-1e150": MeasureSpec.atomic([a.entries * 1e150 for a in ref.atoms],
                                                    ref.weights),
                 "lognormal-d8": MeasureSpec.parametric("lognormal", 8, mu=0.0, sigma=1.0),
+                "lognormal-d4": MeasureSpec.parametric("lognormal", 4, mu=0.0, sigma=1.0),
+                "lognormal-d5": MeasureSpec.parametric("lognormal", 5, mu=0.0, sigma=1.0),
                 }[name]
         got = backward_invariant_batch(spec, 6, 1e-10, 40, block_len=block_len)
         want = reference_backward_batch(spec, 6, 1e-10, 40, None, block_len)
         for a, b in zip(got, want, strict=True):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n_samples", [-3, 0, 2.5, np.inf, np.nan])
+    def test_batch_rejects_bad_n_samples(self, n_samples):
+        # -3 failed inside numpy and 2.5 silently ran 2 paths
+        with pytest.raises(ValueError, match="n_samples"):
+            backward_invariant_batch(TWO, 0, 1e-8, n_samples)
 
     def test_block_len_must_be_positive(self):
         with pytest.raises(ValueError, match="block_len"):
