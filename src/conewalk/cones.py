@@ -22,12 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
+from .posmat import MatrixGauges
 from .rng import Purpose
+from .simplex import _phi
 
 __all__ = [
     "ConeModel",
     "ConeVector",
-    "ConeGauges",
     "CertificationError",
     "OrthantCone",
     "LorentzCone",
@@ -61,16 +62,6 @@ class ConeVector:
 
     coords: np.ndarray
     tag: str  # "member" | "interior" | "unrestricted"
-
-
-@dataclass(frozen=True)
-class ConeGauges:
-    """sup/inf of the monotone norm of gx over the unit slice, with N and L."""
-
-    op_norm: float
-    v: float
-    N: float
-    L: float
 
 
 def _coords(x) -> np.ndarray:
@@ -196,31 +187,28 @@ class ConeModel:
 
         Equals 1 exactly when x and y sit in different parts of the cone.
         """
-        s = self.m(x, y) * self.m(y, x)
-        s = min(max(s, 0.0), 1.0)
-        return (1.0 - s) / (1.0 + s)
+        return _phi(self.m(x, y) * self.m(y, x))
 
     # -- maps --------------------------------------------------------------
 
-    def act(self, g, x) -> np.ndarray:
-        """Projective action g.x = gx / <x0*, gx>, landing on the slice."""
+    def _image(self, g, x) -> tuple[np.ndarray, float]:
+        """gx and its norm <x0*, gx>, certified to be a nonzero cone member."""
         gx = np.asarray(g, dtype=float) @ _coords(x)
         norm = float(self.x0_star @ gx)
         if not norm > 0 or not self.contains(gx):
             raise CertificationError(
                 "image left the cone; the map is not cone-preserving here",
                 witness=_coords(x))
+        return gx, norm
+
+    def act(self, g, x) -> np.ndarray:
+        """Projective action g.x = gx / <x0*, gx>, landing on the slice."""
+        gx, norm = self._image(g, x)
         return gx / norm
 
     def cocycle(self, g, x) -> float:
         """log of the monotone norm of gx; additive via the action."""
-        gx = np.asarray(g, dtype=float) @ _coords(x)
-        norm = float(self.x0_star @ gx)
-        if not norm > 0 or not self.contains(gx):
-            raise CertificationError(
-                "image left the cone; the map is not cone-preserving here",
-                witness=_coords(x))
-        return float(np.log(norm))
+        return float(np.log(self._image(g, x)[1]))
 
     def certify_map(self, g, seed: int = 0, n_samples: int = CERTIFY_SAMPLES) -> None:
         """Sampled check that g maps K into K and int(K) into int(K).
@@ -240,7 +228,7 @@ class ConeModel:
                     and not self.contains_interior(gx):
                 raise CertificationError("map sent an interior point to the boundary", x)
 
-    def gauges(self, g) -> ConeGauges:
+    def gauges(self, g) -> MatrixGauges:
         """sup and inf of <x0*, gx> over the unit slice, with N and L.
 
         The objective is linear in x, so the extrema sit at extreme
@@ -249,7 +237,7 @@ class ConeModel:
         lo, hi = self._slice_range(np.asarray(g, dtype=float).T @ self.x0_star)
         if not lo > 0:
             raise ValueError("map does not keep the base functional positive on the cone")
-        return ConeGauges(op_norm=hi, v=lo, N=max(hi, 1.0 / lo), L=hi / lo)
+        return MatrixGauges.of(hi, lo)
 
     def _slice_range(self, w: np.ndarray) -> tuple[float, float]:
         """(min, max) of <w, x> over the unit slice of the cone."""
@@ -450,12 +438,6 @@ class LorentzCone(ConeModel):
 # ---------------------------------------------------------------------
 
 
-def _sym_basis_indices(n: int):
-    diag = [(i, i) for i in range(n)]
-    off = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return diag, off
-
-
 def sym_to_coords(mat: np.ndarray) -> np.ndarray:
     """Coordinates of a symmetric matrix in the orthonormal symmetric basis.
 
@@ -464,23 +446,15 @@ def sym_to_coords(mat: np.ndarray) -> np.ndarray:
     the Frobenius inner product of matrices.
     """
     m = np.asarray(mat, dtype=float)
-    n = m.shape[0]
-    diag, off = _sym_basis_indices(n)
-    out = np.empty(n * (n + 1) // 2)
-    out[: n] = m[tuple(zip(*diag))]
-    if off:
-        out[n:] = np.sqrt(2.0) * m[tuple(zip(*off))]
-    return out
+    # np.triu_indices lists the off-diagonal pairs row by row
+    return np.concatenate([m.diagonal(), np.sqrt(2.0) * m[np.triu_indices(m.shape[0], 1)]])
 
 
 def coords_to_sym(coords: np.ndarray, n: int) -> np.ndarray:
     c = np.asarray(coords, dtype=float)
-    diag, off = _sym_basis_indices(n)
-    m = np.zeros((n, n))
-    for k, (i, _) in enumerate(diag):
-        m[i, i] = c[k]
-    for k, (i, j) in enumerate(off):
-        m[i, j] = m[j, i] = c[n + k] / np.sqrt(2.0)
+    i, j = np.triu_indices(n, 1)
+    m = np.diag(c[: n])
+    m[i, j] = m[j, i] = c[n:] / np.sqrt(2.0)
     return m
 
 
@@ -548,21 +522,9 @@ def psd_map_congruence(a: np.ndarray) -> np.ndarray:
     """Coordinate matrix of M -> A^t M A on the symmetric basis."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    dim = n * (n + 1) // 2
-    cols = np.empty((dim, dim))
-    diag, off = _sym_basis_indices(n)
-    basis = []
-    for i, _ in diag:
-        e = np.zeros((n, n))
-        e[i, i] = 1.0
-        basis.append(e)
-    for i, j in off:
-        e = np.zeros((n, n))
-        e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
-        basis.append(e)
-    for k, e in enumerate(basis):
-        cols[:, k] = sym_to_coords(a.T @ e @ a)
-    return cols
+    # column k is the image of the basis matrix with unit coordinate k
+    return np.stack([sym_to_coords(a.T @ coords_to_sym(e, n) @ a)
+                     for e in np.eye(n * (n + 1) // 2)], axis=1)
 
 
 def psd_map_rank_one(r0: np.ndarray, s0: np.ndarray) -> np.ndarray:

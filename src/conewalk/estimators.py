@@ -21,6 +21,7 @@ from .simplex import as_point, barycenter, contraction_coefficient, point_coords
 from .walk import backward_invariant_batch, detect_contraction
 
 __all__ = [
+    "FUNCTIONALS",
     "EstimateWithError",
     "LyapunovResult",
     "estimate_lyapunov",
@@ -41,6 +42,11 @@ __all__ = [
     "moment_sanity",
     "BatchedProducts",
 ]
+
+# the functionals of A_n that ``BatchedProducts.functional`` reads by name
+FUNCTIONALS = ("sigma", "norm", "v", "kappa", "coeff", "inf_coeff")
+RATIO_TOL = 1e-9  # for aperiodicity_report, see AperiodicityReport
+MAX_DENOMINATOR = 1000
 
 
 @dataclass(frozen=True)
@@ -120,6 +126,8 @@ class BatchedProducts:
     def __init__(self, spec: MeasureSpec, rng: np.random.Generator, replicas: int):
         if not isinstance(rng, np.random.Generator):
             raise TypeError(f"rng must be a numpy Generator, got {type(rng).__name__}")
+        if replicas < 1:
+            raise ValueError(f"replicas must be >= 1, got {replicas}")
         self.spec = spec
         self.rng = rng
         self.replicas = int(replicas)
@@ -189,6 +197,14 @@ class BatchedProducts:
         for i in np.flatnonzero(~settled):
             lam[i] = _dense_spectral_radius(self.P[i])
         return self.log_scale + np.log(lam)
+
+    def functional(self, name: str, x, y) -> np.ndarray:
+        """The functional ``name`` of FUNCTIONALS: sigma and coeff start from
+        the point ``x``, and coeff pairs the product with the point ``y``."""
+        reads = {"sigma": lambda: self.sigma(x), "norm": self.log_norm,
+                 "v": self.log_v, "kappa": self.log_kappa,
+                 "coeff": lambda: self.log_coeff(x, y), "inf_coeff": self.log_min_entry}
+        return reads[name]()
 
 
 # ---------------------------------------------------------------------
@@ -321,14 +337,10 @@ def fit_geometric_envelope(ns, values) -> tuple[float, float]:
     """
     ns = np.asarray(ns, dtype=float)
     vals = np.asarray(values, dtype=float)
-    keep = vals > 0
-    if keep.sum() == 0:
+    if not np.any(vals > 0):
         return 0.0, 0.5
-    if keep.sum() == 1:
-        rate = 0.5
-    else:
-        slope, _ = np.polyfit(ns[keep], np.log(vals[keep]), 1)
-        rate = float(np.clip(np.exp(slope), 1e-6, 1.0 - 1e-9))
+    rate, _ = _fit_rate(ns, vals)  # None below two positive values
+    rate = 0.5 if rate is None else float(np.clip(rate, 1e-6, 1.0 - 1e-9))
     amp = float(np.max(vals / rate ** ns))
     return amp, rate
 
@@ -345,7 +357,7 @@ def envelope_tail(amp: float, rate: float, n: int) -> float:
 # ---------------------------------------------------------------------
 
 
-_DIRECT_FUNCTIONALS = ("sigma", "norm", "v", "kappa")
+_DIRECT_FUNCTIONALS = FUNCTIONALS[:4]  # sigma, norm, v and kappa
 
 
 def estimate_variance_direct(spec: MeasureSpec, n: int, replicas: int,
@@ -368,16 +380,9 @@ def estimate_variance_direct(spec: MeasureSpec, n: int, replicas: int,
     x = as_point(start, spec.d, "start")
     batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
     batch.run(n)
-    out = {}
-    pulls = {
-        "sigma": lambda: batch.sigma(x),
-        "norm": batch.log_norm,
-        "v": batch.log_v,
-        "kappa": batch.log_kappa,
-    }
-    for name in functionals:
-        out[name] = _variance_with_error(pulls[name](), 1.0 / n, f"direct-{name}")
-    return out
+    return {name: _variance_with_error(batch.functional(name, x, None), 1.0 / n,
+                                       f"direct-{name}")
+            for name in functionals}
 
 
 # ---------------------------------------------------------------------
@@ -625,12 +630,12 @@ def _has_close_convergent(x: np.ndarray, tol: float, max_denominator: int) -> np
     return found
 
 
-def aperiodicity_report(spec: MeasureSpec, max_word_len: int,
-                        ratio_tol: float = 1e-9,
-                        max_denominator: int = 1000) -> AperiodicityReport:
+def aperiodicity_report(spec: MeasureSpec, max_word_len: int) -> AperiodicityReport:
     """Enumerate support words, compare their log spectral radii pairwise."""
     if spec.kind != "atomic":
         raise ValueError("aperiodicity enumeration needs an atomic spec")
+    if max_word_len < 1:
+        raise ValueError(f"max_word_len must be >= 1, got {max_word_len}")
     atoms = spec.atom_array()
     k, d = atoms.shape[0], spec.d
     words: list[tuple[int, ...]] = []
@@ -653,13 +658,13 @@ def aperiodicity_report(spec: MeasureSpec, max_word_len: int,
     i, j = np.triu_indices(len(r), k=1)
     keep = np.abs(r[j]) >= 1e-9
     i, j = i[keep], j[keep]
-    bad = ~_has_close_convergent(np.abs(r[i] / r[j]), ratio_tol, max_denominator)
+    bad = ~_has_close_convergent(np.abs(r[i] / r[j]), RATIO_TOL, MAX_DENOMINATOR)
     bad_pairs = list(zip(i[bad].tolist(), j[bad].tolist()))
     verdict = "aperiodic evidence" if bad_pairs else "possibly arithmetic"
     return AperiodicityReport(words=tuple(words), log_radii=tuple(radii),
                               incommensurate_pairs=tuple(bad_pairs),
-                              verdict=verdict, ratio_tol=ratio_tol,
-                              max_denominator=max_denominator)
+                              verdict=verdict, ratio_tol=RATIO_TOL,
+                              max_denominator=MAX_DENOMINATOR)
 
 
 # ---------------------------------------------------------------------
@@ -668,15 +673,14 @@ def aperiodicity_report(spec: MeasureSpec, max_word_len: int,
 
 
 def invariant_regularity(spec: MeasureSpec, p: float, samples: int,
-                         tol: float, seed: int = 0,
-                         check_moments: bool = True) -> EstimateWithError:
+                         tol: float, seed: int = 0) -> EstimateWithError:
     """Monte Carlo p-th moment of sup_y |log <y, W>| under the invariant law.
 
     The inner sup is exact: <y, w> is linear in y, extremized at the
     vertices, and |log| of a value in (0, 1] peaks at the smallest, so
     the integrand is |log min_i w_i|^p.  The transpose measure must also
     be strictly contracting, with a stable order-p moment, for the
-    integral to be finite.
+    integral to be finite; both are checked first.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2 for a standard error, got {samples}")
@@ -687,11 +691,10 @@ def invariant_regularity(spec: MeasureSpec, p: float, samples: int,
         if detect_contraction(view, 4, 256, view_seed) is None:
             raise ValueError(f"the {name} shows no strictly positive products; "
                              "regularity moment may be infinite")
-    if check_moments:
-        sanity = moment_sanity(spec.transposed(), p, max(2048, samples), seed)
-        if not sanity.stable:
-            raise ValueError(f"order-{p} moment of log N under the transpose "
-                             "view failed the stability check")
+    sanity = moment_sanity(spec.transposed(), p, max(2048, samples), seed)
+    if not sanity.stable:
+        raise ValueError(f"order-{p} moment of log N under the transpose "
+                         "view failed the stability check")
     pts, _, _ = backward_invariant_batch(spec, seed, tol, samples)
     vals = np.abs(np.log(np.maximum(pts.min(axis=1), 5e-324))) ** p
     return _mean_with_error(vals, f"regularity-p{p:g}")

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import rng as rngmod
-from .estimators import BatchedProducts, _forward_blocks, moment_sanity
+from .estimators import FUNCTIONALS, BatchedProducts, _forward_blocks, moment_sanity
 from .measures import MeasureSpec, sample_batch
 from .posmat import g_delta_level
 from .rng import Purpose
@@ -32,7 +32,6 @@ from .simplex import as_point
 __all__ = [
     "reference_spec",
     "noise_floor",
-    "gaussian_cdf",
     "ks_statistic",
     "ks_to_gaussian",
     "ks_two_sample",
@@ -55,9 +54,10 @@ __all__ = [
     "FUNCTIONALS",
 ]
 
-FUNCTIONALS = ("sigma", "norm", "v", "kappa", "coeff", "inf_coeff")
-
 _CHUNK = 8192
+# exact orderings (lower, upper), checked whenever both are read (v and norm always are)
+_ORDERINGS = (("v", "kappa"), ("kappa", "norm"), ("inf_coeff", "norm"), ("v", "norm"))
+ASIP_MIN_BLOCK_EXP = 6  # the ASIP proxy's dyadic block sums start at step 2**6
 
 
 def reference_spec() -> MeasureSpec:
@@ -80,11 +80,6 @@ def reference_spec() -> MeasureSpec:
 def noise_floor(replicas: int) -> float:
     """Two-sided 95% DKW-style band for an empirical CDF of given size."""
     return 1.36 / np.sqrt(replicas)
-
-
-def gaussian_cdf(t):
-    """Standard normal CDF via the complementary error function."""
-    return ndtr(t)
 
 
 # ---------------------------------------------------------------------
@@ -189,27 +184,14 @@ def _sweep_chunk(spec, seed, size, key, grid, functionals, x, y):
     batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, key), size)
     out = {}
     violation = 0.0
+    kept = {*functionals, "norm"}
     for n in grid:
         batch.run(n - batch.n)
-        norm = batch.log_norm()
-        v = batch.log_v()
-        pulls = {"norm": norm, "v": v}
-        if "sigma" in functionals:
-            pulls["sigma"] = batch.sigma(x)
-        if "kappa" in functionals:
-            pulls["kappa"] = batch.log_kappa()
-            violation = max(violation,
-                            float(np.max(v - pulls["kappa"])),
-                            float(np.max(pulls["kappa"] - norm)))
-        if "coeff" in functionals:
-            pulls["coeff"] = batch.log_coeff(x, y)
-        if "inf_coeff" in functionals:
-            pulls["inf_coeff"] = batch.log_min_entry()
-            violation = max(violation, float(np.max(pulls["inf_coeff"] - norm)))
-        violation = max(violation, float(np.max(v - norm)))
-        for name in functionals:
-            out[(name, n)] = pulls[name]
-        out[("norm", n)] = norm
+        pulls = {name: batch.functional(name, x, y) for name in kept | {"v"}}
+        for lo, hi in _ORDERINGS:
+            if lo in pulls and hi in pulls:
+                violation = max(violation, float(np.max(pulls[lo] - pulls[hi])))
+        out.update({(name, n): pulls[name] for name in kept})
     return out, violation
 
 
@@ -357,7 +339,6 @@ def berry_esseen_fit(spec: MeasureSpec, functional: str, p: float, n_grid,
         sweep = functional_sweep(spec, grid, replicas, seed,
                                  functionals=(functional,), x=x, y=y,
                                  threads=threads)
-    lam = lambda_hat if lambda_hat is not None else sweep.lambda_hat
     n_top = grid[-1]
     if s is None:
         top = sweep.samples[("norm", n_top)]
@@ -368,14 +349,10 @@ def berry_esseen_fit(spec: MeasureSpec, functional: str, p: float, n_grid,
                        ks_values=(), scaled=(), target=target, slope=None,
                        tau_raw=0.0, tau_banded=0.0, s_used=s,
                        verdict="degenerate")
-    ks_values = []
-    for n in grid:
-        vals = sweep.samples[(functional, n)]
-        miss = sweep.minus_inf[(functional, n)]
-        z = (vals - n * lam) / np.sqrt(n)
-        ks_values.append(ks_to_gaussian(z, s, minus_inf=miss))
+    ks_arr = np.array([empirical_normality(spec, functional, n, replicas, s,
+                                           lambda_hat=lambda_hat, sweep=sweep).ks_distance
+                       for n in grid])
     ns = np.asarray(grid, dtype=float)
-    ks_arr = np.asarray(ks_values)
     scaled = ks_arr * ns ** target
     bands = noise_floor(replicas) * ns ** target
     tau_raw, tau_banded = kendall_tau_banded(ns, scaled, bands)
@@ -433,7 +410,7 @@ def _cocycle_blocks(spec, seed, x, n, replicas):
 def asip_proxy(spec: MeasureSpec, n: int, replicas: int, seed: int = 0,
                eps: float = 0.2, s: float | None = None,
                lambda_hat: float | None = None, variant: str = "sigma",
-               x=None, y=None, min_block_exp: int = 6) -> AsipReport:
+               x=None, y=None) -> AsipReport:
     """Track running deviations of one replica batch up to step n.
 
     Both variants follow the walk of one column from x alone, since
@@ -459,7 +436,7 @@ def asip_proxy(spec: MeasureSpec, n: int, replicas: int, seed: int = 0,
         raise ValueError("s must be positive")
     running_max = np.zeros(replicas)
     k_levels = int(np.floor(np.log2(n)))
-    marks = [2 ** j for j in range(min_block_exp, k_levels + 1)]
+    marks = [2 ** j for j in range(ASIP_MIN_BLOCK_EXP, k_levels + 1)]
     level_vals = {}
     for ks, vals, dirs in _cocycle_blocks(spec, seed, xp, n, replicas):
         if variant == "coeff":
@@ -545,6 +522,8 @@ def deviation_tail_sums(spec: MeasureSpec, alpha: float, p: float, eps: float,
     """Monte Carlo partial sums of the maximal-deviation series."""
     if not 0.5 < alpha <= 1.0:
         raise ValueError("alpha must lie in (1/2, 1]")
+    if not p > 0:
+        raise ValueError(f"p must be > 0, got {p}")
     if alpha < 1.0 / p:
         raise ValueError("alpha must be >= 1/p")
     if variant not in ("cocycle", "coefficient"):
@@ -586,6 +565,7 @@ def deviation_tail_sums(spec: MeasureSpec, alpha: float, p: float, eps: float,
 # ---------------------------------------------------------------------
 
 FIXTURE_A_TRUNCATION = 1000
+FIXTURE_A_KURTOSIS = 10.0  # excess kurtosis of log v that flags a heavy tail
 
 
 def pathology_fixtures() -> tuple[MeasureSpec, MeasureSpec]:
@@ -641,11 +621,12 @@ def _excess_kurtosis(x: np.ndarray) -> float:
 
 
 def fixture_a_report(n_values=(2, 3, 4), replicas: int = 20000,
-                     seed: int = 0, kurtosis_threshold: float = 10.0,
-                     ) -> FixtureAReport:
+                     seed: int = 0) -> FixtureAReport:
     """Contrast the stable norm drift with the heavy-tailed lower gauge."""
     if any(n < 1 for n in n_values):
         raise ValueError(f"n_values must all be >= 1, got {tuple(n_values)}")
+    if replicas < 2:
+        raise ValueError(f"replicas must be >= 2, got {replicas}")
     fixture_a, _ = pathology_fixtures()
     lam, v_mean, v_med, v_kurt, v_share = [], [], [], [], []
     for idx, n in enumerate(n_values):
@@ -661,7 +642,7 @@ def fixture_a_report(n_values=(2, 3, 4), replicas: int = 20000,
         v_kurt.append(_excess_kurtosis(v))
         dev = np.abs(v - np.median(v))
         v_share.append(float(dev.max() / max(dev.sum(), 1e-300)))
-    heavy = any(k > kurtosis_threshold for k in v_kurt)
+    heavy = any(k > FIXTURE_A_KURTOSIS for k in v_kurt)
     stable = True
     for i in range(len(n_values) - 1):
         a, sa = lam[i]
@@ -721,8 +702,8 @@ def coefficient_gap_check(spec: MeasureSpec, n_max: int, paths: int,
     products.  Recomputed densely (n_max <= 64), returns the largest
     violation (negative means the bound held everywhere).
     """
-    if n_max > 64:
-        raise ValueError("dense suffix recomputation is restricted to n <= 64")
+    if not 2 <= n_max <= 64:
+        raise ValueError(f"n_max must lie in [2, 64] for dense suffix products, got {n_max}")
     if spec.kind != "atomic":
         raise ValueError("classifier levels need an atomic spec")
     if paths < 1:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .posmat import AllowableMatrix
+from .posmat import MAX_DIM, AllowableMatrix
 
 __all__ = ["MeasureSpec", "RejectionCapError", "sample_matrix", "REJECTION_CAP"]
 
@@ -45,10 +45,7 @@ class MeasureSpec:
     weights    atomic only: positive weights summing to 1
     atoms      atomic only: tuple of AllowableMatrix
     family     parametric only: "lognormal" (params mu, sigma) or
-               "uniform" (params lo, hi; a zero diagonal entry is
-               repaired to the interval midpoint so every draw is
-               allowable -- a desk-scale convenience, the repair fires
-               with probability 0 for continuous draws)
+               "uniform" (params lo, hi)
     params     parametric only: family parameters
     transpose_view   draw transposes instead
     """
@@ -94,8 +91,8 @@ class MeasureSpec:
             if self.family == "uniform":
                 if not (0 <= p["lo"] <= p["hi"]) or not p["hi"] > 0:
                     raise ValueError("uniform family needs 0 <= lo <= hi with hi > 0")
-            if not 2 <= self.d <= 64:
-                raise ValueError("parametric spec dimension must be in [2, 64]")
+            if not 2 <= self.d <= MAX_DIM:
+                raise ValueError(f"parametric spec dimension must be in [2, {MAX_DIM}]")
         else:
             raise ValueError(f"unknown spec kind {self.kind!r}")
 
@@ -221,11 +218,7 @@ def _draw_parametric_entries(spec: MeasureSpec, rng: np.random.Generator,
     d, p = spec.d, spec.params
     if spec.family == "lognormal":
         return rng.lognormal(p["mu"], p["sigma"], size=(size, d, d))
-    ent = rng.uniform(p["lo"], p["hi"], size=(size, d, d))
-    idx = np.arange(d)
-    diag = ent[:, idx, idx]
-    ent[:, idx, idx] = np.where(diag == 0, 0.5 * (p["lo"] + p["hi"]), diag)
-    return ent
+    return rng.uniform(p["lo"], p["hi"], size=(size, d, d))
 
 
 def sample_matrix(spec: MeasureSpec, rng: np.random.Generator) -> AllowableMatrix:

@@ -108,12 +108,18 @@ class AllowableMatrix:
 
 @dataclass(frozen=True)
 class MatrixGauges:
-    """l1 operator norm, lower gauge v, and the derived gauges N and L."""
+    """sup and inf of the norm of gx over the unit slice (for a matrix, the
+    l1 operator norm and the lower gauge v), with the derived N and L."""
 
     op_norm: float
     v: float
     N: float
     L: float
+
+    @classmethod
+    def of(cls, op_norm: float, v: float) -> "MatrixGauges":
+        """The gauges with N = max(op_norm, 1/v) and L = op_norm / v."""
+        return cls(op_norm=op_norm, v=v, N=max(op_norm, 1.0 / v), L=op_norm / v)
 
 
 def _as_matrix(g) -> AllowableMatrix:
@@ -128,9 +134,7 @@ def gauges(g) -> MatrixGauges:
     N = max(op_norm, 1/v), L = op_norm / v >= 1; N^2 >= L always.
     """
     cs = _as_matrix(g).column_sums
-    op = float(cs.max())
-    v = float(cs.min())
-    return MatrixGauges(op_norm=op, v=v, N=max(op, 1.0 / v), L=op / v)
+    return MatrixGauges.of(float(cs.max()), float(cs.min()))
 
 
 def act(g, x) -> SimplexPoint:

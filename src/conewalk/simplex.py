@@ -111,6 +111,9 @@ def m_ratio(u, v) -> float:
 
 
 def _phi(s: float) -> float:
+    """The projective distance (1 - s) / (1 + s) of the ratio product
+    s = m(x, y) m(y, x), with s clamped to [0, 1] against rounding."""
+    s = min(max(s, 0.0), 1.0)
     return (1.0 - s) / (1.0 + s)
 
 
@@ -119,9 +122,7 @@ def hilbert_distance(x, y) -> float:
 
     Equals 0 iff x == y, and 1 iff the supports differ.
     """
-    s = m_ratio(x, y) * m_ratio(y, x)
-    s = min(max(s, 0.0), 1.0)
-    return _phi(s)
+    return _phi(m_ratio(x, y) * m_ratio(y, x))
 
 
 def contraction_coefficient(g):

@@ -410,3 +410,42 @@ class TestSharedConeProperties:
 def _sqrtm(y):
     w, q = np.linalg.eigh(y)
     return (q * np.sqrt(w)) @ q.T
+
+
+def _loop_basis(n):
+    """The symmetric basis built by loops: (i, i) pairs, then i < j row by row."""
+    return [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+class TestSymmetricBasisAgainstLoops:
+    """The symmetric maps, pinned bit for bit to the loop construction."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_maps_match_the_loop_construction(self, n):
+        rng = np.random.default_rng(40 + n)
+        pairs = _loop_basis(n)
+        m = rng.standard_normal((n, n))
+        m = m + m.T
+        coords = np.array([m[i, j] if i == j else np.sqrt(2.0) * m[i, j] for i, j in pairs])
+        assert np.array_equal(sym_to_coords(m), coords)
+        c = rng.standard_normal(len(pairs))
+        back = np.zeros((n, n))
+        for k, (i, j) in enumerate(pairs):
+            back[i, j] = back[j, i] = c[k] if i == j else c[k] / np.sqrt(2.0)
+        assert np.array_equal(coords_to_sym(c, n), back)
+        a = rng.standard_normal((n, n))
+        cols = np.empty((len(pairs), len(pairs)))
+        for k, (i, j) in enumerate(pairs):
+            e = np.zeros((n, n))
+            e[i, j] = e[j, i] = 1.0 if i == j else 1.0 / np.sqrt(2.0)
+            cols[:, k] = sym_to_coords(a.T @ e @ a)
+        assert np.array_equal(psd_map_congruence(a), cols)
+
+
+def test_cone_gauges_are_the_matrix_gauges():
+    from conewalk.posmat import MatrixGauges, gauges
+
+    g = np.array([[1.0, 0.5, 2.0], [0.25, 1.0, 1.0], [2.0, 0.75, 0.5]])  # exact sums
+    got = orthant_cone(3).gauges(g)
+    assert isinstance(got, MatrixGauges)
+    assert got == gauges(g)  # x0* = 1: the slice extremes are the column sums

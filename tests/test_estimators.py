@@ -758,3 +758,32 @@ class TestForwardKernel:
         assert np.array_equal(zeros, P[:, 0, 1] == 0.0)
         coeff = batch.log_coeff((0.0, 1.0), (1.0, 0.0))  # log of entry (0, 1)
         assert np.array_equal(coeff == -np.inf, zeros)
+
+
+class TestFunctionalByName:
+    @pytest.mark.parametrize("name", estimators.FUNCTIONALS)
+    def test_matches_the_named_method(self, reference_spec, name):
+        batch = BatchedProducts(reference_spec, rngmod.derived_stream(35, Purpose.FORWARD, 0), 16)
+        batch.run(12)
+        x, y = np.array([0.25, 0.75]), np.array([0.5, 0.5])
+        named = {"sigma": lambda: batch.sigma(x), "norm": batch.log_norm,
+                 "v": batch.log_v, "kappa": batch.log_kappa,
+                 "coeff": lambda: batch.log_coeff(x, y), "inf_coeff": batch.log_min_entry}
+        assert np.array_equal(batch.functional(name, x, y), named[name]())
+
+    def test_harness_reads_the_same_names(self):
+        assert harness.FUNCTIONALS is estimators.FUNCTIONALS
+
+
+@pytest.mark.parametrize("replicas", [0, -2])
+def test_batched_products_rejects_an_empty_batch(reference_spec, replicas):
+    with pytest.raises(ValueError, match=f"replicas must be >= 1, got {replicas}"):
+        BatchedProducts(reference_spec, rngmod.derived_stream(36, Purpose.FORWARD, 0), replicas)
+    with pytest.raises(ValueError, match="replicas must be >= 1"):
+        harness.fixture_b_zero_fraction(3, replicas)
+
+
+@pytest.mark.parametrize("max_word_len", [0, -1])
+def test_aperiodicity_rejects_empty_word_set(reference_spec, max_word_len):
+    with pytest.raises(ValueError, match=f"max_word_len must be >= 1, got {max_word_len}"):
+        aperiodicity_report(reference_spec, max_word_len)

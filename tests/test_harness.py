@@ -497,3 +497,25 @@ def test_reference_spec_sanity(reference_spec):
 
     assert all(a.is_strictly_positive for a in reference_spec.atoms)
     assert detect_contraction(reference_spec, 2, 64, seed=20).r == 1
+
+
+class TestInputChecksNameTheField:
+    @pytest.mark.parametrize("p", [0.0, -1.0, float("nan")])
+    def test_deviation_rejects_nonpositive_p_before_the_presweep(self, reference_spec,
+                                                                 monkeypatch, p):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("pre-sweep ran")
+
+        monkeypatch.setattr(hz, "functional_sweep", no_sweep)
+        with pytest.raises(ValueError, match="p must be > 0"):
+            hz.deviation_tail_sums(reference_spec, 1.0, p, 0.5, 8, 10)
+
+    @pytest.mark.parametrize("replicas", [1, 0])
+    def test_fixture_a_rejects_fewer_than_two_replicas(self, replicas):
+        with pytest.raises(ValueError, match=f"replicas must be >= 2, got {replicas}"):
+            hz.fixture_a_report(replicas=replicas)
+
+    @pytest.mark.parametrize("n_max", [1, 0, -4])
+    def test_gap_check_rejects_fewer_than_two_steps(self, reference_spec, n_max):
+        with pytest.raises(ValueError, match=rf"n_max must lie in \[2, 64\].*got {n_max}"):
+            hz.coefficient_gap_check(reference_spec, n_max, 4)

@@ -247,3 +247,22 @@ def test_replica_streams_are_independent_and_stable():
     again = rngmod.derived_stream(99, Purpose.BACKWARD_PATH, 0).random(4)
     assert np.array_equal(a0, again)
     assert not np.array_equal(a0, a1)
+
+
+class _UniformStub:
+    """A generator whose ``uniform`` returns a fixed stack."""
+
+    def __init__(self, stack):
+        self.stack = stack
+
+    def uniform(self, lo, hi, size):
+        assert size == self.stack.shape
+        return self.stack.copy()
+
+
+def test_uniform_zero_diagonal_with_positive_lines_is_kept():
+    # allowable draws with a zero on the diagonal are not repaired; sample_batch
+    # redraws only draws with an empty row or column
+    spec = MeasureSpec.parametric("uniform", 2, lo=0.0, hi=2.0)
+    stack = np.array([[[0.0, 1.5], [0.25, 1.0]], [[1.0, 0.5], [0.75, 0.0]]])
+    assert np.array_equal(sample_batch(spec, _UniformStub(stack), 2), stack)
