@@ -222,17 +222,14 @@ def _cmd_variance(args):
 def _cmd_normality(args):
     spec = _load_spec(args)
     n, replicas = args.n, args.replicas
-    functionals = ("sigma", "norm", "v", "kappa", "inf_coeff")
-    sweep = hz.functional_sweep(spec, [n], replicas, args.seed,
-                                functionals=functionals, threads=args.threads)
-    top = sweep.samples[("norm", n)]
-    s = float(top.std(ddof=1) / np.sqrt(n))
+    sweep = hz.functional_sweep(spec, [n], replicas, args.seed, threads=args.threads)
+    s = sweep.s_hat
     rows, results = [], {"s_used": s, "lambda_hat": sweep.lambda_hat,
                          "noise_floor": hz.noise_floor(replicas)}
     if s <= 1e-12:
         return (["functional", "n", "ks", "minus_inf"], [],
                 {**results, "degenerate": True}, "complete")
-    for f in functionals:
+    for f in hz.SWEEP_FUNCTIONALS:
         rep = hz.empirical_normality(spec, f, n, replicas, s, seed=args.seed,
                                      sweep=sweep)
         rows.append([f, n, rep.ks_distance, rep.minus_inf_count])
@@ -243,14 +240,12 @@ def _cmd_normality(args):
 def _cmd_berry_esseen(args):
     spec = _load_spec(args)
     grid, replicas = args.n_grid, args.replicas
-    functionals = ("sigma", "norm", "v", "kappa", "inf_coeff")
-    sweep = hz.functional_sweep(spec, grid, replicas, args.seed,
-                                functionals=functionals, threads=args.threads)
+    sweep = hz.functional_sweep(spec, grid, replicas, args.seed, threads=args.threads)
     rows, results = [], {}
     worst = "pass"
-    for f in functionals:
+    for f in hz.SWEEP_FUNCTIONALS:
         fit = hz.berry_esseen_fit(spec, f, args.p, grid, replicas, seed=args.seed,
-                                  sweep=sweep, check_moments=(f == functionals[0]))
+                                  sweep=sweep, check_moments=(f == hz.SWEEP_FUNCTIONALS[0]))
         results[f] = {"verdict": fit.verdict, "tau_banded": fit.tau_banded,
                       "ks": list(fit.ks_values)}
         for n, ks, sc in zip(fit.n_grid, fit.ks_values, fit.scaled):

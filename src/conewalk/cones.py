@@ -210,15 +210,16 @@ class ConeModel:
         """log of the monotone norm of gx; additive via the action."""
         return float(np.log(self._image(g, x)[1]))
 
-    def certify_map(self, g, seed: int = 0, n_samples: int = CERTIFY_SAMPLES) -> None:
-        """Sampled check that g maps K into K and int(K) into int(K).
+    def certify_map(self, g, seed: int = 0) -> None:
+        """Check on CERTIFY_SAMPLES sampled points that g maps K into K and
+        int(K) into int(K).
 
         Probabilistic, not a proof: every failure raises with the witness
         vector that escaped.
         """
         gm = np.asarray(g, dtype=float)
         stream = rngmod.derived_stream(seed, Purpose.CERTIFY_MAP)
-        for i in range(n_samples):
+        for i in range(CERTIFY_SAMPLES):
             boundary = i % 2 == 0
             x = self.sample_slice(stream, boundary=boundary)
             gx = gm @ x
@@ -269,16 +270,16 @@ class ConeModel:
                    self.sample_slice(rng, boundary=done % 3 == 1))
             done += 1
 
-    def norm_metric_constant(self, n_pairs: int = NORM_METRIC_PAIRS) -> float:
+    def norm_metric_constant(self) -> float:
         """Fitted constant C with |x - y| <= C d(x, y) / (1 - d(x, y)) on the slice.
 
-        Fitted once per cone instance from a fixed internal stream, then
-        cached; the constant is empirical, not exact.
+        Fitted once per cone instance on NORM_METRIC_PAIRS pairs from a fixed
+        internal stream, then cached; the constant is empirical, not exact.
         """
         if self._norm_metric_constant is None:
             stream = rngmod.derived_stream(0, Purpose.NORM_METRIC_FIT, self.ambient_dim)
             best = 0.0
-            for _ in range(n_pairs):
+            for _ in range(NORM_METRIC_PAIRS):
                 x = self.sample_slice(stream)
                 y = self.sample_slice(stream)
                 dxy = self.distance(x, y)

@@ -17,7 +17,7 @@ from . import rng as rngmod
 from .measures import MeasureSpec, block_steps, sample_batch
 from .posmat import _check_iteration, _dense_spectral_radius, _power_iteration, _step
 from .rng import Purpose
-from .simplex import as_point, barycenter, contraction_coefficient, point_coords
+from .simplex import as_count, as_grid, as_point, barycenter, contraction_coefficient, point_coords
 from .walk import backward_invariant_batch, detect_contraction
 
 __all__ = [
@@ -126,11 +126,9 @@ class BatchedProducts:
     def __init__(self, spec: MeasureSpec, rng: np.random.Generator, replicas: int):
         if not isinstance(rng, np.random.Generator):
             raise TypeError(f"rng must be a numpy Generator, got {type(rng).__name__}")
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
         self.spec = spec
         self.rng = rng
-        self.replicas = int(replicas)
+        self.replicas = as_count(replicas, "replicas")
         d = spec.d
         self._entries = np.broadcast_to(np.eye(d)[:, :, None], (d, d, self.replicas)).copy()
         self.log_scale = np.zeros(self.replicas)
@@ -145,6 +143,7 @@ class BatchedProducts:
         """Advance ``n`` steps, drawn in blocks by ``_forward_blocks``; after
         each step the products, ``log_scale`` and ``n`` are current, and that
         step's (d, d, R) draws are yielded."""
+        n = as_count(n, "n", 0)
         for incs, states, y in _forward_blocks(self.spec, self.rng, self._entries, n):
             for inc, state, draws in zip(incs, states, y):
                 self.log_scale += inc
@@ -192,7 +191,7 @@ class BatchedProducts:
         Paths that fail to settle (possible for non-primitive products)
         fall back to a dense eigensolver individually.
         """
-        _check_iteration("tol", tol, max_iter)
+        max_iter = _check_iteration("tol", tol, max_iter)
         _, lam, settled = _power_iteration(self._entries, tol, max_iter)
         for i in np.flatnonzero(~settled):
             lam[i] = _dense_spectral_radius(self.P[i])
@@ -229,10 +228,7 @@ class LyapunovResult:
 def estimate_lyapunov(spec: MeasureSpec, n: int, replicas: int,
                       start=None, seed: int = 0) -> LyapunovResult:
     """Mean of sigma(A_n, x)/n over replicas."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if replicas < 2:
-        raise ValueError(f"replicas must be >= 2, got {replicas}")
+    n, replicas = as_count(n, "n"), as_count(replicas, "replicas", 2)
     x = as_point(start, spec.d, "start")
     batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
     batch.run(n)
@@ -271,13 +267,8 @@ def coupling_decay(spec: MeasureSpec, p: float, n_grid, replicas: int,
                    seed: int = 0, pathwise_check: bool = True,
                    block_len: int = 1) -> CouplingCurve:
     """Estimate the increment-coupling moments over a grid of steps."""
-    grid = sorted(int(n) for n in n_grid)
-    if not grid or grid[0] < 1:
-        raise ValueError("n_grid must hold at least one step, all >= 1")
-    if block_len < 1:
-        raise ValueError("block_len must be at least 1")
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
+    grid = as_grid(n_grid)
+    block_len, replicas = as_count(block_len, "block_len"), as_count(replicas, "replicas")
     if not p > 0:
         raise ValueError(f"p must be > 0, got {p}")
     n_max = grid[-1]
@@ -370,10 +361,7 @@ def estimate_variance_direct(spec: MeasureSpec, n: int, replicas: int,
     log v, log spectral radius) converge to the same limit; they are
     reported together so their agreement can be checked.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if replicas < 2:
-        raise ValueError(f"replicas must be >= 2, got {replicas}")
+    n, replicas = as_count(n, "n"), as_count(replicas, "replicas", 2)
     unknown = sorted(set(functionals) - set(_DIRECT_FUNCTIONALS))
     if unknown:
         raise ValueError(f"functionals must be among {_DIRECT_FUNCTIONALS}, got {unknown}")
@@ -410,10 +398,7 @@ def estimate_variance_series(spec: MeasureSpec, n_lag_max: int, replicas: int,
                              envelope: tuple[float, float] | None = None,
                              ) -> SeriesVariance:
     """Monte Carlo for the stationary-increment autocovariance series."""
-    if n_lag_max < 1:
-        raise ValueError(f"n_lag_max must be >= 1, got {n_lag_max}")
-    if replicas < 2:
-        raise ValueError(f"replicas must be >= 2, got {replicas}")
+    n_lag_max, replicas = as_count(n_lag_max, "n_lag_max"), as_count(replicas, "replicas", 2)
     w0, _, _ = backward_invariant_batch(spec, seed, w0_tol, replicas)
     stream = rngmod.derived_stream(seed, Purpose.SERIES_PATHS)
     incs = np.concatenate([log_norms for log_norms, _, _ in
@@ -487,12 +472,9 @@ def estimate_psi(spec: MeasureSpec, truncation: int, inner_size: int,
     it dominates the contributions uniformly; level k's increment is
     log |Pi_k x|_1 - log |Pi_{k-1} x|_1 on the inner paths' products.
     """
-    if truncation < 1:
-        raise ValueError(f"truncation must be >= 1, got {truncation}")
-    if inner_size < 2:
-        raise ValueError(f"inner_size must be >= 2, got {inner_size}")
-    if fit_points < 1:
-        raise ValueError(f"fit_points must be >= 1, got {fit_points}")
+    truncation = as_count(truncation, "truncation")
+    inner_size = as_count(inner_size, "inner_size", 2)
+    fit_points = as_count(fit_points, "fit_points")
     stream = rngmod.derived_stream(seed, Purpose.PSI_FIT)
     d = spec.d
     probes = [barycenter(d).coords]
@@ -538,10 +520,7 @@ def variance_via_martingale(spec: MeasureSpec, psi: PsiEstimate, n: int,
                             replicas: int, lambda_hat: float, seed: int = 0,
                             w0_tol: float = 1e-8) -> MartingaleVariance:
     """Variance via the corrected increments D_k along stationary paths."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if replicas < 2:
-        raise ValueError(f"replicas must be >= 2, got {replicas}")
+    n, replicas = as_count(n, "n", 2), as_count(replicas, "replicas", 2)
     w0, _, _ = backward_invariant_batch(spec, seed, w0_tol, replicas)
     stream = rngmod.derived_stream(seed, Purpose.MARTINGALE_PATHS)
     psi_prev, var_prev = psi.evaluate(w0, stream)
@@ -634,8 +613,7 @@ def aperiodicity_report(spec: MeasureSpec, max_word_len: int) -> AperiodicityRep
     """Enumerate support words, compare their log spectral radii pairwise."""
     if spec.kind != "atomic":
         raise ValueError("aperiodicity enumeration needs an atomic spec")
-    if max_word_len < 1:
-        raise ValueError(f"max_word_len must be >= 1, got {max_word_len}")
+    max_word_len = as_count(max_word_len, "max_word_len")
     atoms = spec.atom_array()
     k, d = atoms.shape[0], spec.d
     words: list[tuple[int, ...]] = []
@@ -682,8 +660,7 @@ def invariant_regularity(spec: MeasureSpec, p: float, samples: int,
     be strictly contracting, with a stable order-p moment, for the
     integral to be finite; both are checked first.
     """
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2 for a standard error, got {samples}")
+    samples = as_count(samples, "samples", 2)  # two for a standard error
     views = ((spec, "measure", seed),
              (spec.transposed(), "transpose view",
               rngmod.child_seed(seed, Purpose.TRANSPOSE_SEARCH)))
@@ -722,8 +699,7 @@ def moment_sanity(spec: MeasureSpec, p: float, samples: int,
     mean over the first half, each with its standard error, so it needs
     at least two samples in each half.
     """
-    if samples < 4:
-        raise ValueError(f"samples must be >= 4, got {samples}")
+    samples = as_count(samples, "samples", 4)
     stream = rngmod.derived_stream(seed, Purpose.MOMENT_DRAWS)
     draws = sample_batch(spec, stream, samples)
     cs = draws.sum(axis=1)

@@ -27,7 +27,7 @@ from .estimators import FUNCTIONALS, BatchedProducts, _forward_blocks, moment_sa
 from .measures import MeasureSpec, sample_batch
 from .posmat import g_delta_level
 from .rng import Purpose
-from .simplex import as_point
+from .simplex import as_count, as_grid, as_point
 
 __all__ = [
     "reference_spec",
@@ -52,9 +52,12 @@ __all__ = [
     "fixture_b_zero_fraction",
     "coefficient_gap_check",
     "FUNCTIONALS",
+    "SWEEP_FUNCTIONALS",
 ]
 
 _CHUNK = 8192
+# what a sweep reads unless told otherwise: every functional but the coefficient
+SWEEP_FUNCTIONALS = ("sigma", "norm", "v", "kappa", "inf_coeff")
 # exact orderings (lower, upper), checked whenever both are read (v and norm always are)
 _ORDERINGS = (("v", "kappa"), ("kappa", "norm"), ("inf_coeff", "norm"), ("v", "norm"))
 ASIP_MIN_BLOCK_EXP = 6  # the ASIP proxy's dyadic block sums start at step 2**6
@@ -165,7 +168,9 @@ class SweepResult:
     minus_inf[(functional, n)] counts coefficient samples that were
     exactly -inf (vanishing matrix entry).  ``lambda_hat`` is the
     plug-in drift: the mean of the log norm at the largest grid step,
-    divided by that step.  ``ordering_violation`` is the largest
+    divided by that step; ``s_hat`` is the plug-in scale, the standard
+    deviation of that log norm divided by the step's square root.
+    ``ordering_violation`` is the largest
     pathwise excess over the exact orderings
     log v <= log kappa <= log norm and inf coefficient <= log norm.
     """
@@ -178,6 +183,22 @@ class SweepResult:
     minus_inf: dict
     lambda_hat: float
     ordering_violation: float
+
+    @property
+    def s_hat(self) -> float:
+        n_top = self.n_grid[-1]
+        return float(self.samples[("norm", n_top)].std(ddof=1) / np.sqrt(n_top))
+
+    def _require(self, functional: str, steps, field: str) -> None:
+        """Reject a lookup of ``functional`` at ``steps`` (the argument
+        ``field``) that the sweep did not sample, naming what it did."""
+        names = sorted({name for name, _ in self.samples})
+        sampled = f"by the sweep, which sampled steps {list(self.n_grid)} of {names}"
+        missing = [n for n in steps if n not in self.n_grid]
+        if missing:
+            raise ValueError(f"{field}: steps {missing} were not sampled {sampled}")
+        if functional not in names:
+            raise ValueError(f"functional: {functional!r} was not sampled {sampled}")
 
 
 def _sweep_chunk(spec, seed, size, key, grid, functionals, x, y):
@@ -196,7 +217,7 @@ def _sweep_chunk(spec, seed, size, key, grid, functionals, x, y):
 
 
 def functional_sweep(spec: MeasureSpec, n_grid, replicas: int, seed: int,
-                     functionals=("sigma", "norm", "v", "kappa", "inf_coeff"),
+                     functionals=SWEEP_FUNCTIONALS,
                      x=None, y=None, threads: int = 1,
                      chunk: int = _CHUNK) -> SweepResult:
     """Simulate all requested functionals on one set of shared paths.
@@ -209,15 +230,8 @@ def functional_sweep(spec: MeasureSpec, n_grid, replicas: int, seed: int,
     depends only on (spec, seed, replicas, chunk), never on the worker
     count or the start method.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    grid = sorted(int(n) for n in n_grid)
-    if not grid or grid[0] < 1:
-        raise ValueError("n_grid must hold at least one step, all >= 1")
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    threads, grid = as_count(threads, "threads"), as_grid(n_grid)
+    replicas, chunk = as_count(replicas, "replicas"), as_count(chunk, "chunk")
     for name in functionals:
         if name not in FUNCTIONALS:
             raise ValueError(f"unknown functional {name!r}")
@@ -285,6 +299,8 @@ def empirical_normality(spec: MeasureSpec, functional: str, n: int,
     if sweep is None:
         sweep = functional_sweep(spec, [n], replicas, seed,
                                  functionals=(functional,), x=x, y=y)
+    else:
+        sweep._require(functional, [n], "n")
     lam = lambda_hat if lambda_hat is not None else sweep.lambda_hat
     vals = sweep.samples[(functional, n)]
     miss = sweep.minus_inf[(functional, n)]
@@ -326,11 +342,9 @@ def berry_esseen_fit(spec: MeasureSpec, functional: str, p: float, n_grid,
                      threads: int = 1,
                      check_moments: bool = True) -> RateFit:
     """Fit the Berry-Esseen scaling ks * n**(p/2-1) over the grid."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    grid = sorted(int(v) for v in n_grid)
-    if not grid:
-        raise ValueError("n_grid must not be empty")
+    threads, grid = as_count(threads, "threads"), as_grid(n_grid)
+    if sweep is not None:
+        sweep._require(functional, grid, "n_grid")
     if check_moments:
         sanity = moment_sanity(spec, p, max(4096, replicas // 8), seed)
         if not sanity.stable:
@@ -339,10 +353,7 @@ def berry_esseen_fit(spec: MeasureSpec, functional: str, p: float, n_grid,
         sweep = functional_sweep(spec, grid, replicas, seed,
                                  functionals=(functional,), x=x, y=y,
                                  threads=threads)
-    n_top = grid[-1]
-    if s is None:
-        top = sweep.samples[("norm", n_top)]
-        s = float(top.std(ddof=1) / np.sqrt(n_top))
+    s = sweep.s_hat if s is None else s
     target = p / 2.0 - 1.0
     if not s > 1e-12:
         return RateFit(functional=functional, p=p, n_grid=tuple(grid),
@@ -418,8 +429,8 @@ def asip_proxy(spec: MeasureSpec, n: int, replicas: int, seed: int = 0,
     """
     if variant not in ("sigma", "coeff"):
         raise ValueError("variant must be 'sigma' or 'coeff'")
-    if n < 3:
-        raise ValueError(f"n must be >= 3 so that log log n > 0, got {n}")
+    n = as_count(n, "n", 3)  # so that log log n > 0
+    replicas = as_count(replicas, "replicas")
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     xp, yp = as_point(x, spec.d, "x"), as_point(y, spec.d, "y")
@@ -427,11 +438,8 @@ def asip_proxy(spec: MeasureSpec, n: int, replicas: int, seed: int = 0,
         pre = functional_sweep(spec, [min(n, 4096)], max(2048, replicas),
                                rngmod.child_seed(seed, Purpose.DRIFT_PRESWEEP),
                                functionals=("norm",))
-        top = pre.samples[("norm", min(n, 4096))]
-        if lambda_hat is None:
-            lambda_hat = pre.lambda_hat
-        if s is None:
-            s = float(top.std(ddof=1) / np.sqrt(min(n, 4096)))
+        lambda_hat = pre.lambda_hat if lambda_hat is None else lambda_hat
+        s = pre.s_hat if s is None else s
     if not s > 0:
         raise ValueError("s must be positive")
     running_max = np.zeros(replicas)
@@ -528,10 +536,8 @@ def deviation_tail_sums(spec: MeasureSpec, alpha: float, p: float, eps: float,
         raise ValueError("alpha must be >= 1/p")
     if variant not in ("cocycle", "coefficient"):
         raise ValueError("variant must be 'cocycle' or 'coefficient'")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    n_max, record_every = as_count(n_max, "n_max"), as_count(record_every, "record_every")
+    replicas = as_count(replicas, "replicas")
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     xp = as_point(x, spec.d, "x")
@@ -623,16 +629,14 @@ def _excess_kurtosis(x: np.ndarray) -> float:
 def fixture_a_report(n_values=(2, 3, 4), replicas: int = 20000,
                      seed: int = 0) -> FixtureAReport:
     """Contrast the stable norm drift with the heavy-tailed lower gauge."""
-    if any(n < 1 for n in n_values):
-        raise ValueError(f"n_values must all be >= 1, got {tuple(n_values)}")
-    if replicas < 2:
-        raise ValueError(f"replicas must be >= 2, got {replicas}")
+    n_values = tuple(as_count(n, "n_values") for n in n_values)
+    replicas = as_count(replicas, "replicas", 2)
     fixture_a, _ = pathology_fixtures()
     lam, v_mean, v_med, v_kurt, v_share = [], [], [], [], []
     for idx, n in enumerate(n_values):
         stream = rngmod.derived_stream(seed, Purpose.FORWARD, idx)
         batch = BatchedProducts(fixture_a, stream, replicas)
-        batch.run(int(n))
+        batch.run(n)
         norm = batch.log_norm() / n
         lam.append((float(norm.mean()), float(norm.std(ddof=1) / np.sqrt(replicas))))
         v = batch.log_v()
@@ -650,7 +654,7 @@ def fixture_a_report(n_values=(2, 3, 4), replicas: int = 20000,
         drift_allowance = 2.0 / min(n_values[i], n_values[i + 1])
         if abs(a - b) > 3.0 * float(np.hypot(sa, sb)) + drift_allowance:
             stable = False
-    return FixtureAReport(n_values=tuple(int(n) for n in n_values),
+    return FixtureAReport(n_values=n_values,
                           lambda_norm=tuple(lam), v_mean=tuple(v_mean),
                           v_median=tuple(v_med), v_excess_kurtosis=tuple(v_kurt),
                           v_tail_share=tuple(v_share), heavy_tail_flag=heavy,
@@ -663,9 +667,10 @@ def fixture_b_zero_fraction(n: int, replicas: int, seed: int = 0) -> tuple[float
     The zero pattern survives the positive renormalizations, so exact
     float comparison against zero is sound here.
     """
+    n = as_count(n, "n")
     _, fixture_b = pathology_fixtures()
     batch = BatchedProducts(fixture_b, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
-    batch.run(int(n))
+    batch.run(n)
     hits = batch.P[:, 0, 1] == 0.0
     frac = float(hits.mean())
     se = float(np.sqrt(max(frac * (1.0 - frac), 1e-300) / replicas))
@@ -674,6 +679,7 @@ def fixture_b_zero_fraction(n: int, replicas: int, seed: int = 0) -> tuple[float
 
 def fixture_b_exact_zero_probability(n: int) -> float:
     """Probability of a zero (1,2) coefficient by exhaustive word enumeration."""
+    n = as_count(n, "n")
     if n > 16:
         raise ValueError("exhaustive enumeration is restricted to n <= 16")
     _, fixture_b = pathology_fixtures()
@@ -704,10 +710,9 @@ def coefficient_gap_check(spec: MeasureSpec, n_max: int, paths: int,
     """
     if not 2 <= n_max <= 64:
         raise ValueError(f"n_max must lie in [2, 64] for dense suffix products, got {n_max}")
+    n_max, paths = as_count(n_max, "n_max", 2), as_count(paths, "paths")
     if spec.kind != "atomic":
         raise ValueError("classifier levels need an atomic spec")
-    if paths < 1:
-        raise ValueError("paths must be at least 1")
     level = min(g_delta_level(a) for a in spec.atom_array())
     if not level > 0:
         raise ValueError("every atom must be strictly positive for this check")

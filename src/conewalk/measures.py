@@ -217,31 +217,21 @@ def _draw_parametric_entries(spec: MeasureSpec, rng: np.random.Generator,
                              size: int) -> np.ndarray:
     d, p = spec.d, spec.params
     if spec.family == "lognormal":
-        return rng.lognormal(p["mu"], p["sigma"], size=(size, d, d))
-    return rng.uniform(p["lo"], p["hi"], size=(size, d, d))
+        out = rng.lognormal(p["mu"], p["sigma"], size=(size, d, d))
+    else:
+        out = rng.uniform(p["lo"], p["hi"], size=(size, d, d))
+    return out.transpose(0, 2, 1) if spec.transpose_view else out
+
+
+def _has_empty_line(stack: np.ndarray) -> np.ndarray:
+    """Whether each matrix of the (size, d, d) ``stack`` has a zero row or column sum."""
+    return (stack.sum(axis=1) == 0).any(axis=1) | (stack.sum(axis=2) == 0).any(axis=1)
 
 
 def sample_matrix(spec: MeasureSpec, rng: np.random.Generator) -> AllowableMatrix:
-    """One draw from the spec (or its transpose view), deterministic in rng state.
-
-    Parametric draws failing allowability are rejected and redrawn; more
-    than REJECTION_CAP consecutive rejections aborts.
-    """
-    if spec.kind == "atomic":
-        atom = spec.atoms[int(sample_indices(spec, rng, 1)[0])]
-        return atom.transpose() if spec.transpose_view else atom
-    rejections = 0
-    while True:
-        ent = _draw_parametric_entries(spec, rng, 1)[0]
-        if spec.transpose_view:
-            ent = ent.T
-        try:
-            return AllowableMatrix(ent)
-        except ValueError:
-            rejections += 1
-            if rejections > REJECTION_CAP:
-                raise RejectionCapError(
-                    f"{rejections} consecutive draws failed allowability")
+    """One draw from the spec (or its transpose view), deterministic in rng
+    state: the batch of one of ``sample_batch``."""
+    return AllowableMatrix(sample_batch(spec, rng, 1)[0])
 
 
 def sample_indices(spec: MeasureSpec, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -286,11 +276,13 @@ def sample_batch(spec: MeasureSpec, rng: np.random.Generator, size: int) -> np.n
     if spec.kind == "atomic":
         return spec.atom_array().take(sample_indices(spec, rng, size), axis=0)
     out = _draw_parametric_entries(spec, rng, size)
-    if spec.transpose_view:
-        out = out.transpose(0, 2, 1)
-    # repair the (probability-zero) non-allowable draws one by one
-    bad = np.flatnonzero((out.sum(axis=1) == 0).any(axis=1)
-                         | (out.sum(axis=2) == 0).any(axis=1))
-    for i in bad:
-        out[i] = sample_matrix(spec, rng).entries
+    # redraw each (probability-zero) draw with an empty row or column until
+    # it has none; more than REJECTION_CAP failed draws in a row abort
+    for i in np.flatnonzero(_has_empty_line(out)):
+        rejections = 0
+        while _has_empty_line(out[i:i + 1])[0]:
+            rejections += 1
+            if rejections > REJECTION_CAP:
+                raise RejectionCapError(f"{rejections} consecutive draws failed allowability")
+            out[i] = _draw_parametric_entries(spec, rng, 1)[0]
     return out

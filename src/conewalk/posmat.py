@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import SimplexPoint, point_coords
+from .simplex import SimplexPoint, as_count, point_coords
 
 __all__ = [
     "MAX_DIM",
@@ -218,11 +218,11 @@ def _detect_period(g: np.ndarray, x: np.ndarray, max_period: int, tol: float):
     return None
 
 
-def _check_iteration(tol_name: str, tol: float, max_iter: int) -> None:
+def _check_iteration(tol_name: str, tol: float, max_iter: int) -> int:
+    """Validate a Perron iteration's arguments; returns ``max_iter`` as an int."""
     if not tol > 0:
         raise ValueError(f"{tol_name} must be > 0, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    return as_count(max_iter, "max_iter")
 
 
 def _power_iteration(a: np.ndarray, tol: float, max_iter: int):
@@ -261,7 +261,7 @@ def spectral_radius(g, tol: float = 1e-12, max_iter: int = 10**5,
     v(g) <= kappa(g) <= |g|.
     """
     m = _as_matrix(g)
-    _check_iteration("tol", tol, max_iter)
+    max_iter = _check_iteration("tol", tol, max_iter)
     a = m.entries
     x, lam, settled = _power_iteration(a[:, :, None], tol, max_iter)
     if settled[0]:
@@ -287,7 +287,7 @@ def perron_vector(g, residual_tol: float = 1e-12, max_iter: int = 10**5) -> Simp
     m = _as_matrix(g)
     if not m.is_strictly_positive:
         raise ValueError("perron_vector requires a strictly positive matrix")
-    _check_iteration("residual_tol", residual_tol, max_iter)
+    max_iter = _check_iteration("residual_tol", residual_tol, max_iter)
     tol = residual_tol / max(1.0, float(m.column_sums.max()))
     x, lam, settled = _power_iteration(m.entries[:, :, None], tol, max_iter)
     if settled[0]:

@@ -89,6 +89,25 @@ def as_point(x, d: int, name: str) -> SimplexPoint:
     return point
 
 
+def as_count(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int, checked once at the edge: a Python or numpy
+    integer, or an integral float, of at least ``minimum``; ``name`` is
+    the argument's name for the error message."""
+    if not value >= minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
+def as_grid(n_grid) -> list[int]:
+    """The steps of ``n_grid`` in ascending order, each a count >= 1."""
+    grid = sorted(as_count(n, "n_grid") for n in n_grid)
+    if not grid:
+        raise ValueError("n_grid must hold at least one step")
+    return grid
+
+
 def point_coords(x) -> np.ndarray:
     """Coordinates of a SimplexPoint or validated array-like."""
     if isinstance(x, SimplexPoint):

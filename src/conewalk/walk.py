@@ -18,7 +18,7 @@ from . import rng as rngmod
 from .measures import MeasureSpec, block_steps, sample_batch
 from .posmat import _WRITTEN_OUT_MAX_D, _step
 from .rng import Purpose
-from .simplex import SimplexPoint, as_point, contraction_coefficient
+from .simplex import SimplexPoint, as_count, as_point, contraction_coefficient
 
 __all__ = [
     "InvariantSample",
@@ -120,15 +120,13 @@ def _backward_products(spec: MeasureSpec, seed: int, stream: np.random.Generator
     """
     if not 0 < tol <= 1:
         raise ValueError("tol must lie in (0, 1]")
-    if step_cap < 0:
-        raise ValueError(f"step_cap must be >= 0, got {step_cap}")
+    step_cap = as_count(step_cap, "step_cap", 0)
     x0 = as_point(start, spec.d, "start").coords
     if tol >= 1.0:
         return np.tile(x0, (n_paths, 1)), np.ones(n_paths), np.zeros(n_paths, dtype=int)
     if block_len is None:
         block_len = default_block_len(spec, seed)
-    elif block_len < 1:
-        raise ValueError("block_len must be at least 1")
+    block_len = as_count(block_len, "block_len")
     d = spec.d
     pts = np.empty((n_paths, d))
     steps = np.empty(n_paths, dtype=int)
@@ -205,10 +203,9 @@ def backward_invariant_batch(spec: MeasureSpec, seed: int, tol: float,
     the seed and on n_samples.
     Returns (points (R, d), certificates (R,), steps (R,)).
     """
-    if not n_samples >= 1 or not float(n_samples).is_integer():
-        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    n_samples = as_count(n_samples, "n_samples")
     stream = rngmod.derived_stream(seed, Purpose.BACKWARD_BATCH)
-    return _backward_products(spec, seed, stream, tol, int(n_samples), start,
+    return _backward_products(spec, seed, stream, tol, n_samples, start,
                               block_len, step_cap)
 
 
@@ -246,10 +243,7 @@ def detect_contraction(spec: MeasureSpec, r_max: int, samples: int,
     r were strictly positive, with the empirical frequency, or None if
     none were seen (inconclusive, not a disproof).
     """
-    if r_max < 1:
-        raise ValueError("r_max must be at least 1")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    r_max, samples = as_count(r_max, "r_max"), as_count(samples, "samples")
     for r in range(1, r_max + 1):
         stream = rngmod.derived_stream(seed, Purpose.CONTRACTION_SEARCH, r)
         prod = _block_products(spec, stream, samples, r)
@@ -271,10 +265,7 @@ def hitting_time(spec: MeasureSpec, seed: int, delta: float,
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
-    if block_len < 1:
-        raise ValueError("block_len must be at least 1")
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
+    block_len, cap = as_count(block_len, "block_len"), as_count(cap, "cap")
     stream = rngmod.derived_stream(seed, Purpose.HITTING_TIME, replica)
     d = spec.d
     done = 0

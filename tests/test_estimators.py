@@ -617,7 +617,8 @@ class TestBatchedProducts:
 
     @pytest.mark.parametrize("kwargs, field", [({"tol": 0.0}, "tol must be > 0"),
                                                ({"tol": -1.0}, "tol must be > 0"),
-                                               ({"max_iter": 0}, "max_iter must be >= 1")])
+                                               ({"max_iter": 0}, "max_iter must be >= 1"),
+                                               ({"max_iter": 2.5}, "max_iter must be an integer")])
     def test_log_kappa_rejects_malformed_iteration(self, reference_spec, kwargs, field):
         batch = BatchedProducts(reference_spec, rngmod.derived_stream(34, Purpose.FORWARD, 0), 4)
         batch.run(3)
@@ -787,3 +788,37 @@ def test_batched_products_rejects_an_empty_batch(reference_spec, replicas):
 def test_aperiodicity_rejects_empty_word_set(reference_spec, max_word_len):
     with pytest.raises(ValueError, match=f"max_word_len must be >= 1, got {max_word_len}"):
         aperiodicity_report(reference_spec, max_word_len)
+
+
+def _forward(replicas):
+    return BatchedProducts(SINGLE, rngmod.derived_stream(37, Purpose.FORWARD, 0), replicas)
+
+
+# non-integral counts used to be truncated (2.5 replicas ran 2) or to fail
+# inside range() or numpy; run(-1) used to do nothing
+@pytest.mark.parametrize("call, message", [
+    (lambda: _forward(2.5), "replicas must be an integer"),
+    (lambda: _forward(4).run(2.5), "n must be an integer"),
+    (lambda: _forward(4).run(-1), "n must be >= 0"),
+    (lambda: estimate_lyapunov(SINGLE, 4.5, 16), "n must be an integer"),
+    (lambda: estimate_lyapunov(SINGLE, 4, 16.5), "replicas must be an integer"),
+    (lambda: coupling_decay(SINGLE, 1.0, [2.5, 3], 10), "n_grid must be an integer"),
+    (lambda: coupling_decay(SINGLE, 1.0, [2, 3], 10.5), "replicas must be an integer"),
+    (lambda: coupling_decay(SINGLE, 1.0, [2, 3], 10, block_len=1.5),
+     "block_len must be an integer"),
+    (lambda: estimate_variance_direct(SINGLE, 4.5, 16), "n must be an integer"),
+    (lambda: estimate_variance_series(SINGLE, 2.5, 16, 0.0), "n_lag_max must be an integer"),
+    (lambda: estimate_psi(SINGLE, 2.5, 16, 0.0), "truncation must be an integer"),
+    (lambda: estimate_psi(SINGLE, 4, 16.5, 0.0), "inner_size must be an integer"),
+    (lambda: estimate_psi(SINGLE, 4, 16, 0.0, fit_points=2.5), "fit_points must be an integer"),
+    (lambda: variance_via_martingale(SINGLE, None, 4.5, 16, 0.0), "n must be an integer"),
+    (lambda: aperiodicity_report(SINGLE, 1.5), "max_word_len must be an integer"),
+    (lambda: invariant_regularity(SINGLE, 1.0, 8.5, 1e-6), "samples must be an integer"),
+    (lambda: moment_sanity(SINGLE, 1.0, 8.5), "samples must be an integer"),
+], ids=["products-replicas", "run-n", "run-negative", "lyapunov-n", "lyapunov-replicas",
+        "coupling-n_grid", "coupling-replicas", "coupling-block_len", "direct-n",
+        "series-n_lag_max", "psi-truncation", "psi-inner_size", "psi-fit_points",
+        "martingale-n", "aperiodicity-max_word_len", "regularity-samples", "moment-samples"])
+def test_rejects_a_malformed_count(call, message):
+    with pytest.raises(ValueError, match=f"^{message}, got "):
+        call()

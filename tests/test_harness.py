@@ -519,3 +519,69 @@ class TestInputChecksNameTheField:
     def test_gap_check_rejects_fewer_than_two_steps(self, reference_spec, n_max):
         with pytest.raises(ValueError, match=rf"n_max must lie in \[2, 64\].*got {n_max}"):
             hz.coefficient_gap_check(reference_spec, n_max, 4)
+
+    # each call passes a non-integral count, which used to be truncated or
+    # to fail inside range() or numpy
+    NON_INTEGRAL = [
+        ("functional_sweep", ([4.7], 10, 1), {}, "n_grid"),
+        ("functional_sweep", ([4], 2.5, 1), {}, "replicas"),
+        ("functional_sweep", ([4], 10, 1), {"threads": 1.5}, "threads"),
+        ("functional_sweep", ([4], 10, 1), {"chunk": 2.5}, "chunk"),
+        ("berry_esseen_fit", ("norm", 3.0, [4, 8.5], 10), {}, "n_grid"),
+        ("berry_esseen_fit", ("norm", 3.0, [4], 10), {"threads": 2.5}, "threads"),
+        ("asip_proxy", (100.5, 16), {"s": 1.0, "lambda_hat": 0.5}, "n"),
+        ("asip_proxy", (100, 16.5), {"s": 1.0, "lambda_hat": 0.5}, "replicas"),
+        ("deviation_tail_sums", (1.0, 2.0, 0.5, 8.5, 16), {"lambda_hat": 0.5}, "n_max"),
+        ("deviation_tail_sums", (1.0, 2.0, 0.5, 8, 16.5), {"lambda_hat": 0.5}, "replicas"),
+        ("deviation_tail_sums", (1.0, 2.0, 0.5, 8, 16),
+         {"lambda_hat": 0.5, "record_every": 1.5}, "record_every"),
+        ("coefficient_gap_check", (4.5, 4), {}, "n_max"),
+        ("coefficient_gap_check", (4, 2.5), {}, "paths"),
+    ]
+
+    @pytest.mark.parametrize("name, args, kwargs, field", NON_INTEGRAL,
+                             ids=[f"{case[0]}-{case[3]}" for case in NON_INTEGRAL])
+    def test_rejects_a_non_integral_count(self, reference_spec, name, args, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            getattr(hz, name)(reference_spec, *args, **kwargs)
+
+    @pytest.mark.parametrize("call, field", [
+        (lambda: hz.fixture_a_report(n_values=(2, 2.5), replicas=10), "n_values"),
+        (lambda: hz.fixture_a_report(replicas=10.5), "replicas"),
+        (lambda: hz.fixture_b_zero_fraction(2.5, 10), "n"),
+        (lambda: hz.fixture_b_exact_zero_probability(2.5), "n"),
+    ], ids=["fixture_a-n_values", "fixture_a-replicas", "fixture_b-n", "fixture_b_exact-n"])
+    def test_fixtures_reject_a_non_integral_count(self, call, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            call()
+
+    @pytest.mark.parametrize("fixture_b_call", [hz.fixture_b_exact_zero_probability,
+                                                lambda n: hz.fixture_b_zero_fraction(n, 10)],
+                             ids=["exact", "sampled"])
+    def test_fixture_b_rejects_an_empty_product(self, fixture_b_call):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0"):
+            fixture_b_call(0)
+
+
+class TestSweepLookupNamesTheField:
+    """A given sweep that lacks a step or a functional is rejected with the
+    argument's name and what the sweep did sample, not a KeyError."""
+
+    @pytest.mark.parametrize("call, field", [
+        (lambda spec, sweep: hz.empirical_normality(spec, "norm", 5, 100, 1.0, sweep=sweep), "n"),
+        (lambda spec, sweep: hz.empirical_normality(spec, "sigma", 4, 100, 1.0, sweep=sweep),
+         "functional"),
+        (lambda spec, sweep: hz.berry_esseen_fit(spec, "norm", 3.0, [4, 8], 100, sweep=sweep),
+         "n_grid"),
+        (lambda spec, sweep: hz.berry_esseen_fit(spec, "v", 3.0, [4], 100, sweep=sweep),
+         "functional"),
+    ], ids=["normality-n", "normality-functional", "fit-n_grid", "fit-functional"])
+    def test_missing_lookup(self, reference_spec, call, field):
+        sweep = hz.functional_sweep(reference_spec, [4], 100, 1, functionals=("norm",))
+        with pytest.raises(ValueError, match=rf"^{field}: .* sampled steps \[4\] of \['norm'\]$"):
+            call(reference_spec, sweep)
+
+    def test_plug_in_scale_is_the_top_step_log_norm(self, reference_spec):
+        sweep = hz.functional_sweep(reference_spec, [8, 32], 500, 2, functionals=("v",))
+        top = sweep.samples[("norm", 32)]
+        assert sweep.s_hat == float(top.std(ddof=1) / np.sqrt(32))

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from conewalk import measures
 from conewalk import rng as rngmod
 from conewalk.harness import reference_spec
-from conewalk.measures import (MeasureSpec, block_steps, sample_batch, sample_indices,
-                               sample_matrix)
+from conewalk.measures import (MeasureSpec, RejectionCapError, block_steps, sample_batch,
+                               sample_indices, sample_matrix)
 from conewalk.posmat import AllowableMatrix
 from conewalk.rng import Purpose
 
@@ -266,3 +267,26 @@ def test_uniform_zero_diagonal_with_positive_lines_is_kept():
     spec = MeasureSpec.parametric("uniform", 2, lo=0.0, hi=2.0)
     stack = np.array([[[0.0, 1.5], [0.25, 1.0]], [[1.0, 0.5], [0.75, 0.0]]])
     assert np.array_equal(sample_batch(spec, _UniformStub(stack), 2), stack)
+
+
+class _EmptyStub:
+    """A generator whose ``uniform`` only ever returns all-zero draws."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def uniform(self, lo, hi, size):
+        self.calls += 1
+        return np.zeros(size)
+
+
+@pytest.mark.parametrize("draw", [lambda spec, rng: sample_batch(spec, rng, 3), sample_matrix],
+                         ids=["batch", "matrix"])
+def test_rejection_cap_stops_the_repair(monkeypatch, draw):
+    # the first draw and `cap` redraws fail, then the repair gives up
+    monkeypatch.setattr(measures, "REJECTION_CAP", 4)
+    spec = MeasureSpec.parametric("uniform", 2, lo=0.0, hi=1.0)
+    stub = _EmptyStub()
+    with pytest.raises(RejectionCapError, match="^5 consecutive draws failed allowability$"):
+        draw(spec, stub)
+    assert stub.calls == 5

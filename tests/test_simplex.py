@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conewalk.simplex import (SimplexPoint, barycenter, contraction_coefficient,
-                              hilbert_distance, m_ratio, sample_point)
+from conewalk.simplex import (SimplexPoint, as_count, as_grid, barycenter,
+                              contraction_coefficient, hilbert_distance, m_ratio,
+                              sample_point)
 
 from conftest import (batched_distance, quadruple_coefficient, random_allowable,
                       sample_simplex_batch)
@@ -218,3 +219,27 @@ def test_sample_point_boundary_control():
     assert np.sum(p.coords == 0.0) == 2
     with pytest.raises(ValueError):
         sample_point(3, rng, zeros=3)
+
+
+class TestCounts:
+    @pytest.mark.parametrize("value", [3, np.int64(3), 3.0, np.float64(3.0), 10**20])
+    def test_integral_values_become_ints(self, value):
+        got = as_count(value, "k", 3)
+        assert got == value and type(got) is int
+
+    @pytest.mark.parametrize("value, message", [
+        (2, "k must be >= 3, got 2"), (float("nan"), "k must be >= 3, got nan"),
+        (3.5, "k must be an integer, got 3.5"), (np.float64(4.25), "k must be an integer, got 4.25"),
+        (float("inf"), "k must be an integer, got inf"),
+    ])
+    def test_rejects_with_the_name(self, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            as_count(value, "k", 3)
+
+    def test_grid_is_sorted_counts(self):
+        assert as_grid([8, 2.0, np.int64(4)]) == [2, 4, 8]
+        for grid, message in (([], "n_grid must hold at least one step"),
+                              ([4, 0], "n_grid must be >= 1, got 0"),
+                              ([4, 2.5], "n_grid must be an integer, got 2.5")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                as_grid(grid)

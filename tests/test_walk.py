@@ -417,7 +417,20 @@ class TestHittingTime:
     @pytest.mark.parametrize("kwargs, field", [
         ({"delta": 0.0}, "delta"), ({"delta": 1.5}, "delta"), ({"delta": -0.2}, "delta"),
         ({"delta": 0.5, "block_len": 0}, "block_len"), ({"delta": 0.5, "cap": 0}, "cap"),
+        ({"delta": 0.5, "block_len": 1.5}, "block_len"), ({"delta": 0.5, "cap": 2.5}, "cap"),
     ])
     def test_rejects_out_of_range_arguments(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             hitting_time(TWO, 0, **kwargs)
+
+
+# non-integral counts used to be truncated or to fail inside numpy
+@pytest.mark.parametrize("call, field", [
+    (lambda: backward_invariant_batch(TWO, 0, 1e-8, 4, block_len=1.5), "block_len"),
+    (lambda: backward_invariant_sample(TWO, 0, 1e-8, step_cap=100.5), "step_cap"),
+    (lambda: detect_contraction(TWO, 1.5, 10), "r_max"),
+    (lambda: detect_contraction(TWO, 4, 10.5), "samples"),
+], ids=["backward-block_len", "backward-step_cap", "contraction-r_max", "contraction-samples"])
+def test_rejects_a_non_integral_count(call, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        call()
