@@ -25,14 +25,12 @@ from . import __version__
 from . import estimators as est
 from . import harness as hz
 from . import rng as rngmod
-from .cones import lorentz_cone, orthant_cone, psd_cone, psd_map_congruence, psd_map_rank_one
+from .cones import (lorentz_cone, orthant_cone, psd_cone, psd_map_congruence,
+                    psd_map_rank_one, sym_to_coords)
 from .measures import MeasureSpec
 from .rng import Purpose
 from .simplex import contraction_coefficient, hilbert_distance, sample_point
 from .walk import backward_invariant_sample, detect_contraction
-
-class InputError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,13 +78,13 @@ def _load_spec(args) -> MeasureSpec:
     try:
         return MeasureSpec.load(args.spec)
     except FileNotFoundError as exc:
-        raise InputError(f"spec file not found: {args.spec}") from exc
+        raise ValueError(f"spec file not found: {args.spec}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(
+        raise ValueError(
             f"spec file {args.spec} is not valid JSON "
             f"(line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
     except ValueError as exc:
-        raise InputError(f"spec file {args.spec}: {exc}") from exc
+        raise ValueError(f"spec file {args.spec}: {exc}") from exc
 
 
 def _parse_grid(text: str):
@@ -109,23 +107,24 @@ def _parse_cone(text: str):
             return psd_cone(size)
     except ValueError:
         pass
-    raise InputError(f"bad cone {text!r}: expected orthant:d, lorentz:n, or psd:n")
+    raise ValueError(f"bad cone {text!r}: expected orthant:d, lorentz:n, or psd:n")
 
 
 def _positive(config):
     for name in ("replicas", "n", "threads", "tol", "p", "eps"):
         value = config.get(name)
         if value is not None and value <= 0:
-            raise InputError(f"--{name} must be positive, got {value}")
+            raise ValueError(f"--{name} must be positive, got {value}")
 
 
 # ---------------------------------------------------------------------
-# Command implementations: each returns (rows_header, rows, results, verdict)
+# Command implementations: each takes the loaded spec (None for a command
+# without --spec) and the parsed flags, and returns (rows_header, rows,
+# results, verdict)
 # ---------------------------------------------------------------------
 
 
-def _cmd_validate_spec(args):
-    spec = _load_spec(args)
+def _cmd_validate_spec(spec, args):
     results = {"kind": spec.kind, "d": spec.d,
                "atoms": len(spec.atoms) if spec.atoms else 0,
                "transpose_view": spec.transpose_view}
@@ -134,8 +133,7 @@ def _cmd_validate_spec(args):
     return header, rows, results, "complete"
 
 
-def _cmd_detect_contraction(args):
-    spec = _load_spec(args)
+def _cmd_detect_contraction(spec, args):
     found = detect_contraction(spec, r_max=args.n, samples=args.replicas, seed=args.seed)
     if found is None:
         results = {"found": False, "r_max": args.n}
@@ -146,8 +144,7 @@ def _cmd_detect_contraction(args):
     return ["status", "r", "frequency"], rows, results, "complete"
 
 
-def _cmd_lyapunov(args):
-    spec = _load_spec(args)
+def _cmd_lyapunov(spec, args):
     n = args.n
     res = est.estimate_lyapunov(spec, n, args.replicas, seed=args.seed)
     e = res.estimate
@@ -157,8 +154,7 @@ def _cmd_lyapunov(args):
     return ["method", "value", "std_error", "replicas", "params"], rows, results, "complete"
 
 
-def _cmd_invariant_sample(args):
-    spec = _load_spec(args)
+def _cmd_invariant_sample(spec, args):
     res = backward_invariant_sample(spec, args.seed, args.tol)
     rows = [[json.dumps(res.point.coords.tolist()), res.certificate, res.steps]]
     results = {"certificate": res.certificate, "steps": res.steps,
@@ -166,8 +162,7 @@ def _cmd_invariant_sample(args):
     return ["point", "certificate", "steps"], rows, results, "complete"
 
 
-def _cmd_coupling_decay(args):
-    spec = _load_spec(args)
+def _cmd_coupling_decay(spec, args):
     curve = est.coupling_decay(spec, args.p, args.n_grid, args.replicas, seed=args.seed)
     rows = [[n, v] for n, v in zip(curve.n_grid, curve.values)]
     results = {"a_hat": curve.a_hat, "r_squared": curve.r_squared,
@@ -177,8 +172,7 @@ def _cmd_coupling_decay(args):
     return ["n", "delta_hat"], rows, results, "pass" if ok else "fail"
 
 
-def _cmd_variance(args):
-    spec = _load_spec(args)
+def _cmd_variance(spec, args):
     n, replicas, seed = args.n, args.replicas, args.seed
     lam = hz.functional_sweep(spec, [n], replicas,
                               rngmod.child_seed(seed, Purpose.DRIFT_PRESWEEP),
@@ -187,13 +181,20 @@ def _cmd_variance(args):
     curve = est.coupling_decay(spec, 1.0, range(1, 31), min(replicas, 4096),
                                seed=rngmod.child_seed(seed, Purpose.COUPLING_STAGE))
     amp, rate = est.fit_geometric_envelope(curve.n_grid, curve.values)
-    s2_ref = direct["sigma"].value
+    target = 0.01 * max(direct["sigma"].value, 1e-12)
     lag = 2
-    while est.envelope_tail(amp, rate, lag) > 0.01 * max(s2_ref, 1e-12) and lag < 64:
+    while est.envelope_tail(amp, rate, lag) > target and lag < 64:
         lag += 1
     series = est.estimate_variance_series(spec, lag + 1, replicas, lam,
                                           seed=rngmod.child_seed(seed, Purpose.SERIES_STAGE),
                                           envelope=(amp, rate))
+    if series.tail_bound > target:
+        # the reported bound carries the increment-moment factor: widen the
+        # window once by the geometric amount that factor needs, and rerun
+        lag += max(int(np.ceil(np.log(target / series.tail_bound) / np.log(rate))), 1)
+        series = est.estimate_variance_series(
+            spec, lag + 1, replicas, lam,
+            seed=rngmod.child_seed(seed, Purpose.SERIES_WIDENED_STAGE), envelope=(amp, rate))
     psi = est.estimate_psi(spec, lag, 1024, lam,
                            seed=rngmod.child_seed(seed, Purpose.PSI_STAGE))
     mpaths = max(32, min(256, replicas // 16))
@@ -213,14 +214,13 @@ def _cmd_variance(args):
     results = {"lambda_hat": lam,
                "direct": {k: v.value for k, v in direct.items()},
                "series": series.estimate.value, "martingale": mart.estimate.value,
-               "lag": lag, "routes_agree": ok,
-               "lag1_autocorr": mart.lag1_autocorr}
+               "lag": lag, "tail_bound": series.tail_bound, "target": target,
+               "routes_agree": ok, "lag1_autocorr": mart.lag1_autocorr}
     return (["method", "value", "std_error", "replicas", "params"], rows,
             results, "pass" if ok else "fail")
 
 
-def _cmd_normality(args):
-    spec = _load_spec(args)
+def _cmd_normality(spec, args):
     n, replicas = args.n, args.replicas
     sweep = hz.functional_sweep(spec, [n], replicas, args.seed, threads=args.threads)
     s = sweep.s_hat
@@ -237,8 +237,7 @@ def _cmd_normality(args):
     return ["functional", "n", "ks", "minus_inf"], rows, results, "complete"
 
 
-def _cmd_berry_esseen(args):
-    spec = _load_spec(args)
+def _cmd_berry_esseen(spec, args):
     grid, replicas = args.n_grid, args.replicas
     sweep = hz.functional_sweep(spec, grid, replicas, args.seed, threads=args.threads)
     rows, results = [], {}
@@ -255,8 +254,7 @@ def _cmd_berry_esseen(args):
     return ["functional", "n", "ks", "scaled", "verdict"], rows, results, worst
 
 
-def _cmd_asip_proxy(args):
-    spec = _load_spec(args)
+def _cmd_asip_proxy(spec, args):
     rep = hz.asip_proxy(spec, args.n, args.replicas, seed=args.seed, eps=args.eps)
     rows = [["envelope", rep.envelope_fraction, rep.eps, rep.n]]
     for k, ks in rep.block_ks:
@@ -268,8 +266,7 @@ def _cmd_asip_proxy(args):
     return ["statistic", "value", "eps", "n"], rows, results, "pass" if ok else "fail"
 
 
-def _cmd_deviation(args):
-    spec = _load_spec(args)
+def _cmd_deviation(spec, args):
     rep = hz.deviation_tail_sums(spec, args.alpha, args.p, args.eps, args.n,
                                  args.replicas, seed=args.seed,
                                  record_every=max(args.n // 64, 1))
@@ -280,8 +277,7 @@ def _cmd_deviation(args):
     return ["n", "probability", "partial_sum"], rows, results, rep.verdict
 
 
-def _cmd_regularity(args):
-    spec = _load_spec(args)
+def _cmd_regularity(spec, args):
     p, samples, tol = args.p, args.replicas, args.tol
     small = est.invariant_regularity(spec, p, samples, tol, seed=args.seed)
     big = est.invariant_regularity(spec, p, 2 * samples, tol,
@@ -294,8 +290,7 @@ def _cmd_regularity(args):
             results, "pass" if ok else "fail")
 
 
-def _cmd_aperiodicity(args):
-    spec = _load_spec(args)
+def _cmd_aperiodicity(spec, args):
     rep = est.aperiodicity_report(spec, max_word_len=args.n)
     rows = [["".join(map(str, w)) or "-", lk]
             for w, lk in zip(rep.words, rep.log_radii)]
@@ -304,7 +299,7 @@ def _cmd_aperiodicity(args):
     return ["word", "log_kappa"], rows, results, "complete"
 
 
-def _cmd_cone_demo(args):
+def _cmd_cone_demo(spec, args):
     cone = _parse_cone(args.cone)
     rng = rngmod.derived_stream(args.seed, Purpose.CONE_DEMO)
     rows, results = [], {}
@@ -348,7 +343,6 @@ def _cmd_cone_demo(args):
         cone.certify_map(g, seed=args.seed)
         x = rng.standard_normal((n, n))
         x = x @ x.T + 0.5 * np.eye(n)
-        from .cones import sym_to_coords
         m_val = cone.m(sym_to_coords(x), sym_to_coords(np.eye(n)))
         lam_min = float(np.linalg.eigvalsh(x)[0])
         r0 = np.eye(n)
@@ -359,11 +353,10 @@ def _cmd_cone_demo(args):
                  ["rank-one-contraction", c_r1]]
         checks_ok = abs(m_val - lam_min) <= 1e-10 and c_r1 <= 1e-9
         results = {"m_gap": abs(m_val - lam_min), "rank_one_contraction": c_r1}
-    return (["check", "value"], [[r[0]] + [v for v in r[1:]] for r in rows],
-            results, "pass" if checks_ok else "fail")
+    return ["check", "value"], rows, results, "pass" if checks_ok else "fail"
 
 
-def _cmd_fixtures(args):
+def _cmd_fixtures(spec, args):
     replicas = args.replicas
     rep_a = hz.fixture_a_report(replicas=replicas, seed=args.seed)
     n_b = 3
@@ -453,14 +446,13 @@ def run(argv=None) -> int:
         _positive(config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        header, rows, results, verdict = COMMANDS[args.command][0](args)
+        handler, flags = COMMANDS[args.command]
+        spec = _load_spec(args) if "spec" in flags else None
+        header, rows, results, verdict = handler(spec, args)
         _write_csv(out / f"{args.command}.csv", header, rows)
         _write_summary(out, args.command, config, results, verdict)
         print(f"{args.command}: {verdict}  ({out / (args.command + '.csv')})")
         return 2 if verdict == "fail" else 0
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

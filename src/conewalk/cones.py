@@ -24,7 +24,7 @@ import numpy as np
 from . import rng as rngmod
 from .posmat import MatrixGauges
 from .rng import Purpose
-from .simplex import _phi
+from .simplex import _phi, as_count
 
 __all__ = [
     "ConeModel",
@@ -252,6 +252,7 @@ class ConeModel:
         sampling includes every vertex pair, which makes the bound tight
         there.
         """
+        n_pairs = as_count(n_pairs, "n_pairs")
         stream = rngmod.derived_stream(seed, Purpose.CONTRACTION_PAIRS)
         gm = np.asarray(g, dtype=float)
         best = 0.0
@@ -264,11 +265,9 @@ class ConeModel:
         return min(best, 1.0)
 
     def _contraction_pairs(self, rng: np.random.Generator, n_pairs: int):
-        done = 0
-        while done < n_pairs:
+        for done in range(n_pairs):
             yield (self.sample_slice(rng, boundary=done % 3 == 0),
                    self.sample_slice(rng, boundary=done % 3 == 1))
-            done += 1
 
     def norm_metric_constant(self) -> float:
         """Fitted constant C with |x - y| <= C d(x, y) / (1 - d(x, y)) on the slice.
@@ -351,8 +350,7 @@ class OrthantCone(ConeModel):
         for i in range(d):
             for j in range(i + 1, d):
                 yield verts[i], verts[j]
-        remaining = n_pairs - d * (d - 1) // 2
-        yield from super()._contraction_pairs(rng, max(remaining, 0))
+        yield from super()._contraction_pairs(rng, n_pairs - d * (d - 1) // 2)
 
 
 # ---------------------------------------------------------------------

@@ -17,7 +17,7 @@ from . import rng as rngmod
 from .measures import MeasureSpec, block_steps, sample_batch
 from .posmat import _check_iteration, _dense_spectral_radius, _power_iteration, _step
 from .rng import Purpose
-from .simplex import as_count, as_grid, as_point, barycenter, contraction_coefficient, point_coords
+from .simplex import as_count, as_grid, as_point, barycenter, contraction_coefficient
 from .walk import backward_invariant_batch, detect_contraction
 
 __all__ = [
@@ -170,7 +170,8 @@ class BatchedProducts:
 
     def sigma(self, x) -> np.ndarray:
         # |A x|_1 is the column sums weighted by x
-        return self.log_scale + np.log(point_coords(x) @ self._entries.sum(axis=0))
+        xc = as_point(x, self.spec.d, "x").coords
+        return self.log_scale + np.log(xc @ self._entries.sum(axis=0))
 
     def log_min_entry(self) -> np.ndarray:
         with np.errstate(divide="ignore"):
@@ -180,7 +181,7 @@ class BatchedProducts:
         return self.log_scale + np.log(self._entries.max(axis=(0, 1)))
 
     def log_coeff(self, x, y) -> np.ndarray:
-        xc, yc = point_coords(x), point_coords(y)
+        xc, yc = as_point(x, self.spec.d, "x").coords, as_point(y, self.spec.d, "y").coords
         vals = np.einsum("i,ijr,j->r", yc, self._entries, xc)
         with np.errstate(divide="ignore"):
             return self.log_scale + np.log(vals)
@@ -189,12 +190,12 @@ class BatchedProducts:
         """Batched power iteration on the normalized products.
 
         Paths that fail to settle (possible for non-primitive products)
-        fall back to a dense eigensolver individually.
+        fall back to a dense eigensolver, in one call.
         """
         max_iter = _check_iteration("tol", tol, max_iter)
         _, lam, settled = _power_iteration(self._entries, tol, max_iter)
-        for i in np.flatnonzero(~settled):
-            lam[i] = _dense_spectral_radius(self.P[i])
+        if not settled.all():
+            lam[~settled] = _dense_spectral_radius(self.P[~settled])
         return self.log_scale + np.log(lam)
 
     def functional(self, name: str, x, y) -> np.ndarray:
@@ -627,8 +628,7 @@ def aperiodicity_report(spec: MeasureSpec, max_word_len: int) -> AperiodicityRep
         mats /= peak[:, None, None]
         log_scale = np.repeat(log_scale, k) + np.log(peak)
         positive = np.flatnonzero((mats > 0).all(axis=(1, 2)))
-        # the Perron root is the eigenvalue of largest modulus
-        kap = np.abs(np.linalg.eigvals(mats[positive])).max(axis=1)
+        kap = _dense_spectral_radius(mats[positive])
         digits = positive[:, None] // k ** np.arange(length - 1, -1, -1) % k
         words.extend(map(tuple, digits.tolist()))
         radii.extend((log_scale[positive] + np.log(kap)).tolist())

@@ -189,9 +189,10 @@ class SweepResult:
         n_top = self.n_grid[-1]
         return float(self.samples[("norm", n_top)].std(ddof=1) / np.sqrt(n_top))
 
-    def _require(self, functional: str, steps, field: str) -> None:
+    def _require(self, functional: str, steps, field: str, replicas: int) -> None:
         """Reject a lookup of ``functional`` at ``steps`` (the argument
-        ``field``) that the sweep did not sample, naming what it did."""
+        ``field``) that the sweep did not sample, naming what it did, and a
+        ``replicas`` other than the sweep's own sample size."""
         names = sorted({name for name, _ in self.samples})
         sampled = f"by the sweep, which sampled steps {list(self.n_grid)} of {names}"
         missing = [n for n in steps if n not in self.n_grid]
@@ -199,6 +200,8 @@ class SweepResult:
             raise ValueError(f"{field}: steps {missing} were not sampled {sampled}")
         if functional not in names:
             raise ValueError(f"functional: {functional!r} was not sampled {sampled}")
+        if replicas != self.replicas:
+            raise ValueError(f"replicas: {replicas} is not the sweep's {self.replicas}")
 
 
 def _sweep_chunk(spec, seed, size, key, grid, functionals, x, y):
@@ -300,7 +303,7 @@ def empirical_normality(spec: MeasureSpec, functional: str, n: int,
         sweep = functional_sweep(spec, [n], replicas, seed,
                                  functionals=(functional,), x=x, y=y)
     else:
-        sweep._require(functional, [n], "n")
+        sweep._require(functional, [n], "n", replicas)
     lam = lambda_hat if lambda_hat is not None else sweep.lambda_hat
     vals = sweep.samples[(functional, n)]
     miss = sweep.minus_inf[(functional, n)]
@@ -344,7 +347,7 @@ def berry_esseen_fit(spec: MeasureSpec, functional: str, p: float, n_grid,
     """Fit the Berry-Esseen scaling ks * n**(p/2-1) over the grid."""
     threads, grid = as_count(threads, "threads"), as_grid(n_grid)
     if sweep is not None:
-        sweep._require(functional, grid, "n_grid")
+        sweep._require(functional, grid, "n_grid", replicas)
     if check_moments:
         sanity = moment_sanity(spec, p, max(4096, replicas // 8), seed)
         if not sanity.stable:

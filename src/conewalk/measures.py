@@ -10,12 +10,15 @@ written with shortest-repr JSON encoding.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .posmat import MAX_DIM, AllowableMatrix
+from .simplex import as_count
 
 __all__ = ["MeasureSpec", "RejectionCapError", "sample_matrix", "REJECTION_CAP"]
 
@@ -59,6 +62,13 @@ class MeasureSpec:
     transpose_view: bool = False
 
     def __post_init__(self):
+        # the one validator: the constructors, the JSON reader and replace() all end here
+        d = as_count(self.d, "d", 2)
+        if d > MAX_DIM:
+            raise ValueError(f"d must be <= {MAX_DIM}, got {d}")
+        object.__setattr__(self, "d", d)
+        if not isinstance(self.transpose_view, bool):
+            raise ValueError(f"transpose_view must be a boolean, got {self.transpose_view!r}")
         if self.kind == "atomic":
             if not self.atoms or self.weights is None:
                 raise ValueError("atomic spec needs atoms and weights")
@@ -67,32 +77,35 @@ class MeasureSpec:
             if len(self.weights) != len(self.atoms):
                 raise ValueError("weights and atoms must have equal length")
             w = np.asarray(self.weights, dtype=float)
-            if np.any(w <= 0):
+            if not np.all(w > 0):  # written so that nan fails too
                 raise ValueError("weights must be strictly positive")
-            if abs(w.sum() - 1.0) > WEIGHT_TOL:
+            if not abs(w.sum() - 1.0) <= WEIGHT_TOL:
                 raise ValueError(f"weights sum to {w.sum()!r}, not 1")
             for i, atom in enumerate(self.atoms):
                 if not isinstance(atom, AllowableMatrix):
                     raise ValueError(f"atom {i} is not an AllowableMatrix")
-                if atom.d != self.d:
-                    raise ValueError(f"atom {i} has dimension {atom.d}, expected {self.d}")
+                if atom.d != d:
+                    raise ValueError(f"atom {i} has dimension {atom.d}, expected {d}")
         elif self.kind == "parametric":
             if self.atoms is not None or self.weights is not None:
                 raise ValueError("parametric spec cannot carry atoms")
             if self.family not in _FAMILIES:
                 raise ValueError(f"unknown family {self.family!r}")
-            expected = set(_FAMILY_PARAMS[self.family])
-            got = set(self.params or ())
-            if got != expected:
-                raise ValueError(f"family {self.family!r} needs params {sorted(expected)}")
-            p = self.params
+            names = _FAMILY_PARAMS[self.family]
+            if not isinstance(self.params, dict) or set(self.params) != set(names):
+                raise ValueError(f"family {self.family!r} needs params {sorted(names)}")
+            for name in names:
+                value = self.params[name]
+                if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                        or not math.isfinite(value):
+                    raise ValueError(f"param {name!r} must be a finite number, got {value!r}")
+            p = {name: float(value) for name, value in self.params.items()}
+            object.__setattr__(self, "params", p)
             if self.family == "lognormal" and not p["sigma"] >= 0:
                 raise ValueError("sigma must be nonnegative")
             if self.family == "uniform":
                 if not (0 <= p["lo"] <= p["hi"]) or not p["hi"] > 0:
                     raise ValueError("uniform family needs 0 <= lo <= hi with hi > 0")
-            if not 2 <= self.d <= MAX_DIM:
-                raise ValueError(f"parametric spec dimension must be in [2, {MAX_DIM}]")
         else:
             raise ValueError(f"unknown spec kind {self.kind!r}")
 
@@ -117,8 +130,7 @@ class MeasureSpec:
 
     @staticmethod
     def parametric(family: str, d: int, transpose_view: bool = False, **params) -> "MeasureSpec":
-        return MeasureSpec(kind="parametric", d=d, family=family,
-                           params={k: float(v) for k, v in params.items()},
+        return MeasureSpec(kind="parametric", d=d, family=family, params=params,
                            transpose_view=transpose_view)
 
     # -- views ---------------------------------------------------------
@@ -174,13 +186,10 @@ class MeasureSpec:
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown spec fields: {sorted(unknown)}")
-        kind = doc.get("kind")
-        d = doc.get("d")
+        kind, d = doc.get("kind"), doc.get("d")
         if not isinstance(d, int) or d < 2:
             raise ValueError("field 'd' must be an integer >= 2")
-        tv = doc.get("transpose_view", False)
-        if not isinstance(tv, bool):
-            raise ValueError("field 'transpose_view' must be a boolean")
+        fields = {"family": doc.get("family"), "params": doc.get("params")}
         if kind == "atomic":
             atoms = []
             for i, flat in enumerate(doc.get("atoms") or []):
@@ -190,13 +199,10 @@ class MeasureSpec:
                     atoms.append(AllowableMatrix(np.asarray(flat, dtype=float).reshape(d, d)))
                 except ValueError as exc:
                     raise ValueError(f"atom {i}: {exc}") from exc
-            return MeasureSpec(kind="atomic", d=d,
-                               weights=tuple(float(w) for w in doc.get("weights") or ()),
-                               atoms=tuple(atoms), transpose_view=tv)
-        if kind == "parametric":
-            return MeasureSpec(kind="parametric", d=d, family=doc.get("family"),
-                               params=doc.get("params"), transpose_view=tv)
-        raise ValueError(f"unknown spec kind {kind!r}")
+            fields = {"atoms": tuple(atoms),
+                      "weights": tuple(float(w) for w in doc.get("weights") or ())}
+        return MeasureSpec(kind=kind, d=d, transpose_view=doc.get("transpose_view", False),
+                           **fields)
 
     @staticmethod
     def from_json(text: str) -> "MeasureSpec":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import SimplexPoint, as_count, point_coords
+from .simplex import SimplexPoint, as_count, as_point
 
 __all__ = [
     "MAX_DIM",
@@ -139,8 +139,8 @@ def gauges(g) -> MatrixGauges:
 
 def act(g, x) -> SimplexPoint:
     """Projective action: gx renormalized back to the simplex."""
-    y = _as_matrix(g).entries @ point_coords(x)
-    return SimplexPoint(y)
+    m = _as_matrix(g)
+    return SimplexPoint(m.entries @ as_point(x, m.d, "x").coords)
 
 
 def cocycle(g, x) -> float:
@@ -150,8 +150,8 @@ def cocycle(g, x) -> float:
     sigma(gg', x) = sigma(g, g'.x) + sigma(g', x), and bounded in modulus
     by log N(g).
     """
-    y = _as_matrix(g).entries @ point_coords(x)
-    return float(np.log(y.sum()))
+    m = _as_matrix(g)
+    return float(np.log((m.entries @ as_point(x, m.d, "x").coords).sum()))
 
 
 # Up to this dimension the forward step is written out on length-R
@@ -246,8 +246,9 @@ def _power_iteration(a: np.ndarray, tol: float, max_iter: int):
     return x, lam, settled
 
 
-def _dense_spectral_radius(a: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
+def _dense_spectral_radius(a: np.ndarray) -> np.ndarray:
+    """The dense Perron root: largest eigenvalue modulus over ``a``'s last two axes."""
+    return np.abs(np.linalg.eigvals(a)).max(axis=-1)
 
 
 def spectral_radius(g, tol: float = 1e-12, max_iter: int = 10**5,
@@ -267,7 +268,7 @@ def spectral_radius(g, tol: float = 1e-12, max_iter: int = 10**5,
     if settled[0]:
         return float(lam[0])
     if fallback:
-        return _dense_spectral_radius(a)
+        return float(_dense_spectral_radius(a))
     period = _detect_period(a, x[:, 0], min(m.d + 1, 16), np.sqrt(tol))
     raise SpectralRadiusError(
         f"power iteration did not converge in {max_iter} steps"

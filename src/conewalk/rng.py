@@ -58,6 +58,7 @@ class Purpose(IntEnum):
     FIXTURE_B_STAGE = 22     # cli fixtures: fixture B
     TRANSPOSE_SEARCH = 23    # invariant_regularity: contraction search on the transpose view
     BLOCK_SEARCH = 24        # walk.default_block_len: contraction search for the block length
+    SERIES_WIDENED_STAGE = 25  # cli variance: the series route rerun at a widened lag window
 
 
 def derived_stream(seed: int, *key: int) -> np.random.Generator:

@@ -78,8 +78,9 @@ def as_point(x, d: int, name: str) -> SimplexPoint:
     """``x`` itself if it is a SimplexPoint, else the validated point of the
     array-like ``x``; the barycenter of dimension ``d`` when ``x`` is None.
 
-    Routines that read a point on every step validate it once here;
-    ``name`` is the argument's name for the error message.
+    The one coercion for a point: routines that read a point on every
+    step validate it once here; ``name`` is the argument's name for the
+    error message.
     """
     if x is None:
         return barycenter(d)
@@ -108,22 +109,14 @@ def as_grid(n_grid) -> list[int]:
     return grid
 
 
-def point_coords(x) -> np.ndarray:
-    """Coordinates of a SimplexPoint or validated array-like."""
-    if isinstance(x, SimplexPoint):
-        return x.coords
-    return SimplexPoint(x).coords
-
-
 def m_ratio(u, v) -> float:
     """Infimum of u_i / v_i over the support of v.
 
     Lies in [0, d]; vanishes exactly when u has a zero on the support of
     v, and m(u, v) * m(v, u) <= 1.
     """
-    uc, vc = point_coords(u), point_coords(v)
-    if uc.size != vc.size:
-        raise ValueError("dimension mismatch")
+    u = u if isinstance(u, SimplexPoint) else SimplexPoint(u)
+    uc, vc = u.coords, as_point(v, u.d, "v").coords
     mask = vc > 0
     with np.errstate(over="ignore"):  # subnormal v_i: that ratio never attains the min
         return float(np.min(uc[mask] / vc[mask]))

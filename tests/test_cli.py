@@ -63,6 +63,22 @@ class TestValidateSpec:
                     "--out", str(tmp_path / "o")]) == 1
         assert "unknown spec fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"kind": "atomic", "d": 2, "weights": [float("nan"), 1.0],
+          "atoms": [[1.0, 1.0, 1.0, 1.0], [2.0, 1.0, 1.0, 1.0]]}, "weights"),
+        ({"kind": "parametric", "d": 2, "family": "lognormal",
+          "params": {"mu": "0", "sigma": 1.0}}, "param 'mu'"),
+        ({"kind": "parametric", "d": 2, "family": "lognormal",
+          "params": {"mu": float("inf"), "sigma": 1.0}}, "param 'mu'"),
+    ], ids=["nan-weight", "string-mu", "inf-mu"])
+    def test_malformed_value_names_the_field(self, tmp_path, capsys, doc, field):
+        # json writes and reads NaN and Infinity
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert run(["validate-spec", "--spec", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: spec file {path}: {field}")
+
 
 class TestArgumentHandling:
     def test_unknown_command_exits_one(self, capsys):
@@ -185,6 +201,28 @@ class TestVerdictCommands:
         assert run(["variance", "--n", "128", "--replicas", "2000",
                     "--out", str(out)]) == 0
         assert _summary(out)["results"]["routes_agree"] is True
+
+    def test_variance_widens_the_lag_window_once(self, tmp_path, monkeypatch):
+        # criterion 6's rule: a reported tail bound above the 1% target widens
+        # the window by the geometric amount it needs, and the series reruns
+        from conewalk import estimators as est
+
+        windows = []
+        series = est.estimate_variance_series
+
+        def recording_series(spec, n_lag_max, *args, **kwargs):
+            windows.append(n_lag_max)
+            return series(spec, n_lag_max, *args, **kwargs)
+
+        monkeypatch.setattr(est, "estimate_variance_series", recording_series)
+        out = tmp_path / "o"
+        assert run(["variance", "--n", "16", "--replicas", "256", "--out", str(out)]) == 0
+        results = _summary(out)["results"]
+        assert len(windows) == 2 and windows[0] < windows[1] == results["lag"] + 1
+        assert results["tail_bound"] <= results["target"]
+        rows = (out / "variance.csv").read_text().splitlines()
+        assert any(row.startswith("series,") and f"lag={results['lag']};" in row
+                   for row in rows)
 
     def test_invariant_sample(self, single_atom_path, tmp_path):
         out = tmp_path / "o"

@@ -169,6 +169,13 @@ class TestLorentz:
             if n == 1:  # the equator is two points, and sampling finds both
                 assert sampled == exact
 
+    @pytest.mark.parametrize("n_pairs, message", [(0, "n_pairs must be >= 1, got 0"),
+                                                  (2.5, "n_pairs must be an integer, got 2.5")])
+    def test_contraction_estimate_rejects_a_malformed_pair_count(self, n_pairs, message):
+        # no pairs used to report a perfect contraction 0.0, and 2.5 pairs ran 3
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lorentz_cone(3).contraction_estimate(np.eye(4), n_pairs)
+
 
 def sampled_dual_cap_support(x, rng, samples=10**4):
     """The Lorentz dual-cap support as a maximum over sampled extreme points.

@@ -11,9 +11,9 @@ from conewalk.estimators import (BatchedProducts, aperiodicity_report,
                                  invariant_regularity, moment_sanity,
                                  variance_via_martingale)
 from conewalk.measures import MeasureSpec, sample_batch
-from conewalk.posmat import AllowableMatrix, gauges, perron_vector, spectral_radius
+from conewalk.posmat import AllowableMatrix, act, cocycle, gauges, perron_vector, spectral_radius
 from conewalk.rng import Purpose
-from conewalk.simplex import barycenter, contraction_coefficient
+from conewalk.simplex import barycenter, contraction_coefficient, m_ratio
 from conewalk.walk import backward_invariant_batch
 
 G1 = AllowableMatrix([[2.0, 1.0], [1.0, 1.0]])
@@ -822,3 +822,18 @@ def _forward(replicas):
 def test_rejects_a_malformed_count(call, message):
     with pytest.raises(ValueError, match=f"^{message}, got "):
         call()
+
+
+# sigma, log_coeff, act and cocycle used to fail inside numpy's matmul, and
+# m_ratio with "dimension mismatch", none of them naming the point
+@pytest.mark.parametrize("read, name", [
+    (lambda bad: _forward(3).sigma(bad), "x"),
+    (lambda bad: _forward(3).log_coeff(bad, None), "x"),
+    (lambda bad: _forward(3).log_coeff(None, bad), "y"),
+    (lambda bad: act(G1, bad), "x"),
+    (lambda bad: cocycle(G1, bad), "x"),
+    (lambda bad: m_ratio((0.5, 0.5), bad), "v"),
+], ids=["sigma", "log_coeff-x", "log_coeff-y", "act", "cocycle", "m_ratio"])
+def test_point_of_wrong_dimension_is_named(read, name):
+    with pytest.raises(ValueError, match=f"^{name} has dimension 3, expected 2$"):
+        read((0.2, 0.3, 0.5))

@@ -581,6 +581,21 @@ class TestSweepLookupNamesTheField:
         with pytest.raises(ValueError, match=rf"^{field}: .* sampled steps \[4\] of \['norm'\]$"):
             call(reference_spec, sweep)
 
+    # a 2,000-replica sweep fitted with replicas=20 used to run, and a report
+    # given replicas=7 read 7
+    @pytest.mark.parametrize("call", [
+        lambda spec, sweep: hz.empirical_normality(spec, "norm", 4, 7, 1.0, sweep=sweep),
+        lambda spec, sweep: hz.berry_esseen_fit(spec, "norm", 3.0, [4], 20, sweep=sweep),
+    ], ids=["normality", "fit"])
+    def test_replicas_are_the_sweeps(self, reference_spec, monkeypatch, call):
+        def no_moments(*args, **kwargs):
+            raise AssertionError("moment check ran")
+
+        monkeypatch.setattr(hz, "moment_sanity", no_moments)
+        sweep = hz.functional_sweep(reference_spec, [4], 100, 1, functionals=("norm",))
+        with pytest.raises(ValueError, match=r"^replicas: (7|20) is not the sweep's 100$"):
+            call(reference_spec, sweep)
+
     def test_plug_in_scale_is_the_top_step_log_norm(self, reference_spec):
         sweep = hz.functional_sweep(reference_spec, [8, 32], 500, 2, functionals=("v",))
         top = sweep.samples[("norm", 32)]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,54 @@ class TestValidation:
             MeasureSpec.parametric("uniform", 2, lo=-1.0, hi=2.0)
         with pytest.raises(ValueError):
             MeasureSpec.parametric("uniform", 2, lo=0.0, hi=0.0)
+
+
+_ATOMS = [[[1.0, 1.0], [1.0, 1.0]], [[2.0, 1.0], [1.0, 1.0]]]
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: MeasureSpec.atomic(_ATOMS, [NAN, 1.0]), "weights must be strictly positive"),
+    (lambda: MeasureSpec.atomic(_ATOMS, [0.5, NAN]), "weights must be strictly positive"),
+    (lambda: MeasureSpec.parametric("lognormal", 2, mu=NAN, sigma=1.0),
+     "param 'mu' must be a finite number, got nan"),
+    (lambda: MeasureSpec.parametric("lognormal", 2, mu=INF, sigma=1.0),
+     "param 'mu' must be a finite number, got inf"),
+    (lambda: MeasureSpec.parametric("lognormal", 2, mu=0.0, sigma=-INF),
+     "param 'sigma' must be a finite number, got -inf"),
+    (lambda: MeasureSpec.parametric("lognormal", 2, mu="0", sigma=1.0),
+     "param 'mu' must be a finite number, got '0'"),
+    (lambda: MeasureSpec.parametric("lognormal", 2, mu=True, sigma=1.0),
+     "param 'mu' must be a finite number, got True"),
+    (lambda: MeasureSpec.parametric("uniform", 2, lo=0.0, hi=INF),
+     "param 'hi' must be a finite number, got inf"),
+    (lambda: MeasureSpec.parametric("lognormal", 2.5, mu=0.0, sigma=1.0),
+     "d must be an integer, got 2.5"),
+    (lambda: MeasureSpec.parametric("lognormal", 65, mu=0.0, sigma=1.0), "d must be <= 64, got 65"),
+    (lambda: MeasureSpec.atomic(_ATOMS, [0.5, 0.5], transpose_view="yes"),
+     "transpose_view must be a boolean, got 'yes'"),
+    (lambda: MeasureSpec.from_json_dict({"kind": "parametric", "d": 2, "family": "lognormal",
+                                         "params": {"mu": "0", "sigma": 1.0}}),
+     "param 'mu' must be a finite number, got '0'"),
+    (lambda: MeasureSpec.from_json_dict({"kind": "atomic", "d": 2, "weights": [0.5, 0.5],
+                                         "atoms": [[1.0] * 4, [2.0, 1.0, 1.0, 1.0]],
+                                         "transpose_view": 1}),
+     "transpose_view must be a boolean, got 1"),
+], ids=["nan-weight", "nan-sum", "nan-param", "inf-param", "minus-inf-param", "string-param",
+        "bool-param", "uniform-inf-hi", "fractional-d", "d-above-max", "transpose-string",
+        "json-string-param", "json-transpose-int"])
+def test_malformed_spec_names_the_field(make, message):
+    # nan compares false both ways, so every check is written to fail on it
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        make()
+
+
+def test_integral_float_dimension_is_stored_as_int():
+    spec = MeasureSpec.parametric("lognormal", 2.0, mu=0, sigma=1)
+    assert spec.d == 2 and type(spec.d) is int
+    assert spec.params == {"mu": 0.0, "sigma": 1.0}
+    assert all(type(v) is float for v in spec.params.values())
+    assert sample_batch(spec, rngmod.derived_stream(3, Purpose.FORWARD), 2).shape == (2, 2, 2)
 
 
 class TestSerialization:
