@@ -177,47 +177,20 @@ def _cmd_variance(spec, args):
     lam = hz.functional_sweep(spec, [n], replicas,
                               rngmod.child_seed(seed, Purpose.DRIFT_PRESWEEP),
                               functionals=("norm",)).lambda_hat
-    direct = est.estimate_variance_direct(spec, n, replicas, seed=seed)
-    curve = est.coupling_decay(spec, 1.0, range(1, 31), min(replicas, 4096),
-                               seed=rngmod.child_seed(seed, Purpose.COUPLING_STAGE))
-    amp, rate = est.fit_geometric_envelope(curve.n_grid, curve.values)
-    target = 0.01 * max(direct["sigma"].value, 1e-12)
-    lag = 2
-    while est.envelope_tail(amp, rate, lag) > target and lag < 64:
-        lag += 1
-    series = est.estimate_variance_series(spec, lag + 1, replicas, lam,
-                                          seed=rngmod.child_seed(seed, Purpose.SERIES_STAGE),
-                                          envelope=(amp, rate))
-    if series.tail_bound > target:
-        # the reported bound carries the increment-moment factor: widen the
-        # window once by the geometric amount that factor needs, and rerun
-        lag += max(int(np.ceil(np.log(target / series.tail_bound) / np.log(rate))), 1)
-        series = est.estimate_variance_series(
-            spec, lag + 1, replicas, lam,
-            seed=rngmod.child_seed(seed, Purpose.SERIES_WIDENED_STAGE), envelope=(amp, rate))
-    psi = est.estimate_psi(spec, lag, 1024, lam,
-                           seed=rngmod.child_seed(seed, Purpose.PSI_STAGE))
-    mpaths = max(32, min(256, replicas // 16))
-    mlen = min(n, 256)
-    mart = est.variance_via_martingale(spec, psi, mlen, mpaths, lam,
-                                       seed=rngmod.child_seed(seed, Purpose.MARTINGALE_STAGE))
-    rows = []
-    for name, e in direct.items():
-        rows.append([e.method, e.value, e.std_error, e.replicas, f"n={n}"])
+    tri = est.variance_triangulation(spec, n, replicas, lam, seed=seed)
+    series, mart = tri.series, tri.martingale
+    rows = [[e.method, e.value, e.std_error, e.replicas, f"n={n}"] for e in tri.direct.values()]
     rows.append(["series", series.estimate.value, series.estimate.std_error,
-                 series.estimate.replicas, f"lag={lag};tail<{series.tail_bound:.3g}"])
+                 series.estimate.replicas, f"lag={tri.lag};tail<{series.tail_bound:.3g}"])
     rows.append(["martingale", mart.estimate.value, mart.estimate.std_error,
-                 mart.estimate.replicas,
-                 f"len={mlen};lag1={mart.lag1_autocorr:.3g}"])
-    trio = [direct["sigma"], series.estimate, mart.estimate]
-    ok = all(a.agrees_with(b) for a in trio for b in trio)
+                 mart.estimate.replicas, f"len={mart.steps};lag1={mart.lag1_autocorr:.3g}"])
     results = {"lambda_hat": lam,
-               "direct": {k: v.value for k, v in direct.items()},
+               "direct": {k: v.value for k, v in tri.direct.items()},
                "series": series.estimate.value, "martingale": mart.estimate.value,
-               "lag": lag, "tail_bound": series.tail_bound, "target": target,
-               "routes_agree": ok, "lag1_autocorr": mart.lag1_autocorr}
+               "lag": tri.lag, "tail_bound": series.tail_bound, "target": tri.target,
+               "routes_agree": tri.routes_agree, "lag1_autocorr": mart.lag1_autocorr}
     return (["method", "value", "std_error", "replicas", "params"], rows,
-            results, "pass" if ok else "fail")
+            results, "pass" if tri.routes_agree else "fail")
 
 
 def _cmd_normality(spec, args):

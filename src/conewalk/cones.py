@@ -24,7 +24,7 @@ import numpy as np
 from . import rng as rngmod
 from .posmat import MatrixGauges
 from .rng import Purpose
-from .simplex import _phi, as_count
+from .simplex import _phi, _row_pairs, as_count
 
 __all__ = [
     "ConeModel",
@@ -445,13 +445,13 @@ def sym_to_coords(mat: np.ndarray) -> np.ndarray:
     the Frobenius inner product of matrices.
     """
     m = np.asarray(mat, dtype=float)
-    # np.triu_indices lists the off-diagonal pairs row by row
-    return np.concatenate([m.diagonal(), np.sqrt(2.0) * m[np.triu_indices(m.shape[0], 1)]])
+    # the off-diagonal pairs row by row, cached per size
+    return np.concatenate([m.diagonal(), np.sqrt(2.0) * m[_row_pairs(m.shape[0])]])
 
 
 def coords_to_sym(coords: np.ndarray, n: int) -> np.ndarray:
     c = np.asarray(coords, dtype=float)
-    i, j = np.triu_indices(n, 1)
+    i, j = _row_pairs(n)
     m = np.diag(c[: n])
     m[i, j] = m[j, i] = c[n:] / np.sqrt(2.0)
     return m

@@ -35,6 +35,8 @@ __all__ = [
     "estimate_psi",
     "MartingaleVariance",
     "variance_via_martingale",
+    "VarianceTriangulation",
+    "variance_triangulation",
     "AperiodicityReport",
     "aperiodicity_report",
     "invariant_regularity",
@@ -515,6 +517,7 @@ class MartingaleVariance:
     raw_value: float
     mean_diff: float
     mean_diff_se: float
+    steps: int
 
 
 def variance_via_martingale(spec: MeasureSpec, psi: PsiEstimate, n: int,
@@ -555,7 +558,52 @@ def variance_via_martingale(spec: MeasureSpec, psi: PsiEstimate, n: int,
                               lag1_se=float(lag1_se), mc_noise_var=noise_var,
                               raw_value=float(np.mean(sum_d2 / n)),
                               mean_diff=mean_d,
-                              mean_diff_se=float(np.sqrt(var_d / total)))
+                              mean_diff_se=float(np.sqrt(var_d / total)), steps=n)
+
+
+@dataclass(frozen=True)
+class VarianceTriangulation:
+    """The three variance routes at the series window the coupling envelope
+    chose; ``envelope`` is its (amp, rate) majorant, ``target`` the tail's bound."""
+
+    direct: dict[str, EstimateWithError]
+    series: SeriesVariance
+    martingale: MartingaleVariance
+    envelope: tuple[float, float]
+    target: float
+    lag: int
+    routes_agree: bool
+
+
+def variance_triangulation(spec: MeasureSpec, n: int, replicas: int,
+                           lambda_hat: float, seed: int = 0) -> VarianceTriangulation:
+    """Direct, series and martingale variance.  The series window is the
+    smallest lag in [2, 64] whose envelope tail is within 1% of the direct sigma
+    value, widened once when the series bound, which carries an increment-moment
+    factor, exceeds that; each stage after the direct route has its own child seed."""
+    direct = estimate_variance_direct(spec, n, replicas, seed=seed)
+    curve = coupling_decay(spec, 1.0, range(1, 31), min(replicas, 4096),
+                           seed=rngmod.child_seed(seed, Purpose.COUPLING_STAGE))
+    envelope = amp, rate = fit_geometric_envelope(curve.n_grid, curve.values)
+    target = 0.01 * max(direct["sigma"].value, 1e-12)
+    lag = 2
+    while envelope_tail(amp, rate, lag) > target and lag < 64:
+        lag += 1
+    series = estimate_variance_series(spec, lag + 1, replicas, lambda_hat, envelope=envelope,
+                                      seed=rngmod.child_seed(seed, Purpose.SERIES_STAGE))
+    if series.tail_bound > target:
+        lag += max(int(np.ceil(np.log(target / series.tail_bound) / np.log(rate))), 1)
+        series = estimate_variance_series(
+            spec, lag + 1, replicas, lambda_hat, envelope=envelope,
+            seed=rngmod.child_seed(seed, Purpose.SERIES_WIDENED_STAGE))
+    psi = estimate_psi(spec, lag, 1024, lambda_hat,
+                       seed=rngmod.child_seed(seed, Purpose.PSI_STAGE))
+    mart = variance_via_martingale(
+        spec, psi, min(n, 256), max(32, min(256, replicas // 16)), lambda_hat,
+        seed=rngmod.child_seed(seed, Purpose.MARTINGALE_STAGE))
+    trio = [direct["sigma"], series.estimate, mart.estimate]
+    return VarianceTriangulation(direct, series, mart, envelope, target, lag,
+                                 all(a.agrees_with(b) for a in trio for b in trio))
 
 
 # ---------------------------------------------------------------------

@@ -63,6 +63,8 @@ class MeasureSpec:
 
     def __post_init__(self):
         # the one validator: the constructors, the JSON reader and replace() all end here
+        if self.kind == "atomic" and (not self.atoms or self.weights is None):
+            raise ValueError("atomic spec needs atoms and weights")
         d = as_count(self.d, "d", 2)
         if d > MAX_DIM:
             raise ValueError(f"d must be <= {MAX_DIM}, got {d}")
@@ -70,8 +72,6 @@ class MeasureSpec:
         if not isinstance(self.transpose_view, bool):
             raise ValueError(f"transpose_view must be a boolean, got {self.transpose_view!r}")
         if self.kind == "atomic":
-            if not self.atoms or self.weights is None:
-                raise ValueError("atomic spec needs atoms and weights")
             if self.family is not None or self.params is not None:
                 raise ValueError("atomic spec cannot carry family parameters")
             if len(self.weights) != len(self.atoms):
@@ -121,8 +121,8 @@ class MeasureSpec:
     def atomic(atoms, weights, transpose_view: bool = False) -> "MeasureSpec":
         mats = tuple(a if isinstance(a, AllowableMatrix) else AllowableMatrix(a)
                      for a in atoms)
-        return MeasureSpec(kind="atomic", d=mats[0].d, weights=tuple(float(w) for w in weights),
-                           atoms=mats, transpose_view=transpose_view)
+        return MeasureSpec(kind="atomic", d=mats[0].d if mats else None, atoms=mats,
+                           weights=tuple(map(float, weights)), transpose_view=transpose_view)
 
     @staticmethod
     def single_atom(atom) -> "MeasureSpec":
@@ -192,15 +192,15 @@ class MeasureSpec:
         fields = {"family": doc.get("family"), "params": doc.get("params")}
         if kind == "atomic":
             atoms = []
-            for i, flat in enumerate(doc.get("atoms") or []):
-                if len(flat) != d * d:
+            for i, flat in enumerate(_json_list(doc.get("atoms") or [], "atoms", False)):
+                if len(_json_list(flat, f"atom {i}")) != d * d:
                     raise ValueError(f"atom {i} has {len(flat)} entries, expected {d * d}")
                 try:
                     atoms.append(AllowableMatrix(np.asarray(flat, dtype=float).reshape(d, d)))
                 except ValueError as exc:
                     raise ValueError(f"atom {i}: {exc}") from exc
-            fields = {"atoms": tuple(atoms),
-                      "weights": tuple(float(w) for w in doc.get("weights") or ())}
+            weights = _json_list(doc.get("weights") or [], "weights")
+            fields = {"atoms": tuple(atoms), "weights": tuple(float(w) for w in weights)}
         return MeasureSpec(kind=kind, d=d, transpose_view=doc.get("transpose_view", False),
                            **fields)
 
@@ -217,6 +217,16 @@ class MeasureSpec:
     def load(path) -> "MeasureSpec":
         with open(path, "r", encoding="utf-8") as fh:
             return MeasureSpec.from_json(fh.read())
+
+
+def _json_list(value, what: str, of_numbers: bool = True) -> list:
+    """``value`` if it is a JSON array, of numbers when ``of_numbers``; errors name the index."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    for i, v in enumerate(value if of_numbers else ()):
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"{what} entry {i} must be a number, got {v!r}")
+    return value
 
 
 def _draw_parametric_entries(spec: MeasureSpec, rng: np.random.Generator,

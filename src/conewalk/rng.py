@@ -50,15 +50,15 @@ class Purpose(IntEnum):
     CONE_DEMO = 15           # cli cone-demo test vectors and maps
     # stage seeds: child_seed(seed, purpose)
     DRIFT_PRESWEEP = 16      # lambda pre-sweeps (cli variance, asip_proxy, deviation_tail_sums)
-    COUPLING_STAGE = 17      # cli variance: coupling curve for the lag choice
-    SERIES_STAGE = 18        # cli variance: autocovariance-series route
-    PSI_STAGE = 19           # cli variance: corrector fit
-    MARTINGALE_STAGE = 20    # cli variance: martingale route
+    COUPLING_STAGE = 17      # estimators.variance_triangulation: the lag choice's coupling curve
+    SERIES_STAGE = 18        # estimators.variance_triangulation: autocovariance-series route
+    PSI_STAGE = 19           # estimators.variance_triangulation: corrector fit
+    MARTINGALE_STAGE = 20    # estimators.variance_triangulation: martingale route
     DOUBLED_STAGE = 21       # cli regularity: the doubled-sample rerun
     FIXTURE_B_STAGE = 22     # cli fixtures: fixture B
     TRANSPOSE_SEARCH = 23    # invariant_regularity: contraction search on the transpose view
     BLOCK_SEARCH = 24        # walk.default_block_len: contraction search for the block length
-    SERIES_WIDENED_STAGE = 25  # cli variance: the series route rerun at a widened lag window
+    SERIES_WIDENED_STAGE = 25  # estimators.variance_triangulation: the series rerun, widened
 
 
 def derived_stream(seed: int, *key: int) -> np.random.Generator:

@@ -94,6 +94,8 @@ def as_count(value, name: str, minimum: int = 1) -> int:
     """``value`` as an int, checked once at the edge: a Python or numpy
     integer, or an integral float, of at least ``minimum``; ``name`` is
     the argument's name for the error message."""
+    if not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if not value >= minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):

@@ -70,7 +70,9 @@ class TestValidateSpec:
           "params": {"mu": "0", "sigma": 1.0}}, "param 'mu'"),
         ({"kind": "parametric", "d": 2, "family": "lognormal",
           "params": {"mu": float("inf"), "sigma": 1.0}}, "param 'mu'"),
-    ], ids=["nan-weight", "string-mu", "inf-mu"])
+        ({"kind": "atomic", "d": 2, "weights": [None], "atoms": [[1.0] * 4]},
+         "weights entry 0"),
+    ], ids=["nan-weight", "string-mu", "inf-mu", "null-weight"])
     def test_malformed_value_names_the_field(self, tmp_path, capsys, doc, field):
         # json writes and reads NaN and Infinity
         path = tmp_path / "spec.json"

@@ -9,7 +9,7 @@ from conewalk.estimators import (BatchedProducts, aperiodicity_report,
                                  estimate_variance_series,
                                  fit_geometric_envelope, envelope_tail,
                                  invariant_regularity, moment_sanity,
-                                 variance_via_martingale)
+                                 variance_triangulation, variance_via_martingale)
 from conewalk.measures import MeasureSpec, sample_batch
 from conewalk.posmat import AllowableMatrix, act, cocycle, gauges, perron_vector, spectral_radius
 from conewalk.rng import Purpose
@@ -408,6 +408,73 @@ class TestMartingaleRoute:
         direct = estimate_variance_direct(reference_spec, 256, 4000, seed=21,
                                           functionals=("sigma",))["sigma"]
         assert direct.agrees_with(out.estimate)
+
+
+def reference_triangulation(spec, n, replicas, lam, seed):
+    """The lag-window rule written out stage by stage, as criterion 6 writes it,
+    with the routine's sizes, target floor and literal child seeds; returns the
+    routine's fields and whether the window widened."""
+    direct = estimate_variance_direct(spec, n, replicas, seed=seed)
+    curve = coupling_decay(spec, 1.0, range(1, 31), min(replicas, 4096),
+                           seed=rngmod.child_seed(seed, Purpose.COUPLING_STAGE))
+    amp, rate = fit_geometric_envelope(curve.n_grid, curve.values)
+    target = 0.01 * max(direct["sigma"].value, 1e-12)
+    lag = 2
+    while envelope_tail(amp, rate, lag) > target and lag < 64:
+        lag += 1
+    series = estimate_variance_series(spec, lag + 1, replicas, lam,
+                                      seed=rngmod.child_seed(seed, Purpose.SERIES_STAGE),
+                                      envelope=(amp, rate))
+    widened = series.tail_bound > target
+    if widened:
+        extra = int(np.ceil(np.log(target / series.tail_bound) / np.log(rate)))
+        lag += max(extra, 1)
+        series = estimate_variance_series(
+            spec, lag + 1, replicas, lam, envelope=(amp, rate),
+            seed=rngmod.child_seed(seed, Purpose.SERIES_WIDENED_STAGE))
+    psi = estimate_psi(spec, lag, 1024, lam, seed=rngmod.child_seed(seed, Purpose.PSI_STAGE))
+    mart = variance_via_martingale(spec, psi, min(n, 256), max(32, min(256, replicas // 16)),
+                                   lam, seed=rngmod.child_seed(seed, Purpose.MARTINGALE_STAGE))
+    routes = [direct["sigma"], series.estimate, mart.estimate]
+    agree = all(a.agrees_with(b) for a in routes for b in routes)
+    return direct, series, mart, (amp, rate), target, lag, agree, widened
+
+
+LOGNORMAL = MeasureSpec.parametric("lognormal", 2, mu=0.0, sigma=1.0)
+
+
+class TestVarianceTriangulation:
+    @pytest.mark.parametrize("spec, lam, n, replicas, widens", [
+        (None, 0.5424, 16, 256, True), (LOGNORMAL, 1.008, 32, 512, False),
+    ], ids=["reference-widens", "lognormal-keeps"])
+    def test_matches_the_stages_run_inline(self, reference_spec, spec, lam, n, replicas,
+                                           widens):
+        spec = spec or reference_spec
+        tri = variance_triangulation(spec, n, replicas, lam, seed=0)
+        direct, series, mart, envelope, target, lag, agree, widened = \
+            reference_triangulation(spec, n, replicas, lam, 0)
+        assert widened == widens
+        assert tri.direct == direct and tri.series == series and tri.envelope == envelope
+        assert tri.martingale == mart and tri.martingale.steps == min(n, 256)
+        assert (tri.target, tri.lag, tri.routes_agree) == (target, lag, agree)
+        assert tri.series.lag_max == lag + 1
+
+    def test_stages_draw_from_distinct_streams(self, reference_spec, monkeypatch):
+        keys = []
+        derive = rngmod.derived_stream
+
+        def recording_derive(*key):
+            keys.append(key)
+            return derive(*key)
+
+        monkeypatch.setattr(rngmod, "derived_stream", recording_derive)
+        variance_triangulation(reference_spec, 16, 256, 0.5424, seed=5)  # widens
+        assert len(keys) == len(set(keys)) == 9
+        stages = (Purpose.COUPLING_STAGE, Purpose.SERIES_STAGE, Purpose.SERIES_WIDENED_STAGE,
+                  Purpose.PSI_STAGE, Purpose.MARTINGALE_STAGE)
+        assert {key[0] for key in keys} == {5} | {rngmod.child_seed(5, p) for p in stages}
+        presweep = rngmod.child_seed(5, Purpose.DRIFT_PRESWEEP)
+        assert all(Purpose.DRIFT_PRESWEEP not in key[1:] and key[0] != presweep for key in keys)
 
 
 def _convergents(x, max_denominator):

@@ -76,9 +76,27 @@ NAN, INF = float("nan"), float("inf")
                                          "atoms": [[1.0] * 4, [2.0, 1.0, 1.0, 1.0]],
                                          "transpose_view": 1}),
      "transpose_view must be a boolean, got 1"),
+    (lambda: MeasureSpec.from_json_dict({"kind": "atomic", "d": 2, "weights": [None],
+                                         "atoms": [[1.0] * 4]}),
+     "weights entry 0 must be a number, got None"),
+    (lambda: MeasureSpec.from_json_dict({"kind": "atomic", "d": 2, "weights": [1.0],
+                                         "atoms": [5]}),
+     "atom 0 must be a list, got 5"),
+    (lambda: MeasureSpec.from_json_dict({"kind": "atomic", "d": 2, "weights": {"a": 1},
+                                         "atoms": [[1.0] * 4]}),
+     "weights must be a list, got {'a': 1}"),
+    (lambda: MeasureSpec.from_json_dict({"kind": "atomic", "d": 2, "weights": [1.0],
+                                         "atoms": [[1.0, None, 1.0, 1.0]]}),
+     "atom 0 entry 1 must be a number, got None"),
+    (lambda: MeasureSpec.atomic([], []), "atomic spec needs atoms and weights"),
+    (lambda: MeasureSpec(kind="atomic", d="3"), "atomic spec needs atoms and weights"),
+    (lambda: MeasureSpec.parametric("lognormal", "3", mu=0.0, sigma=1.0),
+     "d must be an integer, got '3'"),
 ], ids=["nan-weight", "nan-sum", "nan-param", "inf-param", "minus-inf-param", "string-param",
         "bool-param", "uniform-inf-hi", "fractional-d", "d-above-max", "transpose-string",
-        "json-string-param", "json-transpose-int"])
+        "json-string-param", "json-transpose-int", "json-null-weight", "json-number-atom",
+        "json-object-weights", "json-null-atom-entry", "no-atoms", "atomic-string-d",
+        "string-d"])
 def test_malformed_spec_names_the_field(make, message):
     # nan compares false both ways, so every check is written to fail on it
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
