@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .measures import MeasureSpec, block_steps, sample_batch
+from .measures import MeasureSpec, block_steps, sample_batch, sample_indices
 from .posmat import _check_iteration, _dense_spectral_radius, _power_iteration, _step
 from .rng import Purpose
 from .simplex import as_count, as_grid, as_point, barycenter, contraction_coefficient
@@ -158,6 +158,30 @@ class BatchedProducts:
         for _ in self.steps(n):
             pass
 
+    def leap(self, n: int) -> None:
+        """``run(n)`` on its draws and stream state, one ``_step`` and log per
+        word of L draws (``MeasureSpec._words``): block draw (t * L + k) * R + i
+        is step t * L + k of replica i, as in ``_forward_blocks``, and digit k
+        of its word t.  Floats match ``run(n)`` to rounding; the last n mod L
+        steps, and specs without words, go through ``run``."""
+        n = as_count(n, "n", 0)
+        words = self.spec._words if self.spec.kind == "atomic" else None
+        if words is None:
+            return self.run(n)
+        (length, table, logs), R, done = words, self.replicas, 0
+        digits = (len(self.spec.atoms) ** np.arange(length)).astype(np.uint16)  # K**L <= 2**13
+        while done < n // length:
+            size = block_steps(done, R * self.spec.d ** 2, n // length - done)
+            idx = sample_indices(self.spec, self.rng, size * length * R)
+            w = np.einsum("k,tkr->tr", digits, idx.reshape(size, length, R), dtype=np.uint16)
+            y, incs = table.take(w, axis=2), logs.take(w)
+            for t in range(size):
+                self._entries, scale = _step(y[:, :, t], self._entries)
+                self.log_scale += np.log(scale) + incs[t]
+            done += size
+        self.n += n - n % length
+        self.run(n % length)
+
     # -- functionals of A_n ------------------------------------------------
 
     def column_sums(self) -> np.ndarray:
@@ -234,7 +258,7 @@ def estimate_lyapunov(spec: MeasureSpec, n: int, replicas: int,
     n, replicas = as_count(n, "n"), as_count(replicas, "replicas", 2)
     x = as_point(start, spec.d, "start")
     batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
-    batch.run(n)
+    batch.leap(n)
     est = _mean_with_error(batch.sigma(x) / n, "lyapunov")
     spread = float(np.mean(batch.log_norm() - batch.log_v()) / n)
     return LyapunovResult(estimate=est, spread=spread, n=n)
@@ -370,7 +394,7 @@ def estimate_variance_direct(spec: MeasureSpec, n: int, replicas: int,
         raise ValueError(f"functionals must be among {_DIRECT_FUNCTIONALS}, got {unknown}")
     x = as_point(start, spec.d, "start")
     batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
-    batch.run(n)
+    batch.leap(n)
     return {name: _variance_with_error(batch.functional(name, x, None), 1.0 / n,
                                        f"direct-{name}")
             for name in functionals}

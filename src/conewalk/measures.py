@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .posmat import MAX_DIM, AllowableMatrix
+from .posmat import MAX_DIM, AllowableMatrix, _step
 from .simplex import as_count
 
 __all__ = ["MeasureSpec", "RejectionCapError", "sample_matrix", "REJECTION_CAP"]
@@ -25,11 +25,11 @@ __all__ = ["MeasureSpec", "RejectionCapError", "sample_matrix", "REJECTION_CAP"]
 WEIGHT_TOL = 1e-12
 REJECTION_CAP = 10**6
 # Laws with at most this many atoms locate a uniform by counting cdf
-# entries below it, one comparison per atom; longer laws binary-search.
-# Counting costs 3.4 ns per draw at 3 atoms against 12 ns for
-# searchsorted, and the two meet between 32 and 48 atoms (8192 draws,
-# 2-vCPU Xeon).
+# entries below it into uint8, one comparison per atom; longer laws start
+# from a guide table.  The cut was set against searchsorted, which counting
+# into intp beat up to 32-48 atoms (8192 draws, 2-vCPU Xeon).
 _COUNTED_ATOMS = 32
+_WORD_ENTRIES = 2**15  # 256 KiB of words: 6561 words of 8 draws for 3 atoms at d = 2
 
 _FAMILIES = ("lognormal", "uniform")
 _FAMILY_PARAMS = {"lognormal": ("mu", "sigma"), "uniform": ("lo", "hi")}
@@ -122,7 +122,8 @@ class MeasureSpec:
         mats = tuple(a if isinstance(a, AllowableMatrix) else AllowableMatrix(a)
                      for a in atoms)
         return MeasureSpec(kind="atomic", d=mats[0].d if mats else None, atoms=mats,
-                           weights=tuple(map(float, weights)), transpose_view=transpose_view)
+                           weights=tuple(map(float, _json_list(list(weights), "weights"))),
+                           transpose_view=transpose_view)
 
     @staticmethod
     def single_atom(atom) -> "MeasureSpec":
@@ -162,6 +163,31 @@ class MeasureSpec:
         cdf /= cdf[-1]
         cdf.flags.writeable = False
         return cdf
+
+    @cached_property
+    def _atom_guide(self) -> np.ndarray:
+        # guide[j] counts the cdf entries c with fl(c * K) < j, each <= any u
+        # with floor(fl(u * K)) = j (Chen and Asau 1974); fl(u * K) may be K
+        return np.searchsorted(self._atom_cdf * len(self.atoms), np.arange(len(self.atoms) + 1))
+
+    @cached_property
+    def _words(self):
+        """(L, words, logs) for ``BatchedProducts.leap``, or None when L = 1:
+        L is the largest with K**L * d * d <= _WORD_ENTRIES (one atom counts as
+        two), words[..., sum(i_k K**k)] is A[i_{L-1}] ... A[i_0] renormalised
+        by ``_step`` and logs holds the logs of the scales taken out."""
+        k, d = len(self.atoms), self.d
+        length = 1
+        while max(k, 2) ** (length + 1) * d * d <= _WORD_ENTRIES:
+            length += 1
+        if length == 1:
+            return None
+        atoms = self.atom_array().transpose(1, 2, 0)
+        words, logs = np.eye(d)[:, :, None], np.zeros(1)
+        for _ in range(length):  # the new draw is the left factor and top digit
+            words, scale = _step(atoms.repeat(words.shape[2], axis=2), np.tile(words, k))
+            logs = np.log(scale) + np.tile(logs, k)
+        return length, words, logs
 
     # -- serialization -------------------------------------------------
 
@@ -256,16 +282,22 @@ def sample_indices(spec: MeasureSpec, rng: np.random.Generator, size: int) -> np
     Bit-identical to ``rng.choice(k, size, p=weights)``, stream state
     included: one uniform per draw, located in the cached cumulative
     weights.  The index is the number of cdf entries at or below the
-    uniform, which is what ``cdf.searchsorted(u, side="right")`` returns;
-    short laws count them with one comparison per atom instead.
+    uniform, which is what ``cdf.searchsorted(u, side="right")`` returns.
+    Short laws count them into uint8, one comparison per atom; longer laws
+    step on twice from guide[floor(u * K)], then binary-search the rest.
     """
     if spec.kind != "atomic":
         raise ValueError("sample_indices is only defined for atomic specs")
     cdf = spec._atom_cdf
     u = rng.random(size)
     if len(cdf) > _COUNTED_ATOMS:
-        return cdf.searchsorted(u, side="right")
-    idx = np.zeros(size, dtype=np.intp)
+        idx = spec._atom_guide.take((u * len(cdf)).astype(np.intp))
+        for _ in range(2):  # cdf[-1] = 1 > u, so idx stays in range
+            idx += cdf.take(idx) <= u
+        short = np.flatnonzero(cdf.take(idx) <= u)
+        idx[short] = cdf.searchsorted(u[short], side="right")
+        return idx
+    idx = np.zeros(size, dtype=np.uint8)
     for c in cdf[:-1]:  # u < 1 = cdf[-1], so the last entry never counts
         idx += u >= c
     return idx

@@ -717,6 +717,16 @@ def _kernel_specs():
 
 
 KERNEL_SPECS = _kernel_specs()
+# spec, and whether leap must equal run bit for bit (no word table)
+LEAP_SPECS = {
+    "reference": (harness.reference_spec(), False),
+    "reference-transposed": (harness.reference_spec().transposed(), False),
+    "two-atoms": (MeasureSpec.atomic([[[2.0, 1.0], [1.0, 1.0]], [[1.0, 3.0], [0.5, 1.0]]],
+                                     [0.3, 0.7]), False),
+    "single-atom": (SINGLE, False),
+    "fixture-a": (harness.pathology_fixtures()[0], True),
+    "lognormal-d3": (MeasureSpec.parametric("lognormal", 3, mu=0.0, sigma=1.0), True),
+}
 
 
 class TestForwardKernel:
@@ -763,6 +773,26 @@ class TestForwardKernel:
         assert np.array_equal(ran.P, stepped.P)
         assert np.array_equal(ran.log_scale, stepped.log_scale)
         assert _state(ran.rng) == _state(stepped.rng)
+
+    @pytest.mark.parametrize("name", LEAP_SPECS)
+    @pytest.mark.parametrize("calls", [(5,), (100, 37), (1024,)])
+    def test_leap_matches_run(self, name, calls):
+        # (5,) is shorter than any word here, 100 and 37 leave a remainder,
+        # and 1024 steps at R = 64 take several blocks of words
+        spec, exact = LEAP_SPECS[name]
+        ran = BatchedProducts(spec, rngmod.derived_stream(40, Purpose.FORWARD, 0), 64)
+        leapt = BatchedProducts(spec, rngmod.derived_stream(40, Purpose.FORWARD, 0), 64)
+        for n in calls:
+            ran.run(n)
+            leapt.leap(n)
+        assert ran.n == leapt.n == sum(calls)
+        assert _state(ran.rng) == _state(leapt.rng)
+        if exact:  # no words: leap is run
+            assert np.array_equal(leapt.P, ran.P)
+            assert np.array_equal(leapt.log_scale, ran.log_scale)
+        else:  # a word is multiplied once, so the floats move by rounding
+            np.testing.assert_allclose(leapt.P, ran.P, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(leapt.log_scale, ran.log_scale, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_one_column_walk_is_the_cocycle(self, d):

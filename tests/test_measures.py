@@ -92,11 +92,13 @@ NAN, INF = float("nan"), float("inf")
     (lambda: MeasureSpec(kind="atomic", d="3"), "atomic spec needs atoms and weights"),
     (lambda: MeasureSpec.parametric("lognormal", "3", mu=0.0, sigma=1.0),
      "d must be an integer, got '3'"),
+    (lambda: MeasureSpec.atomic(_ATOMS, [None, 0.5]), "weights entry 0 must be a number, got None"),
+    (lambda: MeasureSpec.atomic(_ATOMS, ["a", 0.5]), "weights entry 0 must be a number, got 'a'"),
 ], ids=["nan-weight", "nan-sum", "nan-param", "inf-param", "minus-inf-param", "string-param",
         "bool-param", "uniform-inf-hi", "fractional-d", "d-above-max", "transpose-string",
         "json-string-param", "json-transpose-int", "json-null-weight", "json-number-atom",
         "json-object-weights", "json-null-atom-entry", "no-atoms", "atomic-string-d",
-        "string-d"])
+        "string-d", "null-weight", "string-weight"])
 def test_malformed_spec_names_the_field(make, message):
     # nan compares false both ways, so every check is written to fail on it
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
@@ -284,9 +286,23 @@ DRAW_LAWS = {
     "three-equal": [1.0 / 3.0] * 3,
     "skewed": [1e-9, 0.25, 0.75 - 1e-9],
     "twenty": list(np.arange(1, 21) / 210.0),
-    # beyond the counted range: located by binary search
+    # beyond the counted range: located from the guide table
     "sixty-four": [1.0 / 64.0] * 64,
+    # cdf entries c just above a j / K that fl(c * K) rounds down to j
+    "forty": [1.0 / 40.0] * 40,
+    "heavy-1001": list(np.arange(1, 1002) ** -2.5 / np.sum(np.arange(1, 1002) ** -2.5)),
 }
+
+
+class _FixedUniforms:
+    """A generator whose ``random`` returns fixed uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
 
 
 @pytest.mark.parametrize("weights", DRAW_LAWS.values(), ids=DRAW_LAWS.keys())
@@ -307,6 +323,14 @@ def test_draws_pinned_to_generator_choice(weights):
             assert np.array_equal(sample_batch(spec, a, size),
                                   stack[b.choice(k, size=size, p=np.asarray(weights))])
             assert a.random() == b.random()
+    # the uniforms where a located index changes, and their neighbours
+    cdf = np.asarray(weights).cumsum()
+    cdf /= cdf[-1]
+    edges = np.concatenate([[0.0], cdf, np.arange(k) / k])
+    u = np.unique(np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 1)]))
+    u = u[(u >= 0) & (u < 1)]
+    idx = sample_indices(_law(weights), _FixedUniforms(u), u.size)
+    assert np.array_equal(idx, cdf.searchsorted(u, side="right"))
 
 
 def test_replica_streams_are_independent_and_stable():

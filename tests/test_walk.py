@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conewalk import rng as rngmod
+from conewalk import walk
 from conewalk.estimators import BatchedProducts
 from conewalk.harness import reference_spec
 from conewalk.measures import MeasureSpec, sample_batch, sample_matrix
@@ -279,6 +280,18 @@ class TestBackwardSampler:
         want = reference_backward_batch(spec, 6, 1e-10, 40, None, block_len)
         for a, b in zip(got, want, strict=True):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("R", [1, 2, 8, 16, 17, 64])
+    def test_reductions_pinned_either_side_of_the_cut(self, d, R):
+        # the written-out chains and the ufunc reductions agree bit for bit
+        rng = np.random.default_rng(7)
+        P = rng.lognormal(size=(R, d, d))
+        assert np.array_equal(walk._max_column_sum(P), P.sum(axis=1).max(axis=1))
+        for size in (1, 4):
+            blk = rng.lognormal(size=(size, R, d, d))
+            flat = blk.reshape(size, R, d * d)
+            assert np.array_equal(walk._max_entry(blk), flat.max(axis=2))
 
     @pytest.mark.parametrize("n_samples", [-3, 0, 2.5, np.inf, np.nan])
     def test_batch_rejects_bad_n_samples(self, n_samples):
