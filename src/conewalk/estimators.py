@@ -173,7 +173,9 @@ class BatchedProducts:
         while done < n // length:
             size = block_steps(done, R * self.spec.d ** 2, n // length - done)
             idx = sample_indices(self.spec, self.rng, size * length * R)
-            w = np.einsum("k,tkr->tr", digits, idx.reshape(size, length, R), dtype=np.uint16)
+            # searchsorted's intp indices fold exactly too: each is below K
+            w = np.einsum("k,tkr->tr", digits, idx.reshape(size, length, R), dtype=np.uint16,
+                          casting="unsafe")
             y, incs = table.take(w, axis=2), logs.take(w)
             for t in range(size):
                 self._entries, scale = _step(y[:, :, t], self._entries)

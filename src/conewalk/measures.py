@@ -25,10 +25,11 @@ __all__ = ["MeasureSpec", "RejectionCapError", "sample_matrix", "REJECTION_CAP"]
 WEIGHT_TOL = 1e-12
 REJECTION_CAP = 10**6
 # Laws with at most this many atoms locate a uniform by counting cdf
-# entries below it into uint8, one comparison per atom; longer laws start
-# from a guide table.  The cut was set against searchsorted, which counting
-# into intp beat up to 32-48 atoms (8192 draws, 2-vCPU Xeon).
-_COUNTED_ATOMS = 32
+# entries below it into uint8, one comparison per atom; longer laws
+# binary-search.  Counting against searchsorted, ns per draw (8192 draws,
+# weights rising as k, 2-vCPU Xeon): 12-19 vs 35-43 at 32 atoms, 34-38 vs
+# 53-56 at 64, and the two meet between 80 and 128 atoms.
+_COUNTED_ATOMS = 64
 _WORD_ENTRIES = 2**15  # 256 KiB of words: 6561 words of 8 draws for 3 atoms at d = 2
 
 _FAMILIES = ("lognormal", "uniform")
@@ -165,12 +166,6 @@ class MeasureSpec:
         return cdf
 
     @cached_property
-    def _atom_guide(self) -> np.ndarray:
-        # guide[j] counts the cdf entries c with fl(c * K) < j, each <= any u
-        # with floor(fl(u * K)) = j (Chen and Asau 1974); fl(u * K) may be K
-        return np.searchsorted(self._atom_cdf * len(self.atoms), np.arange(len(self.atoms) + 1))
-
-    @cached_property
     def _words(self):
         """(L, words, logs) for ``BatchedProducts.leap``, or None when L = 1:
         L is the largest with K**L * d * d <= _WORD_ENTRIES (one atom counts as
@@ -282,21 +277,15 @@ def sample_indices(spec: MeasureSpec, rng: np.random.Generator, size: int) -> np
     Bit-identical to ``rng.choice(k, size, p=weights)``, stream state
     included: one uniform per draw, located in the cached cumulative
     weights.  The index is the number of cdf entries at or below the
-    uniform, which is what ``cdf.searchsorted(u, side="right")`` returns.
-    Short laws count them into uint8, one comparison per atom; longer laws
-    step on twice from guide[floor(u * K)], then binary-search the rest.
+    uniform, which is what ``cdf.searchsorted(u, side="right")`` returns;
+    short laws count them into uint8 instead, one comparison per atom.
     """
     if spec.kind != "atomic":
         raise ValueError("sample_indices is only defined for atomic specs")
     cdf = spec._atom_cdf
     u = rng.random(size)
     if len(cdf) > _COUNTED_ATOMS:
-        idx = spec._atom_guide.take((u * len(cdf)).astype(np.intp))
-        for _ in range(2):  # cdf[-1] = 1 > u, so idx stays in range
-            idx += cdf.take(idx) <= u
-        short = np.flatnonzero(cdf.take(idx) <= u)
-        idx[short] = cdf.searchsorted(u[short], side="right")
-        return idx
+        return cdf.searchsorted(u, side="right")
     idx = np.zeros(size, dtype=np.uint8)
     for c in cdf[:-1]:  # u < 1 = cdf[-1], so the last entry never counts
         idx += u >= c

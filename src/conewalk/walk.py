@@ -77,15 +77,13 @@ def default_block_len(spec: MeasureSpec, seed: int = 0) -> int:
 
 
 def _max_column_sum(P: np.ndarray) -> np.ndarray:
-    """(R,) max column sums of the (R, d, d) products ``P``.  Up to
+    """(R,) max column sums of the (R, d, d) products ``P``.  For R > 1 up to
     ``_WRITTEN_OUT_MAX_D`` each column adds its rows in order on (R,) slices,
     which is numpy's sum over axis 1 bit for bit, then a chain of maxima; at
-    R = 2048, d = 2 (2-vCPU Xeon) that took 6 against 188 us.  Few paths keep
-    the reductions, whose call overhead is lower: written out against them,
-    d = 2 is level at R = 2, d = 3 reads 5.8 vs 4.1 us at R = 16 (level near
-    32) and d = 4 9.7 vs 6.5 us at R = 32."""
+    R = 2048, d = 2 (2-vCPU Xeon) that took 6 against 188 us.  One path keeps
+    the reductions, whose call overhead is lower."""
     R, d, _ = P.shape
-    if d > _WRITTEN_OUT_MAX_D or R <= max(1, 16 * (d - 2)):
+    if d > _WRITTEN_OUT_MAX_D or R == 1:
         return P.sum(axis=1).max(axis=1)
     for j in range(d):
         col = P[:, 0, j] + P[:, 1, j]
@@ -96,12 +94,11 @@ def _max_column_sum(P: np.ndarray) -> np.ndarray:
 
 
 def _max_entry(blk: np.ndarray) -> np.ndarray:
-    """(size, R) max entries of the (size, R, d, d) blocks ``blk``, on the terms
-    of ``_max_column_sum``; the reduction of size * R rows is level near 64 rows
-    at d = 2 and 200 at d = 3, 4 (at 128: 4.2 vs 7.2, 9.7 vs 6.4, 18.2 vs 10.4 us)."""
+    """(size, R) max entries of the (size, R, d, d) blocks ``blk``: a chain
+    of maxima over the entries, on the same terms as ``_max_column_sum``."""
     size, R, d, _ = blk.shape
     flat = blk.reshape(size, R, d * d)
-    if d > _WRITTEN_OUT_MAX_D or size * R <= 64 * (d - 1):
+    if d > _WRITTEN_OUT_MAX_D or R == 1:
         return flat.max(axis=2)
     out = flat[..., 0].copy()
     for k in range(1, d * d):

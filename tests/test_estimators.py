@@ -724,6 +724,9 @@ LEAP_SPECS = {
     "two-atoms": (MeasureSpec.atomic([[[2.0, 1.0], [1.0, 1.0]], [[1.0, 3.0], [0.5, 1.0]]],
                                      [0.3, 0.7]), False),
     "single-atom": (SINGLE, False),
+    # beyond _COUNTED_ATOMS, so the draws are searchsorted's intp, and L = 2
+    "eighty-atoms": (MeasureSpec.atomic(np.random.default_rng(5).lognormal(size=(80, 2, 2)),
+                                        np.arange(1, 81) / 3240.0), False),
     "fixture-a": (harness.pathology_fixtures()[0], True),
     "lognormal-d3": (MeasureSpec.parametric("lognormal", 3, mu=0.0, sigma=1.0), True),
 }

@@ -286,10 +286,9 @@ DRAW_LAWS = {
     "three-equal": [1.0 / 3.0] * 3,
     "skewed": [1e-9, 0.25, 0.75 - 1e-9],
     "twenty": list(np.arange(1, 21) / 210.0),
-    # beyond the counted range: located from the guide table
     "sixty-four": [1.0 / 64.0] * 64,
-    # cdf entries c just above a j / K that fl(c * K) rounds down to j
-    "forty": [1.0 / 40.0] * 40,
+    # beyond the counted range: located by binary search
+    "eighty": [1.0 / 80.0] * 80,
     "heavy-1001": list(np.arange(1, 1002) ** -2.5 / np.sum(np.arange(1, 1002) ** -2.5)),
 }
 
