@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .measures import MeasureSpec, block_steps, sample_batch, sample_indices
+from .measures import MeasureSpec, block_steps, sample_batch, sample_words
 from .posmat import _check_iteration, _dense_spectral_radius, _power_iteration, _step
 from .rng import Purpose
 from .simplex import as_count, as_grid, as_point, barycenter, contraction_coefficient
@@ -159,23 +159,21 @@ class BatchedProducts:
             pass
 
     def leap(self, n: int) -> None:
-        """``run(n)`` on its draws and stream state, one ``_step`` and log per
-        word of L draws (``MeasureSpec._words``): block draw (t * L + k) * R + i
-        is step t * L + k of replica i, as in ``_forward_blocks``, and digit k
-        of its word t.  Floats match ``run(n)`` to rounding; the last n mod L
-        steps, and specs without words, go through ``run``."""
+        """``n`` steps with the law of ``run(n)``, one uniform, ``_step`` and log
+        per word of L steps: each word is drawn whole from the word law of
+        ``MeasureSpec._words`` (``sample_words``), the atomic law on the K**L
+        words with product weights.  A block draws T * R uniforms, draw t * R + i
+        being word t of replica i.  The last n mod L steps, and specs without
+        words (parametric laws, and laws whose L would be 1), go through
+        ``run`` on its draws."""
         n = as_count(n, "n", 0)
         words = self.spec._words if self.spec.kind == "atomic" else None
         if words is None:
             return self.run(n)
-        (length, table, logs), R, done = words, self.replicas, 0
-        digits = (len(self.spec.atoms) ** np.arange(length)).astype(np.uint16)  # K**L <= 2**13
+        (length, table, logs, _, _), R, done = words, self.replicas, 0
         while done < n // length:
             size = block_steps(done, R * self.spec.d ** 2, n // length - done)
-            idx = sample_indices(self.spec, self.rng, size * length * R)
-            # searchsorted's intp indices fold exactly too: each is below K
-            w = np.einsum("k,tkr->tr", digits, idx.reshape(size, length, R), dtype=np.uint16,
-                          casting="unsafe")
+            w = sample_words(self.spec, self.rng, size * R).reshape(size, R)
             y, incs = table.take(w, axis=2), logs.take(w)
             for t in range(size):
                 self._entries, scale = _step(y[:, :, t], self._entries)

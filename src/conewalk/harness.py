@@ -371,7 +371,7 @@ def berry_esseen_fit(spec: MeasureSpec, functional: str, p: float, n_grid,
     bands = noise_floor(replicas) * ns ** target
     tau_raw, tau_banded = kendall_tau_banded(ns, scaled, bands)
     slope = None
-    if np.all(ks_arr > 0):
+    if len(grid) > 1 and np.all(ks_arr > 0):  # one step has no slope
         slope = float(np.polyfit(np.log(ns), np.log(scaled), 1)[0])
     verdict = "pass" if tau_banded <= 0 else "fail"
     return RateFit(functional=functional, p=p, n_grid=tuple(grid),

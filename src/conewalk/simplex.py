@@ -104,10 +104,14 @@ def as_count(value, name: str, minimum: int = 1) -> int:
 
 
 def as_grid(n_grid) -> list[int]:
-    """The steps of ``n_grid`` in ascending order, each a count >= 1."""
+    """The steps of ``n_grid`` in ascending order, each a count >= 1 and
+    none repeated (a repeated step would count twice in a fit)."""
     grid = sorted(as_count(n, "n_grid") for n in n_grid)
     if not grid:
         raise ValueError("n_grid must hold at least one step")
+    for lo, hi in zip(grid, grid[1:]):
+        if lo == hi:
+            raise ValueError(f"n_grid repeats step {lo}")
     return grid
 
 

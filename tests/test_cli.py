@@ -1,7 +1,12 @@
+import contextlib
+import copy
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conewalk.cli import run
 from conewalk.measures import MeasureSpec
@@ -118,6 +123,10 @@ class TestArgumentHandling:
         assert run(["coupling-decay", "--n-grid", ",", "--out", str(tmp_path)]) == 1
         assert "n_grid" in capsys.readouterr().err
 
+    def test_repeated_grid_step_exits_one(self, tmp_path, capsys):
+        assert run(["coupling-decay", "--n-grid", "4,4", "--out", str(tmp_path)]) == 1
+        assert "error: n_grid repeats step 4" in capsys.readouterr().err
+
     def test_asip_proxy_rejects_tiny_n(self, tmp_path, capsys):
         assert run(["asip-proxy", "--n", "2", "--out", str(tmp_path)]) == 1
         assert "n must" in capsys.readouterr().err
@@ -139,6 +148,104 @@ class TestArgumentHandling:
 
     def test_bad_cone_string(self, tmp_path, capsys):
         assert run(["cone-demo", "--cone", "torus:7", "--out", str(tmp_path)]) == 1
+
+
+def _run_quietly(argv):
+    """``run(argv)``'s exit status, a usage error's included, and its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _paths(node, prefix=()):
+    """The path of ``node`` and of everything inside it, as key tuples."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+_VALID_DOCS = [
+    {"kind": "atomic", "d": 2, "weights": [0.3, 0.7], "transpose_view": False,
+     "atoms": [[2.0, 1.0, 1.0, 1.0], [1.0, 3.0, 0.5, 1.0]]},
+    {"kind": "parametric", "d": 2, "family": "lognormal", "transpose_view": False,
+     "params": {"mu": 0.0, "sigma": 1.0}},
+]
+# one value of each JSON type, and numbers at the edges; "1e400" is written
+# as the bare literal, which reads as inf
+_ODD_VALUES = [None, "x", True, [], [1.0], {}, {"a": 1.0}, float("nan"), float("inf"),
+               -float("inf"), "1e400", -1, 2.5, 0]
+
+
+@st.composite
+def _mutated_docs(draw):
+    """A valid spec document with one value replaced, one key or entry
+    dropped, or one key added, as JSON text."""
+    doc = copy.deepcopy(draw(st.sampled_from(_VALID_DOCS)))
+    paths = list(_paths(doc))
+    how = draw(st.sampled_from(["replace", "drop", "add"]))
+    value = draw(st.sampled_from(_ODD_VALUES))
+    if how == "replace":
+        path = draw(st.sampled_from(paths))
+        if path:
+            _at(doc, path[:-1])[path[-1]] = value
+        else:
+            doc = value
+    elif how == "drop":
+        path = draw(st.sampled_from(paths[1:]))
+        del _at(doc, path[:-1])[path[-1]]
+    else:
+        node = _at(doc, draw(st.sampled_from([p for p in paths if isinstance(_at(doc, p), dict)])))
+        node[draw(st.sampled_from(["extra", "family", "weights"]))] = value
+    return json.dumps(doc).replace('"1e400"', "1e400")
+
+
+# mostly valid values, so that most runs get past the flags
+_small_counts = st.one_of(st.integers(2, 6), st.integers(-1, 6),
+                          st.sampled_from(["", "2.5", "x", "1e3"])).map(str)
+_small_grids = st.one_of(st.lists(st.integers(1, 6), min_size=1, max_size=4),
+                         st.lists(st.integers(-1, 6), max_size=4),
+                         st.sampled_from([",", "4,,8", "2.5", "x,4"])).map(
+    lambda g: g if isinstance(g, str) else ",".join(map(str, g)))
+# commands with the count flags they read; each is given every one of its flags
+_COUNT_COMMANDS = {"lyapunov": ("n", "replicas"), "coupling-decay": ("n-grid", "replicas"),
+                   "normality": ("n", "replicas", "threads"),
+                   "berry-esseen": ("n-grid", "replicas", "threads")}
+
+
+class TestInputEdgeFuzz:
+    """Malformed input ends in exit 1 with one ``error:`` line, never a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=_mutated_docs())
+    def test_validate_spec(self, tmp_path_factory, text):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        (tmp / "spec.json").write_text(text)
+        code, err = _run_quietly(["validate-spec", "--spec", str(tmp / "spec.json"),
+                                  "--out", str(tmp / "o")])
+        assert code in (0, 1)
+        assert err.count("error:") == (code == 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), command=st.sampled_from(sorted(_COUNT_COMMANDS)))
+    def test_count_flags(self, tmp_path_factory, data, command):
+        argv = [command, "--out", str(tmp_path_factory.mktemp("fuzz"))]
+        for flag in _COUNT_COMMANDS[command]:
+            argv += [f"--{flag}", data.draw(_small_grids if flag == "n-grid" else _small_counts)]
+        code, err = _run_quietly(argv)
+        assert code in (0, 1, 2)  # 2: a verdict that fails at these sizes
+        assert err.count("error:") == (code == 1)
 
 
 class TestLyapunovCommand:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from conewalk import estimators, harness
 from conewalk import rng as rngmod
@@ -11,7 +12,8 @@ from conewalk.estimators import (BatchedProducts, aperiodicity_report,
                                  invariant_regularity, moment_sanity,
                                  variance_triangulation, variance_via_martingale)
 from conewalk.measures import MeasureSpec, sample_batch
-from conewalk.posmat import AllowableMatrix, act, cocycle, gauges, perron_vector, spectral_radius
+from conewalk.posmat import (AllowableMatrix, _step, act, cocycle, gauges, perron_vector,
+                             spectral_radius)
 from conewalk.rng import Purpose
 from conewalk.simplex import barycenter, contraction_coefficient, m_ratio
 from conewalk.walk import backward_invariant_batch
@@ -732,6 +734,28 @@ LEAP_SPECS = {
 }
 
 
+def _leap_reference(batch, n):
+    """``leap(n)`` written out on ``batch``: R uniforms per word, located by
+    ``searchsorted`` in a word cdf built here from the weights, the word's L
+    atoms multiplied in turn by ``_step`` (digit k, base K, is draw k), then
+    ``run`` for the last n mod L steps."""
+    spec, length, k = batch.spec, batch.spec._words[0], len(batch.spec.atoms)
+    digits = np.arange(k ** length) // k ** np.arange(length)[:, None] % k  # (L, K**L)
+    weights = np.ones(k ** length)
+    for row in digits:  # the newer draw's weight is the left factor
+        weights = np.asarray(spec.weights)[row] * weights
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    atoms = spec.atom_array().transpose(1, 2, 0)
+    for _ in range(n // length):
+        word = cdf.searchsorted(batch.rng.random(batch.replicas), side="right")
+        for i in digits[:, word]:
+            batch._entries, scale = _step(atoms[:, :, i], batch._entries)
+            batch.log_scale += np.log(scale)
+    batch.n += n - n % length
+    batch.run(n % length)
+
+
 class TestForwardKernel:
     """BatchedProducts (written out for d <= 4, matmul above) against the
     matmul step on replayed draws."""
@@ -780,22 +804,38 @@ class TestForwardKernel:
     @pytest.mark.parametrize("name", LEAP_SPECS)
     @pytest.mark.parametrize("calls", [(5,), (100, 37), (1024,)])
     def test_leap_matches_run(self, name, calls):
-        # (5,) is shorter than any word here, 100 and 37 leave a remainder,
-        # and 1024 steps at R = 64 take several blocks of words
+        # leap against its contract written out on run's kernel, on twin
+        # streams: (5,) is shorter than any word here, 100 and 37 leave a
+        # remainder, and 1024 steps at R = 64 take several blocks of words
         spec, exact = LEAP_SPECS[name]
-        ran = BatchedProducts(spec, rngmod.derived_stream(40, Purpose.FORWARD, 0), 64)
+        ref = BatchedProducts(spec, rngmod.derived_stream(40, Purpose.FORWARD, 0), 64)
         leapt = BatchedProducts(spec, rngmod.derived_stream(40, Purpose.FORWARD, 0), 64)
         for n in calls:
-            ran.run(n)
+            ref.run(n) if exact else _leap_reference(ref, n)
             leapt.leap(n)
-        assert ran.n == leapt.n == sum(calls)
-        assert _state(ran.rng) == _state(leapt.rng)
+        assert ref.n == leapt.n == sum(calls)
+        assert _state(ref.rng) == _state(leapt.rng)
         if exact:  # no words: leap is run
-            assert np.array_equal(leapt.P, ran.P)
-            assert np.array_equal(leapt.log_scale, ran.log_scale)
+            assert np.array_equal(leapt.P, ref.P)
+            assert np.array_equal(leapt.log_scale, ref.log_scale)
         else:  # a word is multiplied once, so the floats move by rounding
-            np.testing.assert_allclose(leapt.P, ran.P, rtol=1e-13, atol=0)
-            np.testing.assert_allclose(leapt.log_scale, ran.log_scale, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(leapt.P, ref.P, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(leapt.log_scale, ref.log_scale, rtol=1e-13, atol=0)
+
+    def test_leap_has_the_law_of_run(self):
+        # log|A_64| over 4 x 8192 replicas, from leap and from run on separate streams
+        spec, leapt, ran = harness.reference_spec(), [], []
+        for k in range(4):
+            a = BatchedProducts(spec, rngmod.derived_stream(41, Purpose.FORWARD, k), 8192)
+            b = BatchedProducts(spec, rngmod.derived_stream(42, Purpose.FORWARD, k), 8192)
+            a.leap(64)
+            b.run(64)
+            leapt.append(a.log_norm())
+            ran.append(b.log_norm())
+        x, y = np.concatenate(leapt), np.concatenate(ran)
+        se = np.hypot(x.std(ddof=1), y.std(ddof=1)) / np.sqrt(x.size)
+        assert abs(x.mean() - y.mean()) <= 3 * se
+        assert stats.ks_2samp(x, y).pvalue > 0.01
 
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_one_column_walk_is_the_cocycle(self, d):

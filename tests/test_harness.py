@@ -8,7 +8,7 @@ from scipy.special import ndtr
 
 from conewalk import harness as hz
 from conewalk import rng as rngmod
-from conewalk.estimators import BatchedProducts
+from conewalk.estimators import BatchedProducts, coupling_decay
 from conewalk.measures import MeasureSpec, sample_matrix
 from conewalk.posmat import AllowableMatrix, g_delta_level, perron_vector, spectral_radius
 from conewalk.rng import Purpose
@@ -160,6 +160,15 @@ class TestFunctionalSweep:
         with pytest.raises(ValueError, match="n_grid"):
             hz.functional_sweep(reference_spec, [], 10, 0)
 
+    def test_rejects_a_repeated_step(self, reference_spec):
+        # a repeated step used to count twice in the fits: coupling decay on
+        # [4, 4] read r_squared = 1 from one distinct step
+        for call in (lambda: hz.functional_sweep(reference_spec, [8, 8, 16], 10, 0),
+                     lambda: hz.berry_esseen_fit(reference_spec, "sigma", 3.0, [8, 8, 16], 10),
+                     lambda: coupling_decay(reference_spec, 1.0, [4, 4], 64)):
+            with pytest.raises(ValueError, match="^n_grid repeats step "):
+                call()
+
     def test_ordering_invariants_hold_pathwise(self, reference_spec):
         sweep = hz.functional_sweep(reference_spec, [8, 64], 2000, seed=6,
                                     functionals=("norm", "v", "kappa", "inf_coeff"))
@@ -203,6 +212,12 @@ class TestBerryEsseen:
         assert fit.verdict == "pass"
         assert fit.target == 0.5
         assert all(k > 0 for k in fit.ks_values)
+
+    def test_one_step_has_no_slope(self, reference_spec):
+        # the fit on the grid [1] used to fail in numpy's least squares
+        # ("SVD did not converge"), as it had log n = 0 for its one column
+        fit = hz.berry_esseen_fit(reference_spec, "sigma", 3.0, [1], 3, check_moments=False)
+        assert fit.slope is None and len(fit.ks_values) == 1
 
 
 class TestAsipProxy:

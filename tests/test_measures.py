@@ -332,6 +332,32 @@ def test_draws_pinned_to_generator_choice(weights):
     assert np.array_equal(idx, cdf.searchsorted(u, side="right"))
 
 
+WORD_LAWS = {
+    "reference": reference_spec(),
+    "two-atoms": MeasureSpec.atomic([[[2.0, 1.0], [1.0, 1.0]], [[1.0, 3.0], [0.5, 1.0]]],
+                                    [0.3, 0.7]),
+    "eighty-atoms": MeasureSpec.atomic(np.random.default_rng(5).lognormal(size=(80, 2, 2)),
+                                       np.arange(1, 81) / 3240.0),  # L = 2
+    "single-atom": MeasureSpec.single_atom([[2.0, 1.0], [1.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("spec", WORD_LAWS.values(), ids=WORD_LAWS.keys())
+def test_word_draws_are_searchsorted(spec):
+    """sample_words locates each uniform through the guide table exactly as
+    ``cdf.searchsorted(u, "right")`` on the word cdf: at every cdf entry and
+    every j/m, at 0, at their neighbours, and at random uniforms."""
+    _, _, _, cdf, guide = spec._words
+    m = cdf.size
+    assert guide.size == m + 1
+    edges = np.concatenate([[0.0], cdf, np.arange(m + 1) / m])
+    u = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 1),
+                        np.random.default_rng(13).random(10**5)])
+    u = u[(u >= 0) & (u < 1)]
+    idx = measures.sample_words(spec, _FixedUniforms(u), u.size)
+    assert np.array_equal(idx, cdf.searchsorted(u, side="right"))
+
+
 def test_replica_streams_are_independent_and_stable():
     a0 = rngmod.derived_stream(99, Purpose.BACKWARD_PATH, 0).random(4)
     a1 = rngmod.derived_stream(99, Purpose.BACKWARD_PATH, 1).random(4)

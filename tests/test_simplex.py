@@ -240,6 +240,7 @@ class TestCounts:
         assert as_grid([8, 2.0, np.int64(4)]) == [2, 4, 8]
         for grid, message in (([], "n_grid must hold at least one step"),
                               ([4, 0], "n_grid must be >= 1, got 0"),
-                              ([4, 2.5], "n_grid must be an integer, got 2.5")):
+                              ([4, 2.5], "n_grid must be an integer, got 2.5"),
+                              ([8, 4, 8.0], "n_grid repeats step 8")):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 as_grid(grid)
