@@ -17,8 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
+from . import rng as rngmod
 from .posmat import MAX_DIM, AllowableMatrix, _step
-from .simplex import as_count
+from .rng import Purpose
+from .simplex import as_count, contraction_coefficient
 
 __all__ = ["MeasureSpec", "RejectionCapError", "sample_matrix", "REJECTION_CAP"]
 
@@ -31,6 +33,14 @@ REJECTION_CAP = 10**6
 # 53-56 at 64, and the two meet between 80 and 128 atoms.
 _COUNTED_ATOMS = 64
 _WORD_ENTRIES = 2**15  # 256 KiB of words: 6561 words of 8 draws for 3 atoms at d = 2
+# walk.default_block_len's rule: the smallest L <= _BLOCK_MAX whose 90th
+# percentile coefficient over _BLOCK_PRODUCTS sampled L-step products is
+# <= _BLOCK_TARGET.  A moderate target at the smallest such L keeps each
+# factor far above rounding (median 0.008-0.035 on the bench specs), where a
+# factor whose theta rounds to 1 would read 0.
+_BLOCK_MAX = 16
+_BLOCK_PRODUCTS = 256
+_BLOCK_TARGET = 1 / 16
 
 _FAMILIES = ("lognormal", "uniform")
 _FAMILY_PARAMS = {"lognormal": ("mu", "sigma"), "uniform": ("lo", "hi")}
@@ -194,6 +204,22 @@ class MeasureSpec:
             shared.flags.writeable = False
         return length, words, logs, cdf, guide
 
+    @cached_property
+    def _contracting_block(self) -> int | None:
+        """The measured L of ``walk.default_block_len``, or None when no
+        L <= _BLOCK_MAX qualifies.  The L-step products are the prefixes of
+        _BLOCK_PRODUCTS sequences of draws on the one stream (0,
+        BLOCK_SEARCH), multiplied and renormalised as the sampler's blocks
+        are, so L depends on the spec alone."""
+        stream = rngmod.derived_stream(0, Purpose.BLOCK_SEARCH)
+        blk = np.eye(self.d)
+        for length in range(1, _BLOCK_MAX + 1):
+            blk = np.matmul(blk, sample_batch(self, stream, _BLOCK_PRODUCTS))
+            blk /= blk.max(axis=(1, 2), keepdims=True)
+            if np.quantile(contraction_coefficient(blk), 0.9) <= _BLOCK_TARGET:
+                return length
+        return None
+
     # -- serialization -------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -272,6 +298,8 @@ def _draw_parametric_entries(spec: MeasureSpec, rng: np.random.Generator,
 
 def _has_empty_line(stack: np.ndarray) -> np.ndarray:
     """Whether each matrix of the (size, d, d) ``stack`` has a zero row or column sum."""
+    if stack.min(initial=1.0) > 0:  # no line of a positive stack sums to 0
+        return np.zeros(len(stack), dtype=bool)
     return (stack.sum(axis=1) == 0).any(axis=1) | (stack.sum(axis=2) == 0).any(axis=1)
 
 

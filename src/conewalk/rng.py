@@ -13,7 +13,9 @@ Results therefore depend on the spec, the seed and the sizes (for the
 functional sweep also on its chunk length), never on the number of
 worker processes.  Batched routines draw a whole batch from one stream; only
 ``backward_invariant_sample``, ``hitting_time`` and
-``coefficient_gap_check`` key a stream per replica or path.
+``coefficient_gap_check`` key a stream per replica or path.  One stream
+is keyed by the spec, not by the run's seed: the backward sampler's block
+search draws once per spec on ``(0, BLOCK_SEARCH)``.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class Purpose(IntEnum):
     DOUBLED_STAGE = 21       # cli regularity: the doubled-sample rerun
     FIXTURE_B_STAGE = 22     # cli fixtures: fixture B
     TRANSPOSE_SEARCH = 23    # invariant_regularity: contraction search on the transpose view
-    BLOCK_SEARCH = 24        # walk.default_block_len: contraction search for the block length
+    BLOCK_SEARCH = 24        # walk.default_block_len: seed 0, one search per spec, not per seed
     SERIES_WIDENED_STAGE = 25  # estimators.variance_triangulation: the series rerun, widened
 
 

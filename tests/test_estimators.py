@@ -273,12 +273,15 @@ def _einsum_outer_steps(spec, rng, x, n):
 
 
 def _recording_streams(monkeypatch):
-    streams = []
+    """The first stream derived from now on under each key (seed, purpose,
+    *index): the routine's own, not the reference's replay."""
+    streams = {}
     derive = rngmod.derived_stream
 
     def recording_derive(*key):
-        streams.append(derive(*key))
-        return streams[-1]
+        stream = derive(*key)
+        streams.setdefault(key, stream)
+        return stream
 
     monkeypatch.setattr(rngmod, "derived_stream", recording_derive)
     return streams
@@ -356,7 +359,7 @@ class TestOuterVectorSteps:
         series = estimate_variance_series(spec, 10, 128, self.LAM, seed=52)
         acc, ref_stream = reference_series(spec, 10, 128, self.LAM, 52)
         assert series.estimate.value == pytest.approx(acc.mean(), rel=1e-13, abs=0)
-        assert _state(streams[1]) == _state(ref_stream)
+        assert _state(streams[52, Purpose.SERIES_PATHS]) == _state(ref_stream)
 
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_martingale_matches_einsum_reference(self, d, monkeypatch):
@@ -371,7 +374,7 @@ class TestOuterVectorSteps:
         raw_cov = lag1.sum() / (32 * 5) - out.mean_diff ** 2
         assert out.lag1_autocorr == pytest.approx(
             (raw_cov + out.mc_noise_var) / max(out.estimate.value, 1e-300), rel=1e-12)
-        assert _state(streams[1]) == _state(ref_stream)
+        assert _state(streams[54, Purpose.MARTINGALE_PATHS]) == _state(ref_stream)
 
 
 class TestMartingaleRoute:

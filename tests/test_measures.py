@@ -367,14 +367,15 @@ def test_replica_streams_are_independent_and_stable():
 
 
 class _UniformStub:
-    """A generator whose ``uniform`` returns a fixed stack."""
+    """A generator whose ``uniform`` returns the given stacks in turn."""
 
-    def __init__(self, stack):
-        self.stack = stack
+    def __init__(self, *stacks):
+        self.stacks = list(stacks)
 
     def uniform(self, lo, hi, size):
-        assert size == self.stack.shape
-        return self.stack.copy()
+        stack = self.stacks.pop(0)
+        assert size == stack.shape
+        return stack.copy()
 
 
 def test_uniform_zero_diagonal_with_positive_lines_is_kept():
@@ -383,6 +384,29 @@ def test_uniform_zero_diagonal_with_positive_lines_is_kept():
     spec = MeasureSpec.parametric("uniform", 2, lo=0.0, hi=2.0)
     stack = np.array([[[0.0, 1.5], [0.25, 1.0]], [[1.0, 0.5], [0.75, 0.0]]])
     assert np.array_equal(sample_batch(spec, _UniformStub(stack), 2), stack)
+
+
+def test_zeroed_row_and_column_are_redrawn():
+    # a stack with a zero entry skips the positive-stack shortcut of the check
+    spec = MeasureSpec.parametric("uniform", 2, lo=0.0, hi=2.0)
+    first = np.array([[[0.0, 0.0], [0.5, 1.0]],     # zero row
+                      [[0.0, 1.5], [0.0, 1.0]],     # zero column
+                      [[1.0, 0.5], [0.75, 0.25]]])
+    row_fix, col_fix = np.full((1, 2, 2), 0.5), np.full((1, 2, 2), 1.5)
+    stub = _UniformStub(first, row_fix, col_fix)
+    out = sample_batch(spec, stub, 3)
+    assert np.array_equal(out, [row_fix[0], col_fix[0], first[2]])
+    assert stub.stacks == []
+
+
+@pytest.mark.parametrize("stack", [
+    np.random.default_rng(3).uniform(0.5, 1.0, size=(64, 3, 3)),
+    np.random.default_rng(4).integers(0, 2, size=(64, 3, 3)).astype(float),
+    np.zeros((0, 3, 3)),
+], ids=["positive", "binary", "empty"])
+def test_empty_line_check_matches_line_sums(stack):
+    want = (stack.sum(axis=1) == 0).any(axis=1) | (stack.sum(axis=2) == 0).any(axis=1)
+    assert np.array_equal(measures._has_empty_line(stack), want)
 
 
 class _EmptyStub:

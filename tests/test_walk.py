@@ -229,7 +229,8 @@ class TestBackwardSampler:
     def test_non_contracting_spec_fails_with_diagnostics(self):
         perm = MeasureSpec.atomic([[[0.0, 1.0], [1.0, 0.0]],
                                    [[1.0, 0.0], [0.0, 1.0]]], [0.5, 0.5])
-        with pytest.raises(ContractionFailure):
+        # the block search fails, before any path runs to the step cap
+        with pytest.raises(ContractionFailure, match="no strictly positive products"):
             backward_invariant_sample(perm, 0, 0.5)
 
     def test_step_cap_reported(self):
@@ -315,6 +316,66 @@ class TestBackwardSampler:
         assert np.all(certs <= 1e-8)
         assert np.all(steps >= 1)
         assert np.allclose(pts.sum(axis=1), 1.0, atol=1e-12)
+
+
+LOGNORMAL_D3 = MeasureSpec.parametric("lognormal", 3, mu=0.0, sigma=0.7)
+
+
+def lognormal_d8():
+    # a fresh instance: the block length is cached on the spec
+    return MeasureSpec.parametric("lognormal", 8, mu=0.0, sigma=0.5)
+
+
+class TestDefaultBlockLen:
+    """The certificate block length, measured from the spec's contraction."""
+
+    @pytest.mark.parametrize("name, want", [("reference", 8), ("lognormal-d3", 4),
+                                            ("lognormal-d8", 4)])
+    def test_pinned(self, name, want):
+        spec = {"reference": reference_spec(), "lognormal-d3": LOGNORMAL_D3,
+                "lognormal-d8": lognormal_d8()}[name]
+        assert walk.default_block_len(spec) == want
+
+    def test_one_search_per_spec_whatever_the_seed(self, monkeypatch):
+        keys = []
+        derive = rngmod.derived_stream
+
+        def recording_derive(*key):
+            keys.append(key)
+            return derive(*key)
+
+        monkeypatch.setattr(rngmod, "derived_stream", recording_derive)
+        spec = lognormal_d8()
+        for seed in (1, 2, 3):
+            _, _, steps = backward_invariant_batch(spec, seed, 1e-6, 8)
+            assert np.all(steps % 4 == 0)
+            res = backward_invariant_sample(spec, seed, 1e-6)
+            assert res.steps % 4 == 0
+        assert keys.count((0, Purpose.BLOCK_SEARCH)) == 1
+        assert walk.default_block_len(spec) == 4
+        assert keys.count((0, Purpose.BLOCK_SEARCH)) == 1
+
+    def test_strongly_contracting_atom_keeps_blocks_of_one(self):
+        # one draw has coefficient 0.005, far below the target
+        spec = MeasureSpec.single_atom([[1.0, 1.01], [1.0, 1.0]])
+        assert contraction_coefficient(spec.atoms[0]) < 1 / 16
+        assert walk.default_block_len(spec) == 1
+
+    def test_certificates_positive_at_tiny_tolerance(self):
+        pts, certs, steps = backward_invariant_batch(lognormal_d8(), 9, 1e-100, 64)
+        assert np.all(certs > 0) and np.all(certs <= 1e-100)
+        assert np.all(steps % 4 == 0)
+        assert np.all(np.isfinite(pts)) and np.all(pts > 0)
+
+    @pytest.mark.parametrize("name", ["reference", "lognormal-d3"])
+    def test_two_starts_within_certificate(self, name):
+        spec = {"reference": reference_spec(), "lognormal-d3": LOGNORMAL_D3}[name]
+        d = spec.d
+        for seed in range(4):
+            a = backward_invariant_sample(spec, seed, 1e-10, start=np.eye(d)[0])
+            b = backward_invariant_sample(spec, seed, 1e-10, start=np.eye(d)[-1])
+            assert a.steps == b.steps and a.steps % walk.default_block_len(spec) == 0
+            assert hilbert_distance(a.point, b.point) <= a.certificate
 
 
 def reference_detect_contraction(spec, r_max, samples, seed=0):
