@@ -235,7 +235,7 @@ def _cmd_asip_proxy(spec, args):
     ok = rep.envelope_fraction >= 0.95
     results = {"envelope_fraction": rep.envelope_fraction,
                "quantile_99": rep.envelope_quantile_99,
-               "s_used": rep.s_used, "tag": rep.tag}
+               "s_used": rep.s_used, "word_len": rep.word_len, "tag": rep.tag}
     return ["statistic", "value", "eps", "n"], rows, results, "pass" if ok else "fail"
 
 
@@ -246,7 +246,7 @@ def _cmd_deviation(spec, args):
     rows = [[n, pr, ps] for n, pr, ps in zip(rep.ns, rep.probabilities, rep.partial_sums)]
     results = {"final_probability": rep.probabilities[-1],
                "final_partial_sum": rep.partial_sums[-1],
-               "floor": rep.floor, "verdict": rep.verdict}
+               "floor": rep.floor, "word_len": rep.word_len, "verdict": rep.verdict}
     return ["n", "probability", "partial_sum"], rows, results, rep.verdict
 
 

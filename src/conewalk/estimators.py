@@ -170,7 +170,8 @@ class BatchedProducts:
         words = self.spec._words if self.spec.kind == "atomic" else None
         if words is None:
             return self.run(n)
-        (length, table, logs, _, _), R, done = words, self.replicas, 0
+        (length, levels, _, _), R, done = words, self.replicas, 0
+        table, logs = levels[-1]
         while done < n // length:
             size = block_steps(done, R * self.spec.d ** 2, n // length - done)
             w = sample_words(self.spec, self.rng, size * R).reshape(size, R)

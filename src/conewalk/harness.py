@@ -24,8 +24,8 @@ from scipy.special import ndtr
 
 from . import rng as rngmod
 from .estimators import FUNCTIONALS, BatchedProducts, _forward_blocks, moment_sanity
-from .measures import MeasureSpec, sample_batch
-from .posmat import g_delta_level
+from .measures import MeasureSpec, sample_batch, sample_words
+from .posmat import _step, g_delta_level
 from .rng import Purpose
 from .simplex import as_count, as_grid, as_point
 
@@ -344,8 +344,11 @@ def berry_esseen_fit(spec: MeasureSpec, functional: str, p: float, n_grid,
                      sweep: SweepResult | None = None,
                      threads: int = 1,
                      check_moments: bool = True) -> RateFit:
-    """Fit the Berry-Esseen scaling ks * n**(p/2-1) over the grid."""
+    """Fit the Berry-Esseen scaling ks * n**(p/2-1) over a grid of two
+    steps or more."""
     threads, grid = as_count(threads, "threads"), as_grid(n_grid)
+    if len(grid) < 2:  # Kendall's tau over one step is 0, which any law would pass
+        raise ValueError(f"n_grid must hold at least two steps for a rate, got {grid}")
     if sweep is not None:
         sweep._require(functional, grid, "n_grid", replicas)
     if check_moments:
@@ -371,7 +374,7 @@ def berry_esseen_fit(spec: MeasureSpec, functional: str, p: float, n_grid,
     bands = noise_floor(replicas) * ns ** target
     tau_raw, tau_banded = kendall_tau_banded(ns, scaled, bands)
     slope = None
-    if len(grid) > 1 and np.all(ks_arr > 0):  # one step has no slope
+    if np.all(ks_arr > 0):
         slope = float(np.polyfit(np.log(ns), np.log(scaled), 1)[0])
     verdict = "pass" if tau_banded <= 0 else "fail"
     return RateFit(functional=functional, p=p, n_grid=tuple(grid),
@@ -393,7 +396,9 @@ class AsipReport:
     Not a coupling construction: reports (a) the KS distance of
     normalized dyadic block sums to the Gaussian and (b) the fraction of
     replicas whose running maximum deviation stays inside the iterated
-    logarithm envelope (1 + eps) sqrt(2 s^2 n log log n).
+    logarithm envelope (1 + eps) sqrt(2 s^2 n log log n).  ``word_len`` is
+    the steps per draw of the walk that ran: L for the word walk, 1 for the
+    step-by-step walk.
     """
 
     n: int
@@ -404,21 +409,90 @@ class AsipReport:
     block_ks: tuple[tuple[int, float], ...]
     s_used: float
     lambda_used: float
+    word_len: int
     tag: str = "property proxy"
 
 
-def _cocycle_blocks(spec, seed, x, n, replicas):
-    """Yield, per block of the walk of one column from x on the stream (seed,
-    FORWARD, 0), the steps k (T,), sigma(A_k, x) as (T, R) running sums of
-    the log increments, and the T (d, 1, R) directions v_k."""
+def _cocycle_blocks(spec, seed, x, n, replicas, y=None):
+    """The word length L of the walk of one column from x on the stream (seed,
+    FORWARD, 0), and a generator that yields per block the steps k (T,) and
+    the (T, R) values sigma(A_k, x), or log <y, A_k x> when y is given.
+
+    Atomic specs with a word table walk by words (``_word_blocks``), L steps
+    per draw; parametric specs and laws without one walk step by step on
+    ``_forward_blocks`` (L = 1), where sigma is the running sum of the log
+    increments and log <y, A_k x> = sigma(A_k, x) + log <y, v_k>.
+    """
+    stream = rngmod.derived_stream(seed, Purpose.FORWARD, 0)
+    words = spec._words if spec.kind == "atomic" else None
+    if words is not None:
+        return words[0], _word_blocks(spec, stream, x, n, replicas, y)
+    return 1, _step_blocks(spec, stream, x, n, replicas, y)
+
+
+def _step_blocks(spec, stream, x, n, replicas, y):
     start = np.broadcast_to(x.coords[:, None, None], (spec.d, 1, replicas))
     total, k = np.zeros(replicas), 0
-    for incs, dirs, _ in _forward_blocks(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0),
-                                         start, n):
+    for incs, dirs, _ in _forward_blocks(spec, stream, start, n):
         incs[0] += total
-        total = np.cumsum(incs, axis=0, out=incs)[-1]
-        yield np.arange(k + 1, k + len(incs) + 1), incs, dirs
+        for t in range(1, len(incs)):  # the running sums, in cumsum's order
+            incs[t] += incs[t - 1]
+        total = incs[-1]
+        if y is not None:
+            with np.errstate(divide="ignore"):
+                incs = incs + np.log(y.coords @ np.stack(dirs)[:, :, 0])
+        yield np.arange(k + 1, k + len(incs) + 1), incs
         k += len(incs)
+
+
+def _word_blocks(spec, stream, x, n, replicas, y):
+    """The cocycle walk by words of L draws, each drawn whole by
+    ``sample_words`` (a block draws T * R uniforms, draw t * R + i being word
+    t of replica i).  By the cocycle identity, step l of a word that starts
+    at step k0 from the direction v reads
+
+        sigma(A_{k0 + l}, x) = sigma(A_{k0}, x) + logs_l[j] + log <1, P_l[j] v>
+
+    with (P_l, logs_l) level l of ``MeasureSpec._words`` and j = w mod K**l
+    the word's oldest l draws; the weight row y in place of 1 gives
+    log <y, A_{k0 + l} x>.  The direction moves once per word, through the
+    top level.  The last word, when L does not divide n, is read only to its
+    first n mod L steps: those draws are iid under the product law.
+    """
+    length, levels, _, _ = spec._words
+    d, sizes = spec.d, len(spec.atoms) ** np.arange(1, length + 1)[:, None]
+    r = np.ones(d) if y is None else y.coords
+    # every level's weighted rows r^T P_l side by side, level l from offset[l - 1]
+    rows = np.concatenate([np.tensordot(r, words, 1) for words, _ in levels], axis=1)
+    logs = np.concatenate([lg for _, lg in levels])
+    offset = np.cumsum(sizes, axis=0) - sizes
+    table, top_logs = levels[-1]
+    state = np.broadcast_to(x.coords[:, None, None], (d, 1, replicas))
+    total, k = np.zeros(replicas), 0
+    while k < n:
+        # T words gather d * L * T * R entries: near 2**15, as 2**14 ran 5% slower
+        # and 2**16 grew the temporaries (R = 512, d = 2, L = 8)
+        size = min(max(1, 2**15 // (d * length * replicas)), -(-(n - k) // length))
+        w = sample_words(spec, stream, size * replicas).reshape(size, replicas)
+        mats, incs = table.take(w, axis=2), top_logs.take(w)
+        starts, sigmas = np.empty((d, size, 1, replicas)), np.empty((size, 1, replicas))
+        for t in range(size):
+            starts[:, t, 0], sigmas[t, 0] = state[:, 0], total
+            state, scale = _step(mats[:, :, t], state)
+            total = total + np.log(scale) + incs[t]
+        idx = np.remainder(w[:, None], sizes)  # (T, L, R): each step's prefix in ``rows``
+        idx += offset
+        vals, term = rows[0].take(idx), np.empty(idx.shape)
+        vals *= starts[0]
+        for i in range(1, d):
+            vals += np.multiply(rows[i].take(idx, out=term), starts[i], out=term)
+        with np.errstate(divide="ignore"):
+            np.log(vals, out=vals)
+        vals += logs.take(idx, out=term)
+        vals += sigmas
+        vals = vals.reshape(size * length, replicas)[:n - k]
+        yield np.arange(k + 1, k + len(vals) + 1), vals
+        k += len(vals)
 
 
 def asip_proxy(spec: MeasureSpec, n: int, replicas: int, seed: int = 0,
@@ -449,10 +523,9 @@ def asip_proxy(spec: MeasureSpec, n: int, replicas: int, seed: int = 0,
     k_levels = int(np.floor(np.log2(n)))
     marks = [2 ** j for j in range(ASIP_MIN_BLOCK_EXP, k_levels + 1)]
     level_vals = {}
-    for ks, vals, dirs in _cocycle_blocks(spec, seed, xp, n, replicas):
-        if variant == "coeff":
-            with np.errstate(divide="ignore"):
-                vals = vals + np.log([yp.coords @ v[:, 0] for v in dirs])
+    word_len, blocks = _cocycle_blocks(spec, seed, xp, n, replicas,
+                                       yp if variant == "coeff" else None)
+    for ks, vals in blocks:
         dev = np.abs(vals - ks[:, None] * lambda_hat)
         np.maximum(running_max, dev.max(axis=0), out=running_max)
         for k in marks:
@@ -472,7 +545,7 @@ def asip_proxy(spec: MeasureSpec, n: int, replicas: int, seed: int = 0,
         prev = k
     return AsipReport(n=n, replicas=replicas, eps=eps, envelope_fraction=frac,
                       envelope_quantile_99=q99, block_ks=tuple(blocks),
-                      s_used=s, lambda_used=lambda_hat)
+                      s_used=s, lambda_used=lambda_hat, word_len=word_len)
 
 
 # ---------------------------------------------------------------------
@@ -487,7 +560,8 @@ class DeviationReport:
     partial_sums[i] = sum over n <= ns[i] of n**(alpha p - 2) * P_hat(n);
     the verdict is "pass" when the final probability sits at or below
     the Monte Carlo floor, so later increments are indistinguishable
-    from zero.
+    from zero.  ``word_len`` is the steps per draw of the walk that ran: L
+    for the cocycle variant's word walk, else 1.
     """
 
     alpha: float
@@ -499,12 +573,14 @@ class DeviationReport:
     partial_sums: tuple[float, ...]
     floor: float
     verdict: str
+    word_len: int
 
 
-def _cocycle_deviations(spec, seed, x, n_max, replicas, lambda_hat):
-    """Yield max over j <= n of |sigma(A_j, x) - j lambda| for n = 1..n_max."""
+def _cocycle_deviations(blocks, replicas, lambda_hat):
+    """Yield max over j <= n of |sigma(A_j, x) - j lambda| for n = 1..n_max,
+    from the ``blocks`` of ``_cocycle_blocks``."""
     running_max = np.zeros(replicas)
-    for ks, vals, _ in _cocycle_blocks(spec, seed, x, n_max, replicas):
+    for ks, vals in blocks:
         dev = np.abs(vals - ks[:, None] * lambda_hat)
         np.maximum(dev[0], running_max, out=dev[0])
         running_max = np.maximum.accumulate(dev, axis=0, out=dev)[-1]
@@ -549,9 +625,10 @@ def deviation_tail_sums(spec: MeasureSpec, alpha: float, p: float, eps: float,
                                       rngmod.child_seed(seed, Purpose.DRIFT_PRESWEEP),
                                       functionals=("norm",)).lambda_hat
     if variant == "cocycle":
-        stats = _cocycle_deviations(spec, seed, xp, n_max, replicas, lambda_hat)
+        word_len, blocks = _cocycle_blocks(spec, seed, xp, n_max, replicas)
+        stats = _cocycle_deviations(blocks, replicas, lambda_hat)
     else:
-        stats = _coefficient_deviations(spec, seed, n_max, replicas, lambda_hat)
+        word_len, stats = 1, _coefficient_deviations(spec, seed, n_max, replicas, lambda_hat)
     ns, probs, partials = [], [], []
     acc = 0.0
     for n, stat in enumerate(stats, 1):
@@ -566,7 +643,7 @@ def deviation_tail_sums(spec: MeasureSpec, alpha: float, p: float, eps: float,
     return DeviationReport(alpha=alpha, p=p, eps=eps, variant=variant,
                            ns=tuple(ns), probabilities=tuple(probs),
                            partial_sums=tuple(partials), floor=floor,
-                           verdict=verdict)
+                           verdict=verdict, word_len=word_len)
 
 
 # ---------------------------------------------------------------------

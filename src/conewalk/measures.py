@@ -177,12 +177,15 @@ class MeasureSpec:
 
     @cached_property
     def _words(self):
-        """(L, words, logs, cdf, guide) for ``BatchedProducts.leap``, or None
-        when L = 1: L is the largest with K**L * d * d <= _WORD_ENTRIES (one
-        atom counts as two), words[..., sum(i_k K**k)] is A[i_{L-1}] ... A[i_0]
-        renormalised by ``_step``, logs holds the logs of the scales taken out,
-        cdf is the cumulative word law (product weights, normalised as in
-        ``_atom_cdf``) and guide its guide table for ``sample_words``."""
+        """(L, levels, cdf, guide) for ``BatchedProducts.leap`` and the harness's
+        cocycle walk, or None when L = 1: L is the largest with K**L * d * d <=
+        _WORD_ENTRIES (one atom counts as two).  levels[l - 1] is the pair
+        (words, logs) of the K**l words of l draws: words[..., sum(i_k K**k)]
+        is A[i_{l-1}] ... A[i_0] renormalised by ``_step`` and logs holds the
+        logs of the scales taken out, so the oldest l draws of word w of the
+        top level, levels[-1], are entry w mod K**l of level l.  cdf is the
+        cumulative word law of the top level (product weights, normalised as
+        in ``_atom_cdf``) and guide its guide table for ``sample_words``."""
         k, d = len(self.atoms), self.d
         length = 1
         while max(k, 2) ** (length + 1) * d * d <= _WORD_ENTRIES:
@@ -190,19 +193,20 @@ class MeasureSpec:
         if length == 1:
             return None
         atoms, p = self.atom_array().transpose(1, 2, 0), np.asarray(self.weights)
-        words, logs, cdf = np.eye(d)[:, :, None], np.zeros(1), np.ones(1)
+        words, logs, cdf, levels = np.eye(d)[:, :, None], np.zeros(1), np.ones(1), []
         for _ in range(length):  # the new draw is the left factor and top digit
             words, scale = _step(atoms.repeat(words.shape[2], axis=2), np.tile(words, k))
             logs = np.log(scale) + np.tile(logs, k)
             cdf = np.outer(p, cdf).ravel()
+            levels.append((words, logs))
+            words.flags.writeable = logs.flags.writeable = False
         cdf = cdf.cumsum()
         cdf /= cdf[-1]
         # guide[j] counts the entries c with fl(c * m) < j: each is <= every u
         # with floor(fl(u * m)) = j, and fl(u * m) = m can occur, hence m + 1
         guide = (cdf * cdf.size).searchsorted(np.arange(cdf.size + 1), side="left")
-        for shared in (words, logs, cdf, guide):
-            shared.flags.writeable = False
-        return length, words, logs, cdf, guide
+        cdf.flags.writeable = guide.flags.writeable = False
+        return length, tuple(levels), cdf, guide
 
     @cached_property
     def _contracting_block(self) -> int | None:
@@ -331,7 +335,7 @@ def sample_indices(spec: MeasureSpec, rng: np.random.Generator, size: int) -> np
 
 
 def sample_words(spec: MeasureSpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Indices into the word table of ``spec._words`` for ``size`` draws from
+    """Indices into the top level of ``spec._words`` for ``size`` draws from
     the word law, one uniform each.
 
     The index is ``cdf.searchsorted(u, side="right")`` on the word cdf, found
@@ -340,7 +344,7 @@ def sample_words(spec: MeasureSpec, rng: np.random.Generator, size: int) -> np.n
     draw, since a guide cell holds about one cdf entry, and the draws still
     short are binary-searched.  The index never passes the last entry, 1 > u.
     """
-    _, _, _, cdf, guide = spec._words
+    _, _, cdf, guide = spec._words
     u = rng.random(size)
     idx = guide.take((u * (guide.size - 1)).astype(np.intp))
     for _ in range(2):

@@ -291,6 +291,31 @@ class TestVerdictCommands:
                     "--eps", "0.75", "--out", str(out)]) == 0
         assert _summary(out)["verdict"] == "pass"
 
+    @pytest.mark.parametrize("spec_doc, word_len", [
+        (None, 8),
+        ({"kind": "parametric", "d": 2, "family": "lognormal", "transpose_view": False,
+          "params": {"mu": 0.0, "sigma": 0.5}}, 1),
+    ], ids=["reference-words", "parametric-steps"])
+    @pytest.mark.parametrize("command", ["asip-proxy", "deviation"])
+    def test_summary_says_which_walk_ran(self, tmp_path, command, spec_doc, word_len):
+        # L steps per draw for the word walk of an atomic spec with words, 1 for
+        # the step-by-step walk
+        out, spec_flag = tmp_path / "o", []
+        if spec_doc is not None:
+            (tmp_path / "spec.json").write_text(json.dumps(spec_doc))
+            spec_flag = ["--spec", str(tmp_path / "spec.json")]
+        assert run([command, "--n", "100", "--replicas", "64", "--eps", "5",
+                    "--out", str(out), *spec_flag]) in (0, 2)
+        assert _summary(out)["results"]["word_len"] == word_len
+
+    @pytest.mark.parametrize("grid", ["16", "1"])
+    def test_berry_esseen_one_step_exits_one(self, tmp_path, capsys, grid):
+        # Kendall's tau over one step is 0, so a one-step grid used to pass
+        assert run(["berry-esseen", "--n-grid", grid, "--replicas", "300",
+                    "--out", str(tmp_path / "o")]) == 1
+        assert (f"error: n_grid must hold at least two steps for a rate, got [{grid}]"
+                in capsys.readouterr().err)
+
     def test_berry_esseen_small_run(self, tmp_path):
         out = tmp_path / "o"
         assert run(["berry-esseen", "--n-grid", "16,64,256", "--replicas", "3000",

@@ -1,17 +1,25 @@
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.special import ndtr
 
+from conewalk import estimators
 from conewalk import harness as hz
 from conewalk import rng as rngmod
 from conewalk.estimators import BatchedProducts, coupling_decay
 from conewalk.measures import MeasureSpec, sample_matrix
-from conewalk.posmat import AllowableMatrix, g_delta_level, perron_vector, spectral_radius
+from conewalk.posmat import (AllowableMatrix, _step, g_delta_level, perron_vector,
+                             spectral_radius)
 from conewalk.rng import Purpose
+from conewalk.simplex import as_point
 
 SINGLE = MeasureSpec.single_atom(AllowableMatrix([[2.0, 1.0], [1.0, 1.0]]))
 
@@ -213,11 +221,13 @@ class TestBerryEsseen:
         assert fit.target == 0.5
         assert all(k > 0 for k in fit.ks_values)
 
-    def test_one_step_has_no_slope(self, reference_spec):
-        # the fit on the grid [1] used to fail in numpy's least squares
-        # ("SVD did not converge"), as it had log n = 0 for its one column
-        fit = hz.berry_esseen_fit(reference_spec, "sigma", 3.0, [1], 3, check_moments=False)
-        assert fit.slope is None and len(fit.ks_values) == 1
+    def test_one_step_has_no_slope(self, reference_spec, monkeypatch):
+        # one step has no rate: Kendall's tau over one point is 0, so the
+        # fit used to pass any law on it; it is rejected before any draw
+        monkeypatch.setattr(hz, "functional_sweep", None)
+        with pytest.raises(ValueError, match=r"^n_grid must hold at least two steps "
+                                             r"for a rate, got \[1\]$"):
+            hz.berry_esseen_fit(reference_spec, "sigma", 3.0, [1], 3, check_moments=False)
 
 
 class TestAsipProxy:
@@ -248,20 +258,55 @@ class TestAsipProxy:
             hz.asip_proxy(reference_spec, 64, 10, eps=eps)
 
 
-def reference_forward_walk(spec, seed, n, replicas, lam, variant, x, y):
-    """The ``BatchedProducts`` loop that ``asip_proxy`` and the cocycle
-    deviations ran before the vector walk: per step (n, R) the values
-    sigma(A_k, x) or log <y, A_k x>, and the running maxima of |value - k lam|."""
-    batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
-    vals, maxima = [], [np.zeros(replicas)]
-    for k in range(1, n + 1):
-        batch.run(1)
-        vals.append(batch.sigma(x) if variant == "sigma" else batch.log_coeff(x, y))
-        maxima.append(np.maximum(maxima[-1], np.abs(vals[-1] - k * lam)))
-    return np.array(vals), np.array(maxima[1:])
+def word_walk_reference(spec, seed, n, replicas, x, y=None):
+    """The cocycle walk of ``_cocycle_blocks`` written out atom by atom: per
+    replica ceil(n / L) words from the stream (seed, FORWARD, 0), R uniforms
+    per word, located by ``searchsorted`` in a word cdf built here from the
+    weights; each word's L digits (digit k, base K, is draw k) stepped in turn
+    by ``_step`` on one column from x.  Returns per step (n, R) the values
+    sigma(A_k, x), or log <y, A_k x> when y is given."""
+    length, k = spec._words[0], len(spec.atoms)
+    digits = np.arange(k ** length) // k ** np.arange(length)[:, None] % k  # (L, K**L)
+    weights = np.ones(k ** length)
+    for row in digits:  # the newer draw's weight is the left factor
+        weights = np.asarray(spec.weights)[row] * weights
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    atoms = spec.atom_array().transpose(1, 2, 0)
+    stream = rngmod.derived_stream(seed, Purpose.FORWARD, 0)
+    state = np.broadcast_to(np.asarray(x, dtype=float)[:, None, None], (spec.d, 1, replicas))
+    total, vals = np.zeros(replicas), []
+    for _ in range(-(-n // length)):
+        word = cdf.searchsorted(stream.random(replicas), side="right")
+        for i in digits[:, word]:
+            state, scale = _step(atoms[:, :, i], state)
+            total = total + np.log(scale)
+            vals.append(total if y is None else total + np.log(np.asarray(y) @ state[:, 0]))
+    return np.array(vals[:n])
+
+
+def running_maxima(vals, lam):
+    """max over j <= k of |vals[j - 1] - j lam| for each step k, as (n, R)."""
+    steps = np.arange(1, len(vals) + 1)[:, None]
+    return np.maximum.accumulate(np.abs(vals - steps * lam), axis=0)
+
+
+def step_walk_values(spec, seed, n, replicas, x, y=None):
+    """(word_len, values) of the walk of ``_cocycle_blocks``, as one (n, R) array."""
+    yp = None if y is None else as_point(y, spec.d, "y")
+    word_len, blocks = hz._cocycle_blocks(spec, seed, as_point(x, spec.d, "x"), n,
+                                          replicas, yp)
+    return word_len, np.concatenate([vals for _, vals in blocks])
 
 
 class TestVectorWalkAgainstBatchedProducts:
+    """The cocycle walk of ``asip_proxy`` and the deviation sums against
+    written-out references.  Atomic specs with words walk by words: against
+    their contract written out with ``searchsorted`` and L single ``_step``s
+    per word (``word_walk_reference``) on the same uniforms, where a word's
+    product is taken once, so the floats move by rounding only.  Specs
+    without words walk step by step, bit for bit."""
+
     N, R, LAM, S, EPS = 4096, 64, 0.5, 0.9, 0.2
     X, Y = (0.3, 0.7), (0.6, 0.4)
 
@@ -270,9 +315,11 @@ class TestVectorWalkAgainstBatchedProducts:
         rep = hz.asip_proxy(reference_spec, self.N, self.R, seed=21, eps=self.EPS,
                             s=self.S, lambda_hat=self.LAM, variant=variant,
                             x=self.X, y=self.Y)
-        vals, maxima = reference_forward_walk(reference_spec, 21, self.N, self.R,
-                                              self.LAM, variant, self.X, self.Y)
+        vals = word_walk_reference(reference_spec, 21, self.N, self.R, self.X,
+                                   self.Y if variant == "coeff" else None)
+        maxima = running_maxima(vals, self.LAM)
         scale = np.sqrt(2.0 * self.S ** 2 * self.N * np.log(np.log(self.N)))
+        assert rep.word_len == 8
         assert rep.envelope_quantile_99 == pytest.approx(
             np.quantile(maxima[-1] / scale, 0.99), rel=1e-12, abs=0)
         assert rep.envelope_fraction == np.mean(maxima[-1] <= (1.0 + self.EPS) * scale)
@@ -285,13 +332,97 @@ class TestVectorWalkAgainstBatchedProducts:
     def test_cocycle_deviations(self, reference_spec):
         rep = hz.deviation_tail_sums(reference_spec, 1.0, 2.0, 0.05, self.N, self.R,
                                      seed=22, lambda_hat=self.LAM, x=self.X)
-        _, maxima = reference_forward_walk(reference_spec, 22, self.N, self.R,
-                                           self.LAM, "sigma", self.X, None)
+        maxima = running_maxima(word_walk_reference(reference_spec, 22, self.N, self.R,
+                                                    self.X), self.LAM)
         ns = np.arange(1, self.N + 1)
         probs = [float(np.mean(m >= 0.05 * n)) for n, m in zip(ns, maxima)]
+        assert rep.word_len == 8
         assert rep.probabilities == tuple(probs)
         assert 0 < probs[-1] < 1
         assert np.allclose(rep.partial_sums, np.cumsum(probs), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("spec, length", [
+        (hz.reference_spec(), 8),
+        (hz.reference_spec().transposed(), 8),
+        (MeasureSpec.atomic([[[2.0, 1.0, 0.0], [0.5, 1.0, 1.0], [1.0, 0.0, 3.0]],
+                             [[1.0, 2.0, 1.0], [0.0, 1.0, 0.5], [4.0, 1.0, 1.0]]],
+                            [0.25, 0.75]), 11),
+        # beyond the counted atoms: L = 2, with searchsorted's intp indices
+        (MeasureSpec.atomic(np.random.default_rng(5).lognormal(size=(80, 2, 2)),
+                            np.arange(1, 81) / 3240.0), 2),
+        (SINGLE, 13),
+    ], ids=["reference", "reference-transposed", "two-atoms-d3", "eighty-atoms",
+            "single-atom"])
+    @pytest.mark.parametrize("n", [1, 5, 37, 1001])
+    @pytest.mark.parametrize("variant", ["sigma", "coeff"])
+    def test_every_step_matches_the_reference(self, spec, length, n, variant):
+        # n = 1, 5 and 37 end inside a word for every spec here; 1001 = 7 * 11 * 13
+        # takes several blocks of words at R = 64, whole words for L = 11 and 13
+        x = np.linspace(1.0, 2.0, spec.d) / np.linspace(1.0, 2.0, spec.d).sum()
+        y = np.linspace(2.0, 1.0, spec.d) / np.linspace(2.0, 1.0, spec.d).sum()
+        y = y if variant == "coeff" else None
+        word_len, vals = step_walk_values(spec, 23, n, 64, x, y)
+        assert word_len == length
+        assert vals.shape == (n, 64)
+        np.testing.assert_allclose(vals, word_walk_reference(spec, 23, n, 64, x, y),
+                                   rtol=1e-12, atol=0)
+
+    def test_word_walk_has_the_law_of_the_step_walk(self, reference_spec):
+        # sigma(A_n, x) and max_{k <= n} |sigma(A_k, x) - k lam| at n = 67, which
+        # ends inside the ninth word, from the word walk and the step walk on
+        # separate streams
+        n, R, lam, x = 67, 2 ** 14, 0.54, as_point(self.X, 2, "x")
+        word_len, words = step_walk_values(reference_spec, 24, n, R, self.X)
+        stepped = np.concatenate([vals for _, vals in hz._step_blocks(
+            reference_spec, rngmod.derived_stream(25, Purpose.FORWARD, 0), x, n, R, None)])
+        assert word_len == 8
+        for a, b in [(words[-1], stepped[-1]),
+                     (running_maxima(words, lam)[-1], running_maxima(stepped, lam)[-1])]:
+            se = np.hypot(a.std(ddof=1), b.std(ddof=1)) / np.sqrt(R)
+            assert abs(a.mean() - b.mean()) <= 3 * se
+            assert stats.ks_2samp(a, b).pvalue > 0.01
+
+    @pytest.mark.parametrize("spec", [MeasureSpec.parametric("lognormal", 2, mu=0.0, sigma=0.8),
+                                      MeasureSpec.parametric("uniform", 3, lo=0.0, hi=1.0),
+                                      hz.pathology_fixtures()[0]],
+                             ids=["lognormal-d2", "uniform-d3", "fixture-a"])
+    @pytest.mark.parametrize("variant", ["sigma", "coeff"])
+    def test_specs_without_words_walk_step_by_step(self, spec, variant):
+        # bit for bit the step walk written out on ``_forward_blocks``, with
+        # the running sums of np.cumsum and one dot product per step
+        n, R, lam, eps, s = 700, 40, 0.6, 0.2, 0.9
+        x = np.full(spec.d, 1.0 / spec.d)
+        y = np.zeros(spec.d)
+        y[1:] = 1.0 / (spec.d - 1)  # a zero weight: log <y, v> may be -inf
+        rep = hz.asip_proxy(spec, n, R, seed=26, eps=eps, s=s, lambda_hat=lam,
+                            variant=variant, x=x, y=y)
+        stream = rngmod.derived_stream(26, Purpose.FORWARD, 0)
+        start = np.broadcast_to(x[:, None, None], (spec.d, 1, R))
+        vals, total = [], np.zeros(R)
+        for incs, dirs, _ in estimators._forward_blocks(spec, stream, start, n):
+            incs[0] += total
+            total = np.cumsum(incs, axis=0, out=incs)[-1]
+            if variant == "coeff":
+                with np.errstate(divide="ignore"):
+                    incs = incs + np.log([y @ v[:, 0] for v in dirs])
+            vals.append(incs)
+        vals = np.concatenate(vals)
+        maxima = running_maxima(vals, lam)
+        scale = np.sqrt(2.0 * s * s * n * np.log(np.log(n)))
+        assert rep.word_len == 1
+        assert rep.envelope_quantile_99 == np.quantile(maxima[-1] / scale, 0.99)
+        assert rep.envelope_fraction == np.mean(maxima[-1] <= (1.0 + eps) * scale)
+        marks = [64, 128, 256, 512]
+        assert [k for k, _ in rep.block_ks] == marks[1:]
+        for (k, ks), prev in zip(rep.block_ks, marks):
+            z = (vals[k - 1] - vals[prev - 1] - (k - prev) * lam) / np.sqrt(k - prev)
+            assert ks == hz.ks_to_gaussian(z, s)
+        if variant == "sigma":
+            dev = hz.deviation_tail_sums(spec, 1.0, 2.0, 0.3, n, R, seed=26,
+                                         lambda_hat=lam, x=x)
+            probs = [float(np.mean(m >= 0.3 * k)) for k, m in enumerate(maxima, 1)]
+            assert dev.word_len == 1
+            assert dev.probabilities == tuple(probs)
 
 
 def test_start_points_are_validated_once_per_call(reference_spec, monkeypatch):
@@ -321,6 +452,31 @@ def test_start_points_are_validated_once_per_call(reference_spec, monkeypatch):
         made.clear()
         call()
         assert len(made) <= 2
+
+
+def test_import_and_spec_construction_do_no_setup_work(tmp_path):
+    # the harness imports its process pool only when a sweep forks one, and a
+    # spec builds its word tables only when a walk reads them.  scipy.special
+    # imports concurrent.futures by itself, so the interpreter imports it
+    # first and then forgets both modules: whatever brings them back is ours
+    code = """
+import sys
+import numpy, scipy.special
+for name in [m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")]:
+    del sys.modules[name]
+import conewalk.harness
+print(sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules))
+"""
+    src = str(Path(hz.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "[]"
+    path = tmp_path / "spec.json"
+    hz.reference_spec().save(path)
+    specs = [hz.reference_spec(), MeasureSpec.load(path)]
+    assert all("_words" not in spec.__dict__ for spec in specs)
+    hz.asip_proxy(specs[1], 16, 4, s=1.0, lambda_hat=0.5)
+    assert "_words" in specs[1].__dict__ and "_words" not in specs[0].__dict__
 
 
 def test_point_of_wrong_dimension_is_named(reference_spec):
@@ -586,28 +742,29 @@ class TestSweepLookupNamesTheField:
         (lambda spec, sweep: hz.empirical_normality(spec, "norm", 5, 100, 1.0, sweep=sweep), "n"),
         (lambda spec, sweep: hz.empirical_normality(spec, "sigma", 4, 100, 1.0, sweep=sweep),
          "functional"),
-        (lambda spec, sweep: hz.berry_esseen_fit(spec, "norm", 3.0, [4, 8], 100, sweep=sweep),
+        (lambda spec, sweep: hz.berry_esseen_fit(spec, "norm", 3.0, [4, 16], 100, sweep=sweep),
          "n_grid"),
-        (lambda spec, sweep: hz.berry_esseen_fit(spec, "v", 3.0, [4], 100, sweep=sweep),
+        (lambda spec, sweep: hz.berry_esseen_fit(spec, "v", 3.0, [4, 8], 100, sweep=sweep),
          "functional"),
     ], ids=["normality-n", "normality-functional", "fit-n_grid", "fit-functional"])
     def test_missing_lookup(self, reference_spec, call, field):
-        sweep = hz.functional_sweep(reference_spec, [4], 100, 1, functionals=("norm",))
-        with pytest.raises(ValueError, match=rf"^{field}: .* sampled steps \[4\] of \['norm'\]$"):
+        sweep = hz.functional_sweep(reference_spec, [4, 8], 100, 1, functionals=("norm",))
+        with pytest.raises(ValueError,
+                           match=rf"^{field}: .* sampled steps \[4, 8\] of \['norm'\]$"):
             call(reference_spec, sweep)
 
     # a 2,000-replica sweep fitted with replicas=20 used to run, and a report
     # given replicas=7 read 7
     @pytest.mark.parametrize("call", [
         lambda spec, sweep: hz.empirical_normality(spec, "norm", 4, 7, 1.0, sweep=sweep),
-        lambda spec, sweep: hz.berry_esseen_fit(spec, "norm", 3.0, [4], 20, sweep=sweep),
+        lambda spec, sweep: hz.berry_esseen_fit(spec, "norm", 3.0, [4, 8], 20, sweep=sweep),
     ], ids=["normality", "fit"])
     def test_replicas_are_the_sweeps(self, reference_spec, monkeypatch, call):
         def no_moments(*args, **kwargs):
             raise AssertionError("moment check ran")
 
         monkeypatch.setattr(hz, "moment_sanity", no_moments)
-        sweep = hz.functional_sweep(reference_spec, [4], 100, 1, functionals=("norm",))
+        sweep = hz.functional_sweep(reference_spec, [4, 8], 100, 1, functionals=("norm",))
         with pytest.raises(ValueError, match=r"^replicas: (7|20) is not the sweep's 100$"):
             call(reference_spec, sweep)
 

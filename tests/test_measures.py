@@ -347,7 +347,7 @@ def test_word_draws_are_searchsorted(spec):
     """sample_words locates each uniform through the guide table exactly as
     ``cdf.searchsorted(u, "right")`` on the word cdf: at every cdf entry and
     every j/m, at 0, at their neighbours, and at random uniforms."""
-    _, _, _, cdf, guide = spec._words
+    _, _, cdf, guide = spec._words
     m = cdf.size
     assert guide.size == m + 1
     edges = np.concatenate([[0.0], cdf, np.arange(m + 1) / m])
