@@ -194,7 +194,7 @@ def _cmd_variance(spec, args):
 
 
 def _cmd_normality(spec, args):
-    n, replicas = args.n, args.replicas
+    n, replicas = args.n, hz._ks_replicas(args.replicas)
     sweep = hz.functional_sweep(spec, [n], replicas, args.seed, threads=args.threads)
     s = sweep.s_hat
     rows, results = [], {"s_used": s, "lambda_hat": sweep.lambda_hat,
@@ -211,7 +211,7 @@ def _cmd_normality(spec, args):
 
 
 def _cmd_berry_esseen(spec, args):
-    grid, replicas = args.n_grid, args.replicas
+    grid, replicas = hz._rate_grid(args.n_grid), hz._ks_replicas(args.replicas)
     sweep = hz.functional_sweep(spec, grid, replicas, args.seed, threads=args.threads)
     rows, results = [], {}
     worst = "pass"

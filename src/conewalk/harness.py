@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import rng as rngmod
 from .estimators import FUNCTIONALS, BatchedProducts, _forward_blocks, moment_sanity
@@ -103,19 +102,82 @@ def ks_statistic(sample, cdf, minus_inf: int = 0) -> float:
     if n == 0:
         raise ValueError("empty sample")
     f = np.asarray(cdf(z), dtype=float)
-    hi = (minus_inf + np.arange(1, z.size + 1)) / n
-    lo = (minus_inf + np.arange(0, z.size)) / n
-    d = max(float(np.max(np.abs(hi - f))), float(np.max(np.abs(lo - f))))
+    steps = np.arange(minus_inf, n + 1) / n  # the empirical CDF below and at each point
+    # steps[1:] >= steps[:-1], so these one-sided maxima are the absolute gaps
+    d = max(float(np.max(steps[1:] - f)), float(np.max(f - steps[:-1])))
     if minus_inf:
         d = max(d, minus_inf / n)
     return d
+
+
+# Cephes' ndtr: Cody's (1969) rational fits, as tabulated by Moshier (1989), of
+# erf on |x| < 1 (T/U) and erfc on [1, 8) (P/Q) and beyond (R/S), highest power first
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # erfc(a) is taken as 0 once a * a exceeds it
+# the branch edges on x = t / sqrt(2) for searchsorted(side="right"): x <= -8, <= -1, < 1, < 8
+_PHI_CUTS = (-8.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(8.0, 0.0))
+
+
+def _horner(x, coefs):
+    """The polynomial with coefficients ``coefs``, highest power first, at x,
+    in Cephes' polevl order (a leading 1.0 gives p1evl's floats)."""
+    y = x * coefs[0] + coefs[1]
+    for c in coefs[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def _half_erfc(a, far: bool):
+    """erfc(a) / 2 for a >= 1: exp(-a^2) P(a)/Q(a) below 8, R(a)/S(a) from 8 on."""
+    if not a.size:
+        return a
+    num, den = (_ERFC_R, _ERFC_S) if far else (_ERFC_P, _ERFC_Q)
+    with np.errstate(over="ignore", invalid="ignore"):  # a = inf gives 0 inf / inf
+        y = np.exp(-(a * a)) * _horner(a, num) / _horner(a, den)
+    if far:
+        y[a * a > _MAXLOG] = 0.0
+    return 0.5 * y
+
+
+def _ndtr(t) -> np.ndarray:
+    """Phi(t), the standard normal CDF, for ascending ``t`` (nan last, where
+    ``np.sort`` puts it).
+
+    Cephes' ndtr on x = t / sqrt(2): 1/2 + erf(x)/2 by the fit x T(x^2)/U(x^2)
+    for |x| < 1, else erfc(|x|)/2, reflected for x > 0.  Each branch is one
+    contiguous slice of the sorted input, so one searchsorted finds them all.
+    """
+    x = np.asarray(t, dtype=float) * np.sqrt(0.5)
+    out = np.empty_like(x)
+    i, j, k, m = np.searchsorted(x, _PHI_CUTS, side="right")
+    out[:i], out[i:j] = _half_erfc(-x[:i], True), _half_erfc(-x[i:j], False)
+    mid = x[j:k]
+    z = mid * mid
+    out[j:k] = 0.5 + 0.5 * (mid * _horner(z, _ERF_T) / _horner(z, _ERF_U))
+    out[k:m], out[m:] = 1.0 - _half_erfc(x[k:m], False), 1.0 - _half_erfc(x[m:], True)
+    return out
 
 
 def ks_to_gaussian(sample, s: float, minus_inf: int = 0) -> float:
     """KS distance of a sample to the centered Gaussian with scale s."""
     if not s > 0:
         raise ValueError("scale s must be positive")
-    return ks_statistic(sample, lambda t: ndtr(t / s), minus_inf=minus_inf)
+    # ks_statistic hands the cdf its sorted sample, and t / s keeps the order
+    return ks_statistic(sample, lambda t: _ndtr(t / s), minus_inf=minus_inf)
 
 
 def ks_two_sample(a, b) -> float:
@@ -219,6 +281,53 @@ def _sweep_chunk(spec, seed, size, key, grid, functionals, x, y):
     return out, violation
 
 
+def _chunk_worker(conn, jobs) -> None:
+    """Send ``(True, _sweep_chunk(*job))`` for each job in turn, or
+    ``(False, error)`` at the first that raises, down ``conn``."""
+    try:
+        for args in jobs:
+            conn.send((True, _sweep_chunk(*args)))
+    except BaseException as exc:  # the caller re-raises it
+        conn.send((False, exc))
+    finally:
+        conn.close()
+
+
+def _map_chunks(context, jobs, workers: int) -> list:
+    """``_sweep_chunk`` over ``jobs`` in ``workers`` processes of ``context``,
+    worker w taking jobs w, w + workers, ...; the results in job order.
+
+    The calling thread receives every result itself: a pool's helper threads
+    would unpickle them into their own malloc arenas, so the process's peak
+    memory would hang on how their work interleaves with the caller's.
+    """
+    procs, conns = [], []
+    failed = True
+    try:
+        for w in range(workers):
+            recv, send = context.Pipe(duplex=False)
+            conns.append(recv)
+            procs.append(context.Process(target=_chunk_worker, daemon=True,
+                                         args=(send, jobs[w::workers])))
+            procs[-1].start()
+            send.close()
+        parts = []
+        for k in range(len(jobs)):
+            ok, value = conns[k % workers].recv()
+            if not ok:
+                raise value
+            parts.append(value)
+        failed = False
+        return parts
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            if failed:
+                proc.terminate()
+            proc.join()
+
+
 def functional_sweep(spec: MeasureSpec, n_grid, replicas: int, seed: int,
                      functionals=SWEEP_FUNCTIONALS,
                      x=None, y=None, threads: int = 1,
@@ -244,15 +353,12 @@ def functional_sweep(spec: MeasureSpec, n_grid, replicas: int, seed: int,
             for idx, size in enumerate(sizes)]
     if threads > 1 and len(jobs) > 1:
         # imported here: multiprocessing adds about 14 ms and 0.3 MiB to
-        # every process that imports the harness, and only the pool needs it
+        # every process that imports the harness, and only the workers need it
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
         methods = multiprocessing.get_all_start_methods()  # the default first
         context = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs)),
-                                 mp_context=context) as pool:
-            parts = list(pool.map(_sweep_chunk, *zip(*jobs)))
+        parts = _map_chunks(context, jobs, min(threads, len(jobs)))
     else:
         parts = [_sweep_chunk(*args) for args in jobs]
     samples: dict = {}
@@ -279,6 +385,21 @@ def functional_sweep(spec: MeasureSpec, n_grid, replicas: int, seed: int,
 # ---------------------------------------------------------------------
 
 
+def _ks_replicas(replicas) -> int:
+    """``replicas`` checked for a KS sweep: two at least, since the plug-in
+    scale of one replica is nan."""
+    return as_count(replicas, "replicas", 2)
+
+
+def _rate_grid(n_grid) -> list[int]:
+    """``n_grid`` checked for a rate fit: two steps at least, since Kendall's
+    tau over one step is 0, which any law would pass."""
+    grid = as_grid(n_grid)
+    if len(grid) < 2:
+        raise ValueError(f"n_grid must hold at least two steps for a rate, got {grid}")
+    return grid
+
+
 @dataclass(frozen=True)
 class NormalityReport:
     """KS distance of the normalized functional law to Phi(t/s)."""
@@ -297,6 +418,7 @@ def empirical_normality(spec: MeasureSpec, functional: str, n: int,
                         x=None, y=None,
                         sweep: SweepResult | None = None) -> NormalityReport:
     """Sample Z = (functional(A_n) - n lambda) / sqrt(n) and compare to the Gaussian."""
+    replicas = _ks_replicas(replicas)
     if not s > 0:
         raise ValueError("s must be positive (degenerate laws are skipped upstream)")
     if sweep is None:
@@ -346,9 +468,8 @@ def berry_esseen_fit(spec: MeasureSpec, functional: str, p: float, n_grid,
                      check_moments: bool = True) -> RateFit:
     """Fit the Berry-Esseen scaling ks * n**(p/2-1) over a grid of two
     steps or more."""
-    threads, grid = as_count(threads, "threads"), as_grid(n_grid)
-    if len(grid) < 2:  # Kendall's tau over one step is 0, which any law would pass
-        raise ValueError(f"n_grid must hold at least two steps for a rate, got {grid}")
+    threads, grid = as_count(threads, "threads"), _rate_grid(n_grid)
+    replicas = _ks_replicas(replicas)
     if sweep is not None:
         sweep._require(functional, grid, "n_grid", replicas)
     if check_moments:

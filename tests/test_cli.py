@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conewalk import harness as hz
 from conewalk.cli import run
 from conewalk.measures import MeasureSpec
 from conewalk.posmat import spectral_radius
@@ -28,6 +29,10 @@ def bad_spec_path(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("swept before checking the flags")
 
 
 def _summary(out_dir):
@@ -309,12 +314,23 @@ class TestVerdictCommands:
         assert _summary(out)["results"]["word_len"] == word_len
 
     @pytest.mark.parametrize("grid", ["16", "1"])
-    def test_berry_esseen_one_step_exits_one(self, tmp_path, capsys, grid):
-        # Kendall's tau over one step is 0, so a one-step grid used to pass
+    def test_berry_esseen_one_step_exits_one(self, tmp_path, capsys, monkeypatch, grid):
+        # Kendall's tau over one step is 0, so a one-step grid used to pass;
+        # it is rejected before the sweep, which used to run first
+        monkeypatch.setattr(hz, "functional_sweep", _no_sweep)
         assert run(["berry-esseen", "--n-grid", grid, "--replicas", "300",
                     "--out", str(tmp_path / "o")]) == 1
         assert (f"error: n_grid must hold at least two steps for a rate, got [{grid}]"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [["normality"], ["berry-esseen", "--n-grid", "2,4"]],
+                             ids=["normality", "berry-esseen"])
+    def test_one_replica_exits_one_before_the_sweep(self, tmp_path, capsys, monkeypatch,
+                                                    argv):
+        # berry-esseen used to pass on one replica, and normality to blame s
+        monkeypatch.setattr(hz, "functional_sweep", _no_sweep)
+        assert run([*argv, "--replicas", "1", "--out", str(tmp_path / "o")]) == 1
+        assert "error: replicas must be >= 2, got 1" in capsys.readouterr().err
 
     def test_berry_esseen_small_run(self, tmp_path):
         out = tmp_path / "o"

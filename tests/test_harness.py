@@ -2,6 +2,8 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ _real_chunk = hz._sweep_chunk
 
 
 def _failing_chunk(spec, seed, size, key, *rest):
-    # module level, so the pool can pickle it by name
+    # patched over hz._sweep_chunk, which forked workers inherit
     if key == 1:
         raise RuntimeError(f"chunk {key} failed")
     return _real_chunk(spec, seed, size, key, *rest)
@@ -61,6 +63,73 @@ class TestKsMachinery:
         # for unit Gaussians two apart the population gap is 2*Phi(1) - 1 = 0.68
         rng = np.random.default_rng(4)
         assert hz.ks_two_sample(rng.normal(size=400), rng.normal(size=400) + 2.0) > 0.6
+
+    def test_statistic_equals_the_absolute_gap_formula(self):
+        # the statistic used to take max |hi - f| and max |lo - f| over two
+        # step arrays; its one-sided maxima must give the same floats
+        def absolute_gaps(sample, cdf, minus_inf):
+            z = np.sort(np.asarray(sample, dtype=float))
+            n = z.size + minus_inf
+            f = cdf(z)
+            hi = (minus_inf + np.arange(1, z.size + 1)) / n
+            lo = (minus_inf + np.arange(0, z.size)) / n
+            d = max(float(np.max(np.abs(hi - f))), float(np.max(np.abs(lo - f))))
+            return max(d, minus_inf / n) if minus_inf else d
+
+        rng = np.random.default_rng(5)
+        for size in [1] * 30 + rng.integers(2, 2000, 600).tolist():
+            z = rng.normal(size=size) * rng.uniform(0.3, 3.0)
+            if rng.random() < 0.3:
+                z = np.round(z, 1)  # ties
+            minus_inf = int(rng.integers(0, 3))
+            assert hz.ks_statistic(z, ndtr, minus_inf) == absolute_gaps(z, ndtr, minus_inf)
+
+
+class TestPhi:
+    """The harness's own Phi against scipy.special.ndtr, which runs Cephes'
+    C code for the same branches."""
+
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 3.0, 10.0, 30.0])
+    def test_matches_scipy_on_sorted_points(self, scale):
+        t = np.sort(np.random.default_rng(int(10 * scale)).normal(size=10**6) * scale)
+        ours, ref = hz._ndtr(t), ndtr(t)
+        assert np.max(np.abs(ours - ref)) <= 2.3e-16
+        tail = (t < 0) & (ref >= 1e-300)
+        assert np.max(np.abs(ours[tail] - ref[tail]) / ref[tail]) <= 1e-15
+
+    def test_lower_tail_is_relatively_close(self):
+        t = -np.logspace(np.log10(38.0), -3, 10**5)  # Phi(-38) is about 3e-317
+        ours, ref = hz._ndtr(t), ndtr(t)
+        tail = ref >= 1e-300
+        assert tail.sum() > 9 * 10**4
+        assert np.max(np.abs(ours[tail] - ref[tail]) / ref[tail]) <= 1e-15
+
+    def test_branch_edges_and_their_neighbours(self):
+        # the branches switch at |t / sqrt 2| = 1/sqrt 2 (Cephes' older cut), 1 and 8
+        edges = np.array([1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0)])
+        points = [np.concatenate([edges, -edges])]
+        for toward in (np.inf, -np.inf):
+            near = points[0]
+            for _ in range(3):
+                near = np.nextafter(near, toward)
+                points.append(near)
+        t = np.sort(np.concatenate(points))
+        assert np.max(np.abs(hz._ndtr(t) - ndtr(t))) <= 2.3e-16
+
+    def test_signed_zeros_infinities_and_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = hz._ndtr(np.array([-np.inf, -0.0, 0.0, np.inf, np.nan]))
+        assert out[:4].tolist() == [0.0, 0.5, 0.5, 1.0]
+        assert np.isnan(out[4])
+
+    def test_ks_to_gaussian_agrees_with_scipy_phi(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            z = rng.normal(size=int(rng.integers(1, 5000))) * rng.uniform(0.3, 3.0)
+            s, minus_inf = rng.uniform(0.2, 3.0), int(rng.integers(0, 3))
+            ref = hz.ks_statistic(z, lambda t: ndtr(t / s), minus_inf=minus_inf)
+            assert abs(hz.ks_to_gaussian(z, s, minus_inf) - ref) <= 4.5e-16
 
 
 class TestKendallBanded:
@@ -114,6 +183,19 @@ class TestFunctionalSweep:
 
     def test_no_worker_outlives_the_sweep(self, reference_spec):
         hz.functional_sweep(reference_spec, [4], 40, seed=3, chunk=10, threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_receives_the_chunks_without_helper_threads(self, reference_spec,
+                                                                monkeypatch):
+        def no_threads(self):
+            raise AssertionError("the sweep started a thread in the caller")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        kw = dict(n_grid=[4], replicas=40, seed=3, chunk=10, functionals=("norm",))
+        par = hz.functional_sweep(reference_spec, threads=3, **kw)
+        monkeypatch.undo()
+        seq = hz.functional_sweep(reference_spec, threads=1, **kw)
+        assert np.array_equal(seq.samples[("norm", 4)], par.samples[("norm", 4)])
         assert multiprocessing.active_children() == []
 
     def test_chunk_error_reaches_caller_and_workers_exit(self, reference_spec, monkeypatch):
@@ -220,6 +302,18 @@ class TestBerryEsseen:
         assert fit.verdict == "pass"
         assert fit.target == 0.5
         assert all(k > 0 for k in fit.ks_values)
+
+    @pytest.mark.parametrize("call", [
+        lambda spec: hz.empirical_normality(spec, "sigma", 4, 1, 1.0),
+        lambda spec: hz.berry_esseen_fit(spec, "sigma", 3.0, [2, 4], 1, check_moments=False),
+    ], ids=["normality", "fit"])
+    def test_one_replica_is_rejected_before_any_draw(self, reference_spec, monkeypatch,
+                                                      call):
+        # the plug-in scale of one replica is nan: the fit used to read it as
+        # a degenerate law and pass, after two RuntimeWarnings
+        monkeypatch.setattr(hz, "functional_sweep", None)
+        with pytest.raises(ValueError, match=r"^replicas must be >= 2, got 1$"):
+            call(reference_spec)
 
     def test_one_step_has_no_slope(self, reference_spec, monkeypatch):
         # one step has no rate: Kendall's tau over one point is 0, so the
@@ -455,17 +549,14 @@ def test_start_points_are_validated_once_per_call(reference_spec, monkeypatch):
 
 
 def test_import_and_spec_construction_do_no_setup_work(tmp_path):
-    # the harness imports its process pool only when a sweep forks one, and a
-    # spec builds its word tables only when a walk reads them.  scipy.special
-    # imports concurrent.futures by itself, so the interpreter imports it
-    # first and then forgets both modules: whatever brings them back is ours
+    # importing the package and its CLI loads no scipy, and the harness
+    # imports its process pool only when a sweep forks one; a spec builds its
+    # word tables only when a walk reads them
     code = """
 import sys
-import numpy, scipy.special
-for name in [m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")]:
-    del sys.modules[name]
-import conewalk.harness
-print(sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules))
+import conewalk, conewalk.cli
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+             or m in ("multiprocessing", "concurrent.futures")))
 """
     src = str(Path(hz.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
