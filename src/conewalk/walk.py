@@ -3,9 +3,9 @@
 Backward products multiply new draws on the right (B_n = Y_1 ... Y_n)
 and converge projectively, which is how the invariant measure is
 sampled; forward products, which drive the limit theorems, are batched
-in ``estimators.BatchedProducts``.  After every multiplication the
-running product is renormalized by its operator norm, so products of
-any length stay inside floating-point range.
+in ``estimators.BatchedProducts``.  Both run on the one batched step
+``posmat._step``, which renormalizes every product by its operator norm,
+so products of any length stay inside floating-point range.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .measures import MeasureSpec, block_steps, sample_batch
-from .posmat import _WRITTEN_OUT_MAX_D, _step
+from .posmat import _step
 from .rng import Purpose
 from .simplex import SimplexPoint, as_count, as_point, contraction_coefficient
 
@@ -87,36 +87,6 @@ def default_block_len(spec: MeasureSpec) -> int:
     return found.r
 
 
-def _max_column_sum(P: np.ndarray) -> np.ndarray:
-    """(R,) max column sums of the (R, d, d) products ``P``.  For R > 1 up to
-    ``_WRITTEN_OUT_MAX_D`` each column adds its rows in order on (R,) slices,
-    which is numpy's sum over axis 1 bit for bit, then a chain of maxima; at
-    R = 2048, d = 2 (2-vCPU Xeon) that took 6 against 188 us.  One path keeps
-    the reductions, whose call overhead is lower."""
-    R, d, _ = P.shape
-    if d > _WRITTEN_OUT_MAX_D or R == 1:
-        return P.sum(axis=1).max(axis=1)
-    for j in range(d):
-        col = P[:, 0, j] + P[:, 1, j]
-        for i in range(2, d):
-            col += P[:, i, j]
-        scale = col if j == 0 else np.maximum(scale, col, out=scale)
-    return scale
-
-
-def _max_entry(blk: np.ndarray) -> np.ndarray:
-    """(size, R) max entries of the (size, R, d, d) blocks ``blk``: a chain
-    of maxima over the entries, on the same terms as ``_max_column_sum``."""
-    size, R, d, _ = blk.shape
-    flat = blk.reshape(size, R, d * d)
-    if d > _WRITTEN_OUT_MAX_D or R == 1:
-        return flat.max(axis=2)
-    out = flat[..., 0].copy()
-    for k in range(1, d * d):
-        np.maximum(out, flat[..., k], out=out)
-    return out
-
-
 def _backward_products(spec: MeasureSpec, stream: np.random.Generator, tol: float,
                        n_paths: int, start, block_len: int | None, step_cap: int):
     """Run n_paths backward products until each certificate reaches tol.
@@ -124,9 +94,12 @@ def _backward_products(spec: MeasureSpec, stream: np.random.Generator, tol: floa
     Path i's draw at step n is draw i of the n-th ``sample_batch(spec,
     stream, n_paths)``; blocks of steps come from one call each, which
     gives the same draws, so a path's draws do not depend on when the
-    others finish.  Finished paths leave the working arrays, and draws
-    past the last stop are discarded.  Returns (points (R, d),
-    certificates (R,), steps (R,)).
+    others finish.  Both products run on ``posmat._step`` in its (d, d, R)
+    layout: the certificate blocks' products Y_1 ... Y_L of one call's draws
+    are built together, renormalized to max column sum 1 at every step, and
+    each is multiplied into the running product once.
+    Finished paths leave the working arrays, and draws past the last stop
+    are discarded.  Returns (points (R, d), certificates (R,), steps (R,)).
     """
     if not 0 < tol <= 1:
         raise ValueError("tol must lie in (0, 1]")
@@ -141,7 +114,7 @@ def _backward_products(spec: MeasureSpec, stream: np.random.Generator, tol: floa
     pts = np.empty((n_paths, d))
     steps = np.empty(n_paths, dtype=int)
     live = np.arange(n_paths)
-    P = np.broadcast_to(np.eye(d), (n_paths, d, d)).copy()
+    P = np.broadcast_to(np.eye(d)[..., None], (d, d, n_paths)).copy()
     cert = np.ones(n_paths)
     done, cap = 0, step_cap // block_len  # in blocks
     while live.size:
@@ -150,38 +123,42 @@ def _backward_products(spec: MeasureSpec, stream: np.random.Generator, tol: floa
                 f"{live.size} of {n_paths} paths missed the certificate target "
                 f"{tol:.3e} within {step_cap} steps (best certificate "
                 f"{cert[live].min():.3e}); the measure may not be strictly contracting")
-        size = block_steps(done, block_len * n_paths * d * d, cap - done)
+        size, R = block_steps(done, block_len * n_paths * d * d, cap - done), live.size
         draws = sample_batch(spec, stream, size * block_len * n_paths).reshape(
-            size * block_len, n_paths, d, d)
-        if live.size < n_paths:
-            draws = draws[:, live]
-        # each block's product, right-multiplied and renormalized every step
-        blk = draws[::block_len]
-        blk = blk / _max_entry(blk)[..., None, None]
-        for j in range(1, block_len):
-            blk = np.matmul(blk, draws[j::block_len])
-            blk /= _max_entry(blk)[..., None, None]
-        certs = contraction_coefficient(blk.reshape(-1, d, d)).reshape(size, live.size)
+            size, block_len, n_paths, d, d)
+        # step j of every block, copied one step at a time into the (d, d,
+        # size * R) layout; the first factor is scaled exactly, by a power of
+        # two, to max column sum in [1/2, 1): products of draws at 1e200 or
+        # 1e-200 stay in range, and a block of one draw adds no rounding
+        for j in range(block_len):
+            y = draws[:, j] if R == n_paths else draws[:, j].take(live, axis=1)
+            y = np.ascontiguousarray(y.transpose(2, 3, 0, 1)).reshape(d, d, size * R)
+            if j:
+                blk, _ = _step(blk, y)
+            else:
+                blk = np.ldexp(y, -np.frexp(y.sum(axis=0).max(axis=0))[1])
+        del draws, y
+        certs = contraction_coefficient(blk.transpose(2, 0, 1)).reshape(size, R)
         certs[0] *= cert[live]
         # cumprod multiplies in the order of one cert *= c per block, bit for bit
         np.cumprod(certs, axis=0, out=certs)
         hit = certs <= tol
         stop = np.where(hit.any(axis=0), hit.argmax(axis=0), size)
-        cert[live] = certs[np.minimum(stop, size - 1), np.arange(live.size)]
+        cert[live] = certs[np.minimum(stop, size - 1), np.arange(R)]
         stopping = set(stop.tolist())
         for b in range(min(size, max(stopping) + 1)):
-            for t in range(b * block_len, (b + 1) * block_len):
-                P = np.matmul(P, draws[t])
-                P /= _max_column_sum(P)[:, None, None]
+            P, _ = _step(P, blk[..., b * R:(b + 1) * R])
             if b in stopping:
                 ends = stop == b
-                pts[live[ends]] = np.matmul(P[ends], x0)
+                # P x0 on the kernel's one-column walk, normalized to the simplex
+                x, _ = _step(P[..., ends], np.broadcast_to(x0[:, None, None],
+                                                           (d, 1, np.count_nonzero(ends))))
+                pts[live[ends]] = x[:, 0].T
                 steps[live[ends]] = (done + b + 1) * block_len
         keep = stop == size
         if not keep.all():
-            live, P = live[keep], P[keep]
+            live, P = live[keep], P[..., keep]
         done += size
-    pts /= pts.sum(axis=1, keepdims=True)
     return pts, cert, steps
 
 
