@@ -87,6 +87,26 @@ def default_block_len(spec: MeasureSpec) -> int:
     return found.r
 
 
+def _certificate_blocks(draws: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Products Y_1 ... Y_L of the (size, L, n_paths, d, d) ``draws``' blocks
+    for the paths ``live``, in ``posmat._step``'s (d, d, size * R) layout:
+    block b of path live[i] is column b * R + i.  Step j of every block is
+    copied one step at a time into that layout; the first factor is scaled
+    exactly, by a power of two, to max column sum in [1/2, 1), and ``_step``
+    renormalizes the later ones to max column sum 1: products of draws at
+    1e200 or 1e-200 stay in range, and a block of one draw adds no rounding."""
+    size, block_len, n_paths, d, _ = draws.shape
+    R = live.size
+    for j in range(block_len):
+        y = draws[:, j] if R == n_paths else draws[:, j].take(live, axis=1)
+        y = np.ascontiguousarray(y.transpose(2, 3, 0, 1)).reshape(d, d, size * R)
+        if j:
+            blk, _ = _step(blk, y)
+        else:
+            blk = np.ldexp(y, -np.frexp(y.sum(axis=0).max(axis=0))[1])
+    return blk
+
+
 def _backward_products(spec: MeasureSpec, stream: np.random.Generator, tol: float,
                        n_paths: int, start, block_len: int | None, step_cap: int):
     """Run n_paths backward products until each certificate reaches tol.
@@ -126,18 +146,8 @@ def _backward_products(spec: MeasureSpec, stream: np.random.Generator, tol: floa
         size, R = block_steps(done, block_len * n_paths * d * d, cap - done), live.size
         draws = sample_batch(spec, stream, size * block_len * n_paths).reshape(
             size, block_len, n_paths, d, d)
-        # step j of every block, copied one step at a time into the (d, d,
-        # size * R) layout; the first factor is scaled exactly, by a power of
-        # two, to max column sum in [1/2, 1): products of draws at 1e200 or
-        # 1e-200 stay in range, and a block of one draw adds no rounding
-        for j in range(block_len):
-            y = draws[:, j] if R == n_paths else draws[:, j].take(live, axis=1)
-            y = np.ascontiguousarray(y.transpose(2, 3, 0, 1)).reshape(d, d, size * R)
-            if j:
-                blk, _ = _step(blk, y)
-            else:
-                blk = np.ldexp(y, -np.frexp(y.sum(axis=0).max(axis=0))[1])
-        del draws, y
+        blk = _certificate_blocks(draws, live)
+        del draws
         certs = contraction_coefficient(blk.transpose(2, 0, 1)).reshape(size, R)
         certs[0] *= cert[live]
         # cumprod multiplies in the order of one cert *= c per block, bit for bit
