@@ -14,7 +14,7 @@ from .posmat import (AllowableMatrix, MatrixGauges, gauges, act, cocycle,
                      classify_G_C_gamma, g_delta_level)
 from .measures import MeasureSpec, sample_matrix
 from .walk import (InvariantSample, backward_invariant_sample,
-                   backward_invariant_batch, detect_contraction, hitting_time)
+                   backward_invariant_batch, detect_contraction)
 from .cones import (ConeModel, ConeVector, OrthantCone, LorentzCone, PsdCone,
                     orthant_cone, lorentz_cone, psd_cone)
 
@@ -28,7 +28,7 @@ __all__ = [
     "classify_G_C_gamma", "g_delta_level",
     "MeasureSpec", "sample_matrix",
     "InvariantSample", "backward_invariant_sample", "backward_invariant_batch",
-    "detect_contraction", "hitting_time",
+    "detect_contraction",
     "ConeModel", "ConeVector", "OrthantCone", "LorentzCone", "PsdCone",
     "orthant_cone", "lorentz_cone", "psd_cone",
     "__version__",

@@ -18,12 +18,13 @@ Phi(t / s^2) sometimes seen for these laws is deliberately not used
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from . import rng as rngmod
 from .estimators import FUNCTIONALS, BatchedProducts, _forward_blocks, moment_sanity
-from .measures import MeasureSpec, sample_batch, sample_words
+from .measures import MeasureSpec, sample_batch, sample_words, word_levels
 from .posmat import _step, g_delta_level
 from .rng import Purpose
 from .simplex import as_count, as_grid, as_point
@@ -879,19 +880,15 @@ def fixture_b_zero_fraction(n: int, replicas: int, seed: int = 0) -> tuple[float
 
 
 def fixture_b_exact_zero_probability(n: int) -> float:
-    """Probability of a zero (1,2) coefficient by exhaustive word enumeration."""
+    """Probability of a zero (1,2) coefficient by exhaustive word enumeration:
+    the weights of the words of level n of ``measures.word_levels`` whose
+    (1,2) entry is zero, which the positive renormalisations keep exact."""
     n = as_count(n, "n")
     if n > 16:
         raise ValueError("exhaustive enumeration is restricted to n <= 16")
     _, fixture_b = pathology_fixtures()
-    atoms = fixture_b.atom_array()
-    weights = np.asarray(fixture_b.weights)
-    d = fixture_b.d
-    prods, probs = np.eye(d)[None], np.ones(1)  # every word of the current length
-    for _ in range(n):
-        prods = np.matmul(atoms[:, None], prods[None]).reshape(-1, d, d)
-        probs = (probs[None] * weights[:, None]).reshape(-1)
-    return float(probs[prods[:, 0, 1] == 0.0].sum())
+    words, _, weights = next(islice(word_levels(fixture_b), n - 1, None))
+    return float(weights[words[0, 1] == 0.0].sum())
 
 
 # ---------------------------------------------------------------------

@@ -14,6 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -179,48 +180,40 @@ class MeasureSpec:
     def _words(self):
         """(L, levels, cdf, guide) for ``BatchedProducts.leap`` and the harness's
         cocycle walk, or None when L = 1: L is the largest with K**L * d * d <=
-        _WORD_ENTRIES (one atom counts as two).  levels[l - 1] is the pair
-        (words, logs) of the K**l words of l draws: words[..., sum(i_k K**k)]
-        is A[i_{l-1}] ... A[i_0] renormalised by ``_step`` and logs holds the
-        logs of the scales taken out, so the oldest l draws of word w of the
-        top level, levels[-1], are entry w mod K**l of level l.  cdf is the
-        cumulative word law of the top level (product weights, normalised as
-        in ``_atom_cdf``) and guide its guide table for ``sample_words``."""
+        _WORD_ENTRIES (one atom counts as two).  levels are the pairs (words,
+        logs) of the first L levels of ``word_levels``, so the oldest l draws of
+        word w of the top level, levels[-1], are entry w mod K**l of level l.
+        cdf is the cumulative word law of the top level (its product weights,
+        normalised as in ``_atom_cdf``) and guide its guide table for
+        ``sample_words``."""
         k, d = len(self.atoms), self.d
         length = 1
         while max(k, 2) ** (length + 1) * d * d <= _WORD_ENTRIES:
             length += 1
         if length == 1:
             return None
-        atoms, p = self.atom_array().transpose(1, 2, 0), np.asarray(self.weights)
-        words, logs, cdf, levels = np.eye(d)[:, :, None], np.zeros(1), np.ones(1), []
-        for _ in range(length):  # the new draw is the left factor and top digit
-            words, scale = _step(atoms.repeat(words.shape[2], axis=2), np.tile(words, k))
-            logs = np.log(scale) + np.tile(logs, k)
-            cdf = np.outer(p, cdf).ravel()
-            levels.append((words, logs))
-            words.flags.writeable = logs.flags.writeable = False
-        cdf = cdf.cumsum()
+        levels = list(islice(word_levels(self), length))
+        cdf = levels[-1][2].cumsum()
         cdf /= cdf[-1]
         # guide[j] counts the entries c with fl(c * m) < j: each is <= every u
         # with floor(fl(u * m)) = j, and fl(u * m) = m can occur, hence m + 1
         guide = (cdf * cdf.size).searchsorted(np.arange(cdf.size + 1), side="left")
         cdf.flags.writeable = guide.flags.writeable = False
-        return length, tuple(levels), cdf, guide
+        return length, tuple((words, logs) for words, logs, _ in levels), cdf, guide
 
     @cached_property
     def _contracting_block(self) -> int | None:
         """The measured L of ``walk.default_block_len``, or None when no
         L <= _BLOCK_MAX qualifies.  The L-step products are the prefixes of
         _BLOCK_PRODUCTS sequences of draws on the one stream (0,
-        BLOCK_SEARCH), multiplied and renormalised as the sampler's blocks
-        are, so L depends on the spec alone."""
+        BLOCK_SEARCH), each new draw the right factor, renormalised by
+        ``_step`` as the sampler's blocks are, so L depends on the spec alone."""
         stream = rngmod.derived_stream(0, Purpose.BLOCK_SEARCH)
-        blk = np.eye(self.d)
+        blk = np.eye(self.d)[:, :, None]
         for length in range(1, _BLOCK_MAX + 1):
-            blk = np.matmul(blk, sample_batch(self, stream, _BLOCK_PRODUCTS))
-            blk /= blk.max(axis=(1, 2), keepdims=True)
-            if np.quantile(contraction_coefficient(blk), 0.9) <= _BLOCK_TARGET:
+            blk, _ = _step(blk, sample_batch(self, stream, _BLOCK_PRODUCTS).transpose(1, 2, 0))
+            coefficients = contraction_coefficient(blk.transpose(2, 0, 1))
+            if np.quantile(coefficients, 0.9) <= _BLOCK_TARGET:
                 return length
         return None
 
@@ -353,6 +346,25 @@ def sample_words(spec: MeasureSpec, rng: np.random.Generator, size: int) -> np.n
     if short.size:
         idx[short] = cdf.searchsorted(u[short], side="right")
     return idx
+
+
+def word_levels(spec: MeasureSpec):
+    """The words of an atomic spec, one level per draw: for l = 1, 2, ...
+    yields the read-only (words, logs, weights) of the K**l words of l draws
+    in ``posmat._step``'s (d, d, K**l) layout.  words[..., sum(i_k K**k)] is
+    A[i_{l-1}] ... A[i_0] renormalised by ``_step`` (the new draw is the left
+    factor and the top digit), logs holds the logs of the scales taken out
+    and weights the product weights p[i_{l-1}] ... p[i_0].  The one word
+    enumerator: the word table, the aperiodicity report and fixture B's
+    exact probability all read it."""
+    atoms, p = spec.atom_array().transpose(1, 2, 0), np.asarray(spec.weights)
+    words, logs, weights = np.eye(spec.d)[:, :, None], np.zeros(1), np.ones(1)
+    while True:
+        words, scale = _step(atoms.repeat(words.shape[2], axis=2), np.tile(words, p.size))
+        logs = np.log(scale) + np.tile(logs, p.size)
+        weights = np.outer(p, weights).ravel()
+        words.flags.writeable = logs.flags.writeable = weights.flags.writeable = False
+        yield words, logs, weights
 
 
 def block_steps(done: int, step_entries: int, remaining: int) -> int:

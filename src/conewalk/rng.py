@@ -12,10 +12,9 @@ run never meet the stages of a run at a neighbouring seed.
 Results therefore depend on the spec, the seed and the sizes (for the
 functional sweep also on its chunk length), never on the number of
 worker processes.  Batched routines draw a whole batch from one stream; only
-``backward_invariant_sample``, ``hitting_time`` and
-``coefficient_gap_check`` key a stream per replica or path.  One stream
-is keyed by the spec, not by the run's seed: the backward sampler's block
-search draws once per spec on ``(0, BLOCK_SEARCH)``.
+``backward_invariant_sample`` and ``coefficient_gap_check`` key a stream per
+replica or path.  One stream is keyed by the spec, not by the run's seed: the
+backward sampler's block search draws once per spec on ``(0, BLOCK_SEARCH)``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ class Purpose(IntEnum):
     BACKWARD_BATCH = 2       # walk.backward_invariant_batch
     BACKWARD_PATH = 3        # walk.backward_invariant_sample; index: replica
     CONTRACTION_SEARCH = 4   # walk.detect_contraction; index: product length r
-    HITTING_TIME = 5         # walk.hitting_time; index: replica
+    # 5 is retired (walk.hitting_time); do not reuse it
     SERIES_PATHS = 6         # estimators.estimate_variance_series, stationary paths
     PSI_FIT = 7              # estimators.estimate_psi, probes and inner paths
     MARTINGALE_PATHS = 8     # estimators.variance_via_martingale, paths and psi evaluations

@@ -26,7 +26,6 @@ __all__ = [
     "backward_invariant_batch",
     "ContractionDetection",
     "detect_contraction",
-    "hitting_time",
     "ContractionFailure",
 ]
 
@@ -210,7 +209,7 @@ def backward_invariant_batch(spec: MeasureSpec, seed: int, tol: float,
 
 
 # ---------------------------------------------------------------------
-# Contraction detection and hitting times
+# Contraction detection
 # ---------------------------------------------------------------------
 
 
@@ -250,33 +249,4 @@ def detect_contraction(spec: MeasureSpec, r_max: int, samples: int,
         hits = int(np.count_nonzero((prod > 0).all(axis=(0, 1))))
         if hits:
             return ContractionDetection(r=r, frequency=hits / samples)
-    return None
-
-
-def hitting_time(spec: MeasureSpec, seed: int, delta: float,
-                 block_len: int = 1, cap: int = STEP_CAP,
-                 replica: int = 0) -> int | None:
-    """First block index whose forward block product passes the delta test.
-
-    Blocks are consecutive groups of ``block_len`` draws, multiplied in
-    forward order (later draws on the left); a block passes when every
-    column-normalized entry is >= delta (``posmat.classify_G_delta``).
-    Returns None when ``cap`` blocks pass without a hit.
-    """
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
-    block_len, cap = as_count(block_len, "block_len"), as_count(cap, "cap")
-    stream = rngmod.derived_stream(seed, Purpose.HITTING_TIME, replica)
-    d = spec.d
-    done = 0
-    while done < cap:
-        # draws past the first hit come from this call's own stream and are discarded
-        size = block_steps(done, block_len * d * d, cap - done)
-        blk = _block_products(spec, stream, size, block_len)
-        with np.errstate(invalid="ignore"):  # an underflowed column: nan level, no hit
-            level = (blk / blk.sum(axis=0, keepdims=True)).min(axis=(0, 1))
-        hits = np.flatnonzero(level >= delta)
-        if hits.size:
-            return done + int(hits[0]) + 1
-        done += size
     return None

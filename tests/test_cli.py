@@ -397,6 +397,11 @@ class TestVerdictCommands:
                     "--out", str(out)]) == 0
         assert _summary(out)["results"]["verdict"] == "possibly arithmetic"
 
+    def test_aperiodicity_refuses_too_many_words(self, tmp_path, capsys):
+        # 3**1 + ... + 3**8 words of the reference spec, refused before enumeration
+        assert run(["aperiodicity", "--n", "8", "--out", str(tmp_path / "o")]) == 1
+        assert "max_word_len = 8 enumerates more than" in capsys.readouterr().err
+
     def test_regularity(self, tmp_path):
         out = tmp_path / "o"
         assert run(["regularity", "--replicas", "500", "--tol", "1e-6",

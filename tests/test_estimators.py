@@ -595,6 +595,26 @@ class TestAperiodicity:
         with pytest.raises(ValueError):
             aperiodicity_report(MeasureSpec.parametric("lognormal", 2, mu=0.0, sigma=1.0), 2)
 
+    @pytest.mark.parametrize("name, max_word_len", [
+        ("reference", 7), ("reference", 10**9),
+        ("single", estimators.APERIODICITY_MAX_WORDS + 1), ("single", 10**12)])
+    def test_refuses_too_many_words_before_enumerating(self, name, max_word_len,
+                                                       reference_spec, monkeypatch):
+        def no_enumeration(spec):
+            raise AssertionError("words enumerated")
+
+        monkeypatch.setattr(estimators, "word_levels", no_enumeration)
+        spec = {"reference": reference_spec, "single": SINGLE}[name]
+        with pytest.raises(ValueError, match=f"^max_word_len = {max_word_len} enumerates"):
+            aperiodicity_report(spec, max_word_len)
+
+    def test_word_cap_counts_every_length(self, reference_spec, monkeypatch):
+        # 3 + 9 words at length 2, 3 + 9 + 27 at length 3
+        monkeypatch.setattr(estimators, "APERIODICITY_MAX_WORDS", 12)
+        assert len(aperiodicity_report(reference_spec, 2).words) == 12
+        with pytest.raises(ValueError, match="max_word_len"):
+            aperiodicity_report(reference_spec, 3)
+
 
 class TestRegularity:
     def test_flat_atom_gives_log_two(self):

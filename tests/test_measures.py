@@ -1,8 +1,11 @@
 import json
 import re
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conewalk import measures
 from conewalk import rng as rngmod
@@ -356,6 +359,41 @@ def test_word_draws_are_searchsorted(spec):
     u = u[(u >= 0) & (u < 1)]
     idx = measures.sample_words(spec, _FixedUniforms(u), u.size)
     assert np.array_equal(idx, cdf.searchsorted(u, side="right"))
+
+
+@st.composite
+def sparse_atomic_specs(draw):
+    """Atomic specs of 1 to 4 atoms in dimension 2 to 5 with exact zeros:
+    entries 0 or in [1/4, 4], plus 1 on a permutation pattern so that every
+    atom is allowable, in either view."""
+    d, k = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    entries = st.lists(st.one_of(st.just(0.0), st.floats(0.25, 4.0)),
+                       min_size=d * d, max_size=d * d)
+    atoms = []
+    for _ in range(k):
+        atom = np.reshape(draw(entries), (d, d))
+        atom[np.arange(d), draw(st.permutations(range(d)))] += 1.0
+        atoms.append(atom)
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)))
+    return MeasureSpec.atomic(atoms, weights / weights.sum(),
+                              transpose_view=draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=sparse_atomic_specs())
+def test_word_levels_are_matmul_products(spec):
+    """Level l of ``word_levels`` holds, times exp(logs), the K**l plain
+    left-multiplied products A[i_{l-1}] ... A[i_0] with the same zeros, at
+    their product weights."""
+    atoms, p, d = spec.atom_array(), np.asarray(spec.weights), spec.d
+    prods, weights = np.eye(d)[None], np.ones(1)  # digit i_{l-1} is the top one
+    for words, logs, got in islice(measures.word_levels(spec), 4):
+        prods = np.matmul(atoms[:, None], prods[None]).reshape(-1, d, d)
+        weights = (p[:, None] * weights[None]).reshape(-1)
+        assert np.allclose((words * np.exp(logs)).transpose(2, 0, 1), prods,
+                           rtol=1e-12, atol=0)
+        assert np.array_equal(words.transpose(2, 0, 1) == 0, prods == 0)
+        assert np.allclose(got, weights, rtol=1e-14, atol=0)
 
 
 def test_replica_streams_are_independent_and_stable():

@@ -4,19 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conewalk import rng as rngmod
-from conewalk import walk
+from conewalk import measures, walk
 from conewalk.estimators import BatchedProducts
 from conewalk.harness import reference_spec
 from conewalk.measures import MeasureSpec, sample_batch, sample_matrix
-from conewalk.posmat import (_WRITTEN_OUT_MAX_D, AllowableMatrix, classify_G_delta, gauges,
+from conewalk.posmat import (_WRITTEN_OUT_MAX_D, AllowableMatrix, gauges,
                              perron_vector, spectral_radius)
 from conewalk.rng import Purpose
 from conewalk.simplex import (SimplexPoint, barycenter, contraction_coefficient,
                               hilbert_distance)
 from conewalk.walk import (ContractionFailure, backward_invariant_batch,
-                           backward_invariant_sample, detect_contraction, hitting_time)
+                           backward_invariant_sample, detect_contraction)
 
-from conftest import quadruple_coefficient
+from conftest import quadruple_coefficient, random_allowable
 
 
 G1 = AllowableMatrix([[2.0, 1.0], [1.0, 1.0]])
@@ -390,8 +390,55 @@ def lognormal_d8():
     return MeasureSpec.parametric("lognormal", 8, mu=0.0, sigma=0.5)
 
 
+def reference_block_quantiles(spec):
+    """The np.matmul loop with max-entry renormalisation, kept as the
+    reference for ``MeasureSpec._contracting_block``: the 90th-percentile
+    coefficient of the sampled L-step products (new draws on the right) at
+    each L up to the first at or below 1/16, or up to 16."""
+    stream = rngmod.derived_stream(0, Purpose.BLOCK_SEARCH)
+    blk, quantiles = np.eye(spec.d), []
+    for _ in range(16):
+        blk = np.matmul(blk, sample_batch(spec, stream, 256))
+        blk /= blk.max(axis=(1, 2), keepdims=True)
+        quantiles.append(np.quantile(contraction_coefficient(blk), 0.9))
+        if quantiles[-1] <= 1 / 16:
+            break
+    return quantiles
+
+
+def _random_atomic(seed):
+    rng = np.random.default_rng(seed)
+    d, k = 2 + seed % 4, 1 + seed % 4
+    atoms = [random_allowable(rng, d, strictly_positive=False) for _ in range(k)]
+    weights = rng.uniform(0.1, 1.0, k)
+    return MeasureSpec.atomic(atoms, weights / weights.sum())
+
+
 class TestDefaultBlockLen:
     """The certificate block length, measured from the spec's contraction."""
+
+    @pytest.mark.parametrize("name", ["reference", "lognormal-d3", "lognormal-d8", "perm",
+                                      *(f"atomic-{seed}" for seed in range(6))])
+    def test_search_pinned_against_matmul_loop(self, name, monkeypatch):
+        # fresh instances: the search is cached on the spec
+        makers = {"reference": reference_spec, "lognormal-d8": lognormal_d8,
+                  "lognormal-d3": lambda: MeasureSpec.parametric("lognormal", 3, mu=0.0,
+                                                                 sigma=0.7),
+                  "perm": lambda: MeasureSpec.atomic(PERM.atoms, PERM.weights)}
+        spec = makers[name]() if name in makers else _random_atomic(int(name[7:]))
+        quantiles, coefficient = [], measures.contraction_coefficient
+
+        def recording_coefficient(stack):
+            values = coefficient(stack)
+            quantiles.append(np.quantile(values, 0.9))
+            return values
+
+        monkeypatch.setattr(measures, "contraction_coefficient", recording_coefficient)
+        found = spec._contracting_block
+        want = reference_block_quantiles(spec)
+        assert len(quantiles) == len(want)
+        assert np.allclose(quantiles, want, rtol=1e-12, atol=0)
+        assert found == (len(want) if want[-1] <= 1 / 16 else None)
 
     @pytest.mark.parametrize("name, want", [("reference", 8), ("lognormal-d3", 4),
                                             ("lognormal-d8", 4)])
@@ -460,21 +507,6 @@ def reference_detect_contraction(spec, r_max, samples, seed=0):
     return None
 
 
-def reference_hitting_time(spec, seed, delta, block_len=1, replica=0, cap=10**4):
-    """The one-block-at-a-time loop, kept as the reference for ``hitting_time``."""
-    stream = rngmod.derived_stream(seed, Purpose.HITTING_TIME, replica)
-    for m in range(1, cap + 1):
-        blk = np.eye(spec.d)
-        for _ in range(block_len):
-            blk = sample_matrix(spec, stream).entries @ blk
-        try:
-            if classify_G_delta(AllowableMatrix(blk), delta):
-                return m
-        except ValueError:
-            pass  # an underflowed block fails allowability
-    return None
-
-
 PERM = MeasureSpec.atomic([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]], [0.5, 0.5])
 
 
@@ -513,53 +545,6 @@ class TestDetectContraction:
         found = detect_contraction(fixture_a, 3, 200, seed=3)
         assert found.r == 1
         assert 0.5 < found.frequency <= 1.0  # flat atom carries weight 5/6
-
-
-class TestHittingTime:
-    def test_single_atom_hits_immediately(self):
-        level = np.min(G1.entries / G1.column_sums)
-        assert hitting_time(SINGLE, 0, level) == 1
-
-    def test_geometric_hitting_mean(self):
-        # only the second atom passes at its own level; weight q = 0.3
-        good = AllowableMatrix([[1.0, 1.0], [1.0, 1.0]])
-        bad = AllowableMatrix([[1.0, 0.0], [0.0, 1.0]])
-        spec = MeasureSpec.atomic([bad.entries, good.entries], [0.7, 0.3])
-        times = np.array([hitting_time(spec, 100, 0.5, replica=i) for i in range(2000)],
-                         dtype=float)
-        se = times.std(ddof=1) / np.sqrt(times.size)
-        assert abs(times.mean() - 1.0 / 0.3) <= 3.0 * se
-
-    def test_impossible_level_caps_out(self):
-        assert hitting_time(TWO, 0, 1.0, cap=200) is None
-
-    @pytest.mark.parametrize("block_len, delta", [(1, 0.19), (3, 0.325)])
-    def test_pinned_against_reference_loop(self, block_len, delta):
-        spec = reference_spec()
-        times = [hitting_time(spec, 11, delta, block_len=block_len, replica=i)
-                 for i in range(200)]
-        assert times == [reference_hitting_time(spec, 11, delta, block_len, replica=i)
-                         for i in range(200)]
-        assert len(set(times)) > 3  # the first hits spread over several blocks
-
-    def test_block_product_is_renormalized(self):
-        # blocks of three draws at 2**500 overflow unless renormalized; the
-        # first hits must not depend on the (dyadic) scale of the atoms
-        ref = reference_spec()
-        huge = MeasureSpec.atomic([a.entries * 2.0 ** 500 for a in ref.atoms], ref.weights)
-        times = [[hitting_time(spec, 11, 0.325, block_len=3, replica=i) for i in range(50)]
-                 for spec in (ref, huge)]
-        assert times[0] == times[1]
-        assert None not in times[0]
-
-    @pytest.mark.parametrize("kwargs, field", [
-        ({"delta": 0.0}, "delta"), ({"delta": 1.5}, "delta"), ({"delta": -0.2}, "delta"),
-        ({"delta": 0.5, "block_len": 0}, "block_len"), ({"delta": 0.5, "cap": 0}, "cap"),
-        ({"delta": 0.5, "block_len": 1.5}, "block_len"), ({"delta": 0.5, "cap": 2.5}, "cap"),
-    ])
-    def test_rejects_out_of_range_arguments(self, kwargs, field):
-        with pytest.raises(ValueError, match=field):
-            hitting_time(TWO, 0, **kwargs)
 
 
 # non-integral counts used to be truncated or to fail inside numpy
