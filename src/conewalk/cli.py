@@ -113,8 +113,8 @@ def _parse_cone(text: str):
 def _positive(config):
     for name in ("replicas", "n", "threads", "tol", "p", "eps"):
         value = config.get(name)
-        if value is not None and value <= 0:
-            raise ValueError(f"--{name} must be positive, got {value}")
+        if value is not None and not 0 < value < np.inf:
+            raise ValueError(f"--{name} must be positive and finite, got {value}")
 
 
 # ---------------------------------------------------------------------
@@ -235,7 +235,8 @@ def _cmd_asip_proxy(spec, args):
     ok = rep.envelope_fraction >= 0.95
     results = {"envelope_fraction": rep.envelope_fraction,
                "quantile_99": rep.envelope_quantile_99,
-               "s_used": rep.s_used, "word_len": rep.word_len, "tag": rep.tag}
+               "s_used": rep.s_used, "word_len": rep.word_len,
+               "exact_fraction": rep.exact_fraction, "tag": rep.tag}
     return ["statistic", "value", "eps", "n"], rows, results, "pass" if ok else "fail"
 
 

@@ -386,6 +386,14 @@ def functional_sweep(spec: MeasureSpec, n_grid, replicas: int, seed: int,
 # ---------------------------------------------------------------------
 
 
+def _check_finite(**values) -> None:
+    """Reject a nan or an infinity, naming its argument; None passes, for
+    the estimates a routine makes itself."""
+    for name, value in values.items():
+        if value is not None and not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _ks_replicas(replicas) -> int:
     """``replicas`` checked for a KS sweep: two at least, since the plug-in
     scale of one replica is nan."""
@@ -420,6 +428,7 @@ def empirical_normality(spec: MeasureSpec, functional: str, n: int,
                         sweep: SweepResult | None = None) -> NormalityReport:
     """Sample Z = (functional(A_n) - n lambda) / sqrt(n) and compare to the Gaussian."""
     replicas = _ks_replicas(replicas)
+    _check_finite(s=s, lambda_hat=lambda_hat)
     if not s > 0:
         raise ValueError("s must be positive (degenerate laws are skipped upstream)")
     if sweep is None:
@@ -471,6 +480,7 @@ def berry_esseen_fit(spec: MeasureSpec, functional: str, p: float, n_grid,
     steps or more."""
     threads, grid = as_count(threads, "threads"), _rate_grid(n_grid)
     replicas = _ks_replicas(replicas)
+    _check_finite(s=s, lambda_hat=lambda_hat)
     if sweep is not None:
         sweep._require(functional, grid, "n_grid", replicas)
     if check_moments:
@@ -520,7 +530,9 @@ class AsipReport:
     replicas whose running maximum deviation stays inside the iterated
     logarithm envelope (1 + eps) sqrt(2 s^2 n log log n).  ``word_len`` is
     the steps per draw of the walk that ran: L for the word walk, 1 for the
-    step-by-step walk.
+    step-by-step walk.  ``exact_fraction`` is the share of (word, replica)
+    pairs whose step values were computed: the word walk skips the words
+    whose bounds cannot reach the running maximum (1.0 on the step walk).
     """
 
     n: int
@@ -532,15 +544,17 @@ class AsipReport:
     s_used: float
     lambda_used: float
     word_len: int
+    exact_fraction: float
     tag: str = "property proxy"
 
 
 def _cocycle_blocks(spec, seed, x, n, replicas, y=None):
     """The word length L of the walk of one column from x on the stream (seed,
-    FORWARD, 0), and a generator that yields per block the steps k (T,) and
-    the (T, R) values sigma(A_k, x), or log <y, A_k x> when y is given.
+    FORWARD, 0), and an iterable, walked once, that yields per block the steps
+    k (T,) and the (T, R) values sigma(A_k, x), or log <y, A_k x> when y is
+    given.
 
-    Atomic specs with a word table walk by words (``_word_blocks``), L steps
+    Atomic specs with a word table walk by words (a ``_WordWalk``), L steps
     per draw; parametric specs and laws without one walk step by step on
     ``_forward_blocks`` (L = 1), where sigma is the running sum of the log
     increments and log <y, A_k x> = sigma(A_k, x) + log <y, v_k>.
@@ -548,7 +562,7 @@ def _cocycle_blocks(spec, seed, x, n, replicas, y=None):
     stream = rngmod.derived_stream(seed, Purpose.FORWARD, 0)
     words = spec._words if spec.kind == "atomic" else None
     if words is not None:
-        return words[0], _word_blocks(spec, stream, x, n, replicas, y)
+        return words[0], _WordWalk(spec, stream, x, n, replicas, y)
     return 1, _step_blocks(spec, stream, x, n, replicas, y)
 
 
@@ -567,10 +581,10 @@ def _step_blocks(spec, stream, x, n, replicas, y):
         k += len(incs)
 
 
-def _word_blocks(spec, stream, x, n, replicas, y):
+class _WordWalk:
     """The cocycle walk by words of L draws, each drawn whole by
     ``sample_words`` (a block draws T * R uniforms, draw t * R + i being word
-    t of replica i).  By the cocycle identity, step l of a word that starts
+    t of replica i).  By the cocycle identity, step l of a word w that starts
     at step k0 from the direction v reads
 
         sigma(A_{k0 + l}, x) = sigma(A_{k0}, x) + logs_l[j] + log <1, P_l[j] v>
@@ -580,41 +594,150 @@ def _word_blocks(spec, stream, x, n, replicas, y):
     log <y, A_{k0 + l} x>.  The direction moves once per word, through the
     top level.  The last word, when L does not divide n, is read only to its
     first n mod L steps: those draws are iid under the product law.
+
+    Iterating yields every step's value, block by block; ``record_read``
+    computes only the words that can raise a running maximum.  Both read
+    the words of one pass over the stream, so a walk is read once.
     """
-    length, levels, _, _ = spec._words
-    d, sizes = spec.d, len(spec.atoms) ** np.arange(1, length + 1)[:, None]
-    r = np.ones(d) if y is None else y.coords
-    # every level's weighted rows r^T P_l side by side, level l from offset[l - 1]
-    rows = np.concatenate([np.tensordot(r, words, 1) for words, _ in levels], axis=1)
-    logs = np.concatenate([lg for _, lg in levels])
-    offset = np.cumsum(sizes, axis=0) - sizes
-    table, top_logs = levels[-1]
-    state = np.broadcast_to(x.coords[:, None, None], (d, 1, replicas))
-    total, k = np.zeros(replicas), 0
-    while k < n:
-        # T words gather d * L * T * R entries: near 2**15, as 2**14 ran 5% slower
-        # and 2**16 grew the temporaries (R = 512, d = 2, L = 8)
-        size = min(max(1, 2**15 // (d * length * replicas)), -(-(n - k) // length))
-        w = sample_words(spec, stream, size * replicas).reshape(size, replicas)
-        mats, incs = table.take(w, axis=2), top_logs.take(w)
-        starts, sigmas = np.empty((d, size, 1, replicas)), np.empty((size, 1, replicas))
-        for t in range(size):
-            starts[:, t, 0], sigmas[t, 0] = state[:, 0], total
-            state, scale = _step(mats[:, :, t], state)
-            total = total + np.log(scale) + incs[t]
-        idx = np.remainder(w[:, None], sizes)  # (T, L, R): each step's prefix in ``rows``
-        idx += offset
-        vals, term = rows[0].take(idx), np.empty(idx.shape)
+
+    def __init__(self, spec, stream, x, n, replicas, y):
+        self.length, levels, _, _ = spec._words
+        self.spec, self.stream, self.x, self.n, self.replicas = spec, stream, x, n, replicas
+        self.sizes = len(spec.atoms) ** np.arange(1, self.length + 1)[:, None]
+        r = np.ones(spec.d) if y is None else y.coords
+        # every level's weighted rows r^T P_l side by side, level l from offset[l - 1]
+        self.rows = np.concatenate([np.tensordot(r, words, 1) for words, _ in levels], axis=1)
+        self.logs = np.concatenate([lg for _, lg in levels])
+        self.offset = np.cumsum(self.sizes, axis=0) - self.sizes
+
+    def _blocks(self):
+        """Per block: its first step k, the (T, R) top words w drawn, and the
+        direction (d, T, 1, R) and sigma (T, 1, R) at the start of each word."""
+        spec, replicas, length, d = self.spec, self.replicas, self.length, self.spec.d
+        table, top_logs = spec._words[1][-1]
+        state = np.broadcast_to(self.x.coords[:, None, None], (d, 1, replicas))
+        total, k = np.zeros(replicas), 0
+        while k < self.n:
+            # T words gather d * L * T * R entries: near 2**15, as 2**14 ran 5% slower
+            # and 2**16 grew the temporaries (R = 512, d = 2, L = 8)
+            size = min(max(1, 2**15 // (d * length * replicas)), -(-(self.n - k) // length))
+            w = sample_words(spec, self.stream, size * replicas).reshape(size, replicas)
+            mats, incs = table.take(w, axis=2), top_logs.take(w)
+            starts, sigmas = np.empty((d, size, 1, replicas)), np.empty((size, 1, replicas))
+            for t in range(size):
+                starts[:, t, 0], sigmas[t, 0] = state[:, 0], total
+                state, scale = _step(mats[:, :, t], state)
+                total = total + np.log(scale) + incs[t]
+            yield k, w, starts, sigmas
+            k += size * length
+
+    def values(self, w, starts, sigmas):
+        """The (T, L, P) values of the L steps of the (T, P) words w, from the
+        directions starts (d, T, 1, P) and sigmas (T, 1, P) at their starts:
+        the one computation of the step values, for every read of the walk."""
+        idx = np.remainder(w[:, None], self.sizes)  # (T, L, P): each step's prefix in ``rows``
+        idx += self.offset
+        vals, term = self.rows[0].take(idx), np.empty(idx.shape)
         vals *= starts[0]
-        for i in range(1, d):
-            vals += np.multiply(rows[i].take(idx, out=term), starts[i], out=term)
+        for i in range(1, len(starts)):
+            vals += np.multiply(self.rows[i].take(idx, out=term), starts[i], out=term)
         with np.errstate(divide="ignore"):
             np.log(vals, out=vals)
-        vals += logs.take(idx, out=term)
+        vals += self.logs.take(idx, out=term)
         vals += sigmas
-        vals = vals.reshape(size * length, replicas)[:n - k]
-        yield np.arange(k + 1, k + len(vals) + 1), vals
-        k += len(vals)
+        return vals
+
+    def __iter__(self):
+        for k, w, starts, sigmas in self._blocks():
+            vals = self.values(w, starts, sigmas).reshape(-1, self.replicas)[:self.n - k]
+            yield np.arange(k + 1, k + len(vals) + 1), vals
+
+    def bounds(self, lam):
+        """Per top word w, (hi_w, lo_w) with every step l of w deviating from
+        its start by  lo_w <= value - sigma(A_{k0}, x) - l lam <= hi_w.
+
+        <r, P_l v> is linear in v, so over the simplex it lies between the
+        least and the largest entry of the row r^T P_l: the paper's
+        log v <= sigma <= log N on each prefix.  Built one level at a time on
+        (K**L,) arrays."""
+        words = self.sizes[-1, 0]
+        hi, lo = np.full(words, -np.inf), np.full(words, np.inf)
+        for l, (start, size) in enumerate(zip(self.offset[:, 0], self.sizes[:, 0]), 1):
+            rows, logs = self.rows[:, start:start + size], self.logs[start:start + size]
+            with np.errstate(divide="ignore"):
+                top, low = np.log(rows.max(axis=0)), np.log(rows.min(axis=0))
+            top += logs
+            top -= l * lam
+            low += logs
+            low -= l * lam
+            # word w's oldest l draws are its prefix w mod K**l
+            np.maximum(hi, np.tile(top, words // size), out=hi)
+            np.minimum(lo, np.tile(low, words // size), out=lo)
+        return hi, lo
+
+    def record_read(self, lam, marks):
+        """The running maxima max_{k <= n} |value_k - k lam| (R,), the values at
+        each step of ``marks`` and the share of (word, replica) pairs whose
+        steps were computed.
+
+        A pair whose bound max(c + hi_w, -(c + lo_w)), c = sigma(A_{k0}, x) -
+        k0 lam, cannot pass the running maximum at the start of its block is
+        skipped: its values are at most that maximum, so the maxima equal
+        those of every value, bit for bit.  The bound's slack, 2**-32 times
+        the magnitudes of its terms, lies far above the few roundings of a
+        value and of its bound.  The words that hold a mark are computed for
+        every replica."""
+        hi, lo = self.bounds(lam)
+        length, replicas = self.length, self.replicas
+        # a magnitude above every term of a value and of its bound but sigma's
+        ends = np.abs(np.concatenate([hi, lo]))
+        scale = (1.0 + 2.0 * ends[np.isfinite(ends)].max(initial=0.0)
+                 + 2.0 * np.abs(self.logs).max() + 3.0 * length * abs(lam))
+        steps = np.arange(1, length + 1)[:, None]
+        running_max, level_vals, exact, pairs = np.zeros(replicas), {}, 0, 0
+        for k, w, starts, sigmas in self._blocks():
+            size = len(w)
+            k0 = k + length * np.arange(size)
+            c = sigmas[:, 0] - (k0 * lam)[:, None]
+            bound = np.maximum(c + hi.take(w), -(c + lo.take(w)))
+            bound += 2.0**-32 * (scale + np.abs(sigmas).max() + (k0[-1] + length) * abs(lam))
+            keep = bound > running_max
+            inside = [m for m in marks if k < m <= k + size * length]
+            for m in inside:
+                keep[(m - k - 1) // length] = True
+            flat = np.flatnonzero(keep)
+            exact, pairs = exact + flat.size, pairs + keep.size
+            vals = self.values(w.take(flat)[None],
+                               starts.reshape(len(starts), -1).take(flat, axis=1)[:, None, None],
+                               sigmas.take(flat)[None, None])[0]
+            ks = k0.take(flat // replicas) + steps
+            dev = np.abs(vals - ks * lam)
+            if k + size * length > self.n:
+                dev[ks > self.n] = 0.0
+            np.maximum.at(running_max, flat % replicas, dev.max(axis=0))
+            for m in inside:
+                t, l = divmod(m - k - 1, length)
+                at = flat.searchsorted(t * replicas)
+                level_vals[m] = vals[l, at:at + replicas].copy()
+        return running_max, level_vals, exact / pairs
+
+
+def _asip_read(spec, seed, x, n, replicas, y, lam, marks):
+    """(word_len, running maxima, values at marks, exact share) of the walk of
+    ``_cocycle_blocks``: max_{k <= n} |value_k - k lam| per replica, the
+    (R,) values at each step of ``marks``, and the share of (word, replica)
+    pairs whose steps were computed (every one on the step walk)."""
+    word_len, blocks = _cocycle_blocks(spec, seed, x, n, replicas, y)
+    if isinstance(blocks, _WordWalk):
+        return (word_len, *blocks.record_read(lam, marks))
+    running_max, level_vals = np.zeros(replicas), {}
+    for ks, vals in blocks:
+        dev = np.abs(vals - ks[:, None] * lam)
+        np.maximum(running_max, dev.max(axis=0), out=running_max)
+        for k in marks:
+            if ks[0] <= k <= ks[-1]:
+                level_vals[k] = vals[k - ks[0]].copy()
+    return word_len, running_max, level_vals, 1.0
 
 
 def asip_proxy(spec: MeasureSpec, n: int, replicas: int, seed: int = 0,
@@ -632,6 +755,7 @@ def asip_proxy(spec: MeasureSpec, n: int, replicas: int, seed: int = 0,
     replicas = as_count(replicas, "replicas")
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
+    _check_finite(eps=eps, s=s, lambda_hat=lambda_hat)
     xp, yp = as_point(x, spec.d, "x"), as_point(y, spec.d, "y")
     if lambda_hat is None or s is None:
         pre = functional_sweep(spec, [min(n, 4096)], max(2048, replicas),
@@ -641,18 +765,10 @@ def asip_proxy(spec: MeasureSpec, n: int, replicas: int, seed: int = 0,
         s = pre.s_hat if s is None else s
     if not s > 0:
         raise ValueError("s must be positive")
-    running_max = np.zeros(replicas)
     k_levels = int(np.floor(np.log2(n)))
     marks = [2 ** j for j in range(ASIP_MIN_BLOCK_EXP, k_levels + 1)]
-    level_vals = {}
-    word_len, blocks = _cocycle_blocks(spec, seed, xp, n, replicas,
-                                       yp if variant == "coeff" else None)
-    for ks, vals in blocks:
-        dev = np.abs(vals - ks[:, None] * lambda_hat)
-        np.maximum(running_max, dev.max(axis=0), out=running_max)
-        for k in marks:
-            if ks[0] <= k <= ks[-1]:
-                level_vals[k] = vals[k - ks[0]].copy()
+    word_len, running_max, level_vals, exact = _asip_read(
+        spec, seed, xp, n, replicas, yp if variant == "coeff" else None, lambda_hat, marks)
     envelope = (1.0 + eps) * np.sqrt(2.0 * s * s * n * np.log(np.log(n)))
     stat = running_max / np.sqrt(2.0 * s * s * n * np.log(np.log(n)))
     frac = float(np.mean(running_max <= envelope))
@@ -667,7 +783,8 @@ def asip_proxy(spec: MeasureSpec, n: int, replicas: int, seed: int = 0,
         prev = k
     return AsipReport(n=n, replicas=replicas, eps=eps, envelope_fraction=frac,
                       envelope_quantile_99=q99, block_ks=tuple(blocks),
-                      s_used=s, lambda_used=lambda_hat, word_len=word_len)
+                      s_used=s, lambda_used=lambda_hat, word_len=word_len,
+                      exact_fraction=exact)
 
 
 # ---------------------------------------------------------------------
@@ -741,6 +858,7 @@ def deviation_tail_sums(spec: MeasureSpec, alpha: float, p: float, eps: float,
     replicas = as_count(replicas, "replicas")
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
+    _check_finite(eps=eps, lambda_hat=lambda_hat)
     xp = as_point(x, spec.d, "x")
     if lambda_hat is None:
         lambda_hat = functional_sweep(spec, [n_max], max(replicas // 4, 1024),

@@ -151,6 +151,15 @@ class TestArgumentHandling:
         assert "--eps must be positive" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("command", ["asip-proxy", "deviation"])
+    def test_non_finite_eps_rejected(self, tmp_path, capsys, monkeypatch, command, value):
+        # an infinite eps used to hold every replica inside the envelope
+        monkeypatch.setattr(hz, "functional_sweep", _no_sweep)
+        assert run([command, "--eps", value, "--out", str(tmp_path / "o")]) == 1
+        assert "--eps must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_cone_string(self, tmp_path, capsys):
         assert run(["cone-demo", "--cone", "torus:7", "--out", str(tmp_path)]) == 1
 
@@ -312,6 +321,15 @@ class TestVerdictCommands:
         assert run([command, "--n", "100", "--replicas", "64", "--eps", "5",
                     "--out", str(out), *spec_flag]) in (0, 2)
         assert _summary(out)["results"]["word_len"] == word_len
+
+    def test_asip_summary_reports_the_exact_share(self, tmp_path):
+        # the share of (word, replica) pairs whose steps were computed goes to
+        # summary.json only; the CSV keeps its columns
+        out = tmp_path / "o"
+        assert run(["asip-proxy", "--n", "4096", "--replicas", "64", "--eps", "5",
+                    "--out", str(out)]) in (0, 2)
+        assert 0.0 < _summary(out)["results"]["exact_fraction"] < 1.0
+        assert (out / "asip-proxy.csv").read_text().splitlines()[0] == "statistic,value,eps,n"
 
     @pytest.mark.parametrize("grid", ["16", "1"])
     def test_berry_esseen_one_step_exits_one(self, tmp_path, capsys, monkeypatch, grid):

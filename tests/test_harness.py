@@ -352,6 +352,24 @@ class TestAsipProxy:
             hz.asip_proxy(reference_spec, 64, 10, eps=eps)
 
 
+TWO_ATOMS_D3 = MeasureSpec.atomic([[[2.0, 1.0, 0.0], [0.5, 1.0, 1.0], [1.0, 0.0, 3.0]],
+                                   [[1.0, 2.0, 1.0], [0.0, 1.0, 0.5], [4.0, 1.0, 1.0]]],
+                                  [0.25, 0.75])
+
+# (spec, L): atomic specs that walk by words
+WORD_SPECS = [
+    (hz.reference_spec(), 8),
+    (hz.reference_spec().transposed(), 8),
+    (TWO_ATOMS_D3, 11),
+    # beyond the counted atoms: L = 2, with searchsorted's intp indices
+    (MeasureSpec.atomic(np.random.default_rng(5).lognormal(size=(80, 2, 2)),
+                        np.arange(1, 81) / 3240.0), 2),
+    (SINGLE, 13),
+]
+WORD_SPEC_IDS = ["reference", "reference-transposed", "two-atoms-d3", "eighty-atoms",
+                 "single-atom"]
+
+
 def word_walk_reference(spec, seed, n, replicas, x, y=None):
     """The cocycle walk of ``_cocycle_blocks`` written out atom by atom: per
     replica ceil(n / L) words from the stream (seed, FORWARD, 0), R uniforms
@@ -435,18 +453,7 @@ class TestVectorWalkAgainstBatchedProducts:
         assert 0 < probs[-1] < 1
         assert np.allclose(rep.partial_sums, np.cumsum(probs), rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("spec, length", [
-        (hz.reference_spec(), 8),
-        (hz.reference_spec().transposed(), 8),
-        (MeasureSpec.atomic([[[2.0, 1.0, 0.0], [0.5, 1.0, 1.0], [1.0, 0.0, 3.0]],
-                             [[1.0, 2.0, 1.0], [0.0, 1.0, 0.5], [4.0, 1.0, 1.0]]],
-                            [0.25, 0.75]), 11),
-        # beyond the counted atoms: L = 2, with searchsorted's intp indices
-        (MeasureSpec.atomic(np.random.default_rng(5).lognormal(size=(80, 2, 2)),
-                            np.arange(1, 81) / 3240.0), 2),
-        (SINGLE, 13),
-    ], ids=["reference", "reference-transposed", "two-atoms-d3", "eighty-atoms",
-            "single-atom"])
+    @pytest.mark.parametrize("spec, length", WORD_SPECS, ids=WORD_SPEC_IDS)
     @pytest.mark.parametrize("n", [1, 5, 37, 1001])
     @pytest.mark.parametrize("variant", ["sigma", "coeff"])
     def test_every_step_matches_the_reference(self, spec, length, n, variant):
@@ -503,7 +510,7 @@ class TestVectorWalkAgainstBatchedProducts:
         vals = np.concatenate(vals)
         maxima = running_maxima(vals, lam)
         scale = np.sqrt(2.0 * s * s * n * np.log(np.log(n)))
-        assert rep.word_len == 1
+        assert rep.word_len == 1 and rep.exact_fraction == 1.0
         assert rep.envelope_quantile_99 == np.quantile(maxima[-1] / scale, 0.99)
         assert rep.envelope_fraction == np.mean(maxima[-1] <= (1.0 + eps) * scale)
         marks = [64, 128, 256, 512]
@@ -517,6 +524,127 @@ class TestVectorWalkAgainstBatchedProducts:
             probs = [float(np.mean(m >= 0.3 * k)) for k, m in enumerate(maxima, 1)]
             assert dev.word_len == 1
             assert dev.probabilities == tuple(probs)
+
+
+def check_pruned_read(spec, seed, n, replicas, x, y=None, lam=None):
+    """The record-pruned read of ``asip_proxy`` against every value of the
+    walk of ``_cocycle_blocks``, bit for bit: the running maxima at n and the
+    values at the marks, here every power of two up to n.  The drift is by
+    default the walk's own mean sigma(A_n, x) / n, so that most words can be
+    skipped.  Returns the share of (word, replica) pairs computed."""
+    if lam is None:
+        lam = float(step_walk_values(spec, seed, n, replicas, x)[1][-1].mean() / n)
+    _, vals = step_walk_values(spec, seed, n, replicas, x, y)
+    marks = [2 ** j for j in range(n.bit_length())]
+    yp = None if y is None else as_point(y, spec.d, "y")
+    _, maxima, at_marks, exact = hz._asip_read(spec, seed, as_point(x, spec.d, "x"), n,
+                                               replicas, yp, lam, marks)
+    assert np.array_equal(maxima, running_maxima(vals, lam)[-1])
+    assert sorted(at_marks) == marks
+    for m in marks:
+        assert np.array_equal(at_marks[m], vals[m - 1])
+    return exact
+
+
+@st.composite
+def word_walk_cases(draw):
+    """An atomic spec of 1 to 3 atoms in dimension 2 to 4 with exact zeros
+    (entries 0 or in [1/4, 4], plus 1 on a permutation pattern so that every
+    atom is allowable), a start x and a weight row y on the simplex that may
+    sit on its boundary, and a step count n."""
+    d, k = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    entries = st.lists(st.one_of(st.just(0.0), st.floats(0.25, 4.0)),
+                       min_size=d * d, max_size=d * d)
+    atoms = []
+    for _ in range(k):
+        atom = np.reshape(draw(entries), (d, d))
+        atom[np.arange(d), draw(st.permutations(range(d)))] += 1.0
+        atoms.append(atom)
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)))
+    spec = MeasureSpec.atomic(atoms, weights / weights.sum())
+    point = st.lists(st.one_of(st.just(0.0), st.floats(0.1, 1.0)), min_size=d, max_size=d)
+    x, y = (np.array(draw(point.filter(any))) for _ in range(2))
+    return spec, x / x.sum(), y / y.sum(), draw(st.integers(3, 400))
+
+
+class TestRecordPrunedRead:
+    """``asip_proxy`` on the word walk computes a (word, replica) pair's steps
+    only when its bound max(c + hi_w, -(c + lo_w)) can pass the running
+    maximum; the maxima and the marks must still equal those of every step
+    of the walk bit for bit."""
+
+    @pytest.mark.parametrize("spec, length", WORD_SPECS, ids=WORD_SPEC_IDS)
+    @pytest.mark.parametrize("n", [3, 5, 37, 1001])
+    @pytest.mark.parametrize("variant", ["sigma", "coeff"])
+    def test_maxima_and_marks_match_the_full_walk(self, spec, length, n, variant):
+        assert spec._words[0] == length
+        x = np.linspace(1.0, 2.0, spec.d) / np.linspace(1.0, 2.0, spec.d).sum()
+        y = np.linspace(2.0, 1.0, spec.d) / np.linspace(2.0, 1.0, spec.d).sum()
+        check_pruned_read(spec, 23, n, 64, x, y if variant == "coeff" else None)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("variant", ["sigma", "coeff"])
+    def test_far_scaled_atoms(self, reference_spec, scale, variant):
+        # the logs run near +-460 per step, sigma near +-4.6e5 at n = 1001
+        spec = MeasureSpec.atomic(reference_spec.atom_array() * scale, reference_spec.weights)
+        assert check_pruned_read(spec, 28, 1001, 64, (0.3, 0.7),
+                                 (0.6, 0.4) if variant == "coeff" else None) < 1.0
+
+    def test_zero_weight_gives_minus_inf(self):
+        # from the vertex e_1, <e_2, A_k x> vanishes on 44 of the 64 replicas
+        # at some step: their running maximum is +inf
+        x, y = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+        _, vals = step_walk_values(TWO_ATOMS_D3, 23, 1001, 64, x, y)
+        assert np.isneginf(vals).any(axis=0).sum() == 44
+        check_pruned_read(TWO_ATOMS_D3, 23, 1001, 64, x, y)
+
+    def test_attained_bounds(self):
+        # both columns of the atom sum to 2, so <1, P_l v> is the same at every
+        # v and lo_w <= value - sigma(A_{k0}, x) - l lam <= hi_w is tight on
+        # either side: at lam a hair below log 2 the deviation k (log 2 - lam)
+        # grows by 1e-6 a step, so every word passes the running maximum by
+        # less than 2e-5, and the last, unfinished word's steps past n would
+        # pass it too
+        spec = MeasureSpec.single_atom([[1.2, 0.5], [0.8, 1.5]])
+        n = 4001  # 307 words of 13 steps and 10 steps of the next
+        assert check_pruned_read(spec, 32, n, 8, (0.3, 0.7), lam=np.log(2.0) - 1e-6) == 1.0
+
+    def test_most_pairs_are_skipped_near_the_drift(self, reference_spec):
+        # at the walk's own drift the running maxima soon outgrow most words'
+        # bounds
+        exact = check_pruned_read(reference_spec, 29, 4096, 64, (0.3, 0.7))
+        assert 0.0 < exact < 0.5
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=word_walk_cases(), variant=st.sampled_from(["sigma", "coeff"]))
+    def test_random_atomic_specs(self, case, variant):
+        spec, x, y, n = case
+        check_pruned_read(spec, 30, n, 8, x, y if variant == "coeff" else None)
+
+    @pytest.mark.parametrize("spec, length", [WORD_SPECS[0], WORD_SPECS[2]],
+                             ids=["reference", "two-atoms-d3"])
+    @pytest.mark.parametrize("variant", ["sigma", "coeff"])
+    def test_every_step_lies_inside_its_words_bounds(self, spec, length, variant):
+        # the paper's log v(g) <= sigma(g, x) <= log N(g), on each prefix of a
+        # word: step l of word w, from sigma(A_{k0}, x), deviates by value -
+        # sigma(A_{k0}, x) - l lam in [lo_w, hi_w]; the values are the
+        # reference's, written out step by step
+        n, R, lam = 40 * length, 32, 0.5
+        x = np.linspace(1.0, 2.0, spec.d) / np.linspace(1.0, 2.0, spec.d).sum()
+        y = np.linspace(2.0, 1.0, spec.d) / np.linspace(2.0, 1.0, spec.d).sum()
+        y = y if variant == "coeff" else None
+        walk = hz._cocycle_blocks(spec, 31, as_point(x, spec.d, "x"), n, R,
+                                  None if y is None else as_point(y, spec.d, "y"))[1]
+        hi, lo = walk.bounds(lam)
+        words = np.concatenate([w for _, w, _, _ in walk._blocks()])  # (n / L, R)
+        sigma = word_walk_reference(spec, 31, n, R, x)
+        starts = np.concatenate([np.zeros((1, R)), sigma[length - 1:-1:length]])
+        steps = np.arange(1, length + 1)[:, None]
+        dev = word_walk_reference(spec, 31, n, R, x, y).reshape(-1, length, R)
+        dev -= starts[:, None] + steps * lam
+        assert np.isfinite(dev).all()
+        assert (dev <= hi[words][:, None] + 1e-9).all()
+        assert (dev >= lo[words][:, None] - 1e-9).all()
 
 
 def test_start_points_are_validated_once_per_call(reference_spec, monkeypatch):
@@ -806,6 +934,36 @@ class TestInputChecksNameTheField:
     def test_rejects_a_non_integral_count(self, reference_spec, name, args, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
             getattr(hz, name)(reference_spec, *args, **kwargs)
+
+    # each call names one field; every other argument is valid, s and
+    # lambda_hat given so that nothing is estimated
+    NON_FINITE = [
+        ("asip_proxy", (64, 8), {"s": 1.0, "lambda_hat": 0.5}, "s"),
+        ("asip_proxy", (64, 8), {"s": 1.0, "lambda_hat": 0.5}, "lambda_hat"),
+        ("asip_proxy", (64, 8), {"s": 1.0, "lambda_hat": 0.5}, "eps"),
+        ("deviation_tail_sums", (1.0, 2.0, 0.5, 8, 16), {"lambda_hat": 0.5}, "lambda_hat"),
+        ("deviation_tail_sums", (1.0, 2.0), {"eps": 0.5, "n_max": 8, "replicas": 16,
+                                             "lambda_hat": 0.5}, "eps"),
+        ("empirical_normality", ("sigma", 4, 16), {"s": 1.0, "lambda_hat": 0.5}, "s"),
+        ("empirical_normality", ("sigma", 4, 16), {"s": 1.0, "lambda_hat": 0.5},
+         "lambda_hat"),
+        ("berry_esseen_fit", ("sigma", 3.0, [2, 4], 16), {"s": 1.0, "lambda_hat": 0.5}, "s"),
+        ("berry_esseen_fit", ("sigma", 3.0, [2, 4], 16), {"s": 1.0, "lambda_hat": 0.5},
+         "lambda_hat"),
+    ]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name, args, kwargs, field", NON_FINITE,
+                             ids=[f"{case[0]}-{case[3]}" for case in NON_FINITE])
+    def test_rejects_a_non_finite_value_before_any_draw(self, reference_spec, monkeypatch,
+                                                        name, args, kwargs, field, value):
+        # deviation_tail_sums(lambda_hat=nan) and berry_esseen_fit(lambda_hat=nan)
+        # used to pass, and asip_proxy(s=inf) or (eps=inf) to hold every replica
+        for drawing in ("functional_sweep", "moment_sanity", "_cocycle_blocks",
+                        "BatchedProducts"):
+            monkeypatch.setattr(hz, drawing, None)
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            getattr(hz, name)(reference_spec, *args, **{**kwargs, field: value})
 
     @pytest.mark.parametrize("call, field", [
         (lambda: hz.fixture_a_report(n_values=(2, 2.5), replicas=10), "n_values"),
