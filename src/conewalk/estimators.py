@@ -94,7 +94,7 @@ def _variance_with_error(samples: np.ndarray, scale: float, method: str) -> Esti
 
 
 def _forward_blocks(spec: MeasureSpec, rng: np.random.Generator,
-                    state: np.ndarray, steps: int, block: int | None = None):
+                    state: np.ndarray, steps: int, block: int | None = None, words=False):
     """Run the (d, c, R) ``state`` forward ``steps`` steps; yield per block
     of T steps the (T, R) log increments, the list of T (d, c, R) states
     after each step and the (T, d, d, R) view of the block's draws.
@@ -105,18 +105,27 @@ def _forward_blocks(spec: MeasureSpec, rng: np.random.Generator,
     follows ``block_steps``, or is ``block`` when given.  Nothing is drawn
     until the generator is advanced: a caller that draws from ``rng`` between
     steps (the martingale route draws psi's inner paths) passes ``block=1``.
+    With ``words`` (atomic specs with a word table) a step is a word of L draws:
+    a block is one ``sample_words`` call, the draws are the words' products in
+    the top level of ``MeasureSpec._words``, and the (T, R) words are yielded
+    in place of the draws; the caller adds the words' logs to the increments.
     """
     d, c, R = state.shape
     done = 0
     while done < steps:
         size = block or block_steps(done, R * d * d, steps - done)
-        y = sample_batch(spec, rng, size * R).reshape(size, R, d, d).transpose(0, 2, 3, 1)
-        states, scales = [], np.empty((size, R))
+        if words:
+            w = sample_words(spec, rng, size * R).reshape(size, R)
+            y = spec._words[1][-1][0].take(w, axis=2).transpose(2, 0, 1, 3)
+        else:
+            y = sample_batch(spec, rng, size * R).reshape(size, R, d, d).transpose(0, 2, 3, 1)
+        states, incs = [], np.empty((size, R))
         for t in range(size):
-            state, scales[t] = _step(y[t], state)
+            state, scale = _step(y[t], state)
+            np.log(scale, out=incs[t])  # a block-wide log took 48x the page faults at R = 8192
             states.append(state)
         done += size
-        yield np.log(scales), states, y
+        yield incs, states, w if words else y
         del y  # the draws are freed before the next block is drawn
 
 
@@ -165,25 +174,21 @@ class BatchedProducts:
     def leap(self, n: int) -> None:
         """``n`` steps with the law of ``run(n)``, one uniform, ``_step`` and log
         per word of L steps: each word is drawn whole from the word law of
-        ``MeasureSpec._words`` (``sample_words``), the atomic law on the K**L
-        words with product weights.  A block draws T * R uniforms, draw t * R + i
-        being word t of replica i.  The last n mod L steps, and specs without
+        ``MeasureSpec._words``, the atomic law on the K**L words with product
+        weights, by ``_forward_blocks`` in word mode (draw t * R + i of a block
+        is word t of replica i).  The last n mod L steps, and specs without
         words (parametric laws, and laws whose L would be 1), go through
         ``run`` on its draws."""
         n = as_count(n, "n", 0)
         words = self.spec._words if self.spec.kind == "atomic" else None
         if words is None:
             return self.run(n)
-        (length, levels, _, _), R, done = words, self.replicas, 0
-        table, logs = levels[-1]
-        while done < n // length:
-            size = block_steps(done, R * self.spec.d ** 2, n // length - done)
-            w = sample_words(self.spec, self.rng, size * R).reshape(size, R)
-            y, incs = table.take(w, axis=2), logs.take(w)
-            for t in range(size):
-                self._entries, scale = _step(y[:, :, t], self._entries)
-                self.log_scale += np.log(scale) + incs[t]
-            done += size
+        length, logs = words[0], words[1][-1][1]
+        for incs, states, w in _forward_blocks(self.spec, self.rng, self._entries,
+                                               n // length, words=True):
+            for inc, wt in zip(incs, logs.take(w)):
+                self.log_scale += inc + wt
+            self._entries = states[-1]
         self.n += n - n % length
         self.run(n % length)
 

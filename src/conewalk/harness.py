@@ -24,8 +24,8 @@ import numpy as np
 
 from . import rng as rngmod
 from .estimators import FUNCTIONALS, BatchedProducts, _forward_blocks, moment_sanity
-from .measures import MeasureSpec, sample_batch, sample_words, word_levels
-from .posmat import _step, g_delta_level
+from .measures import MeasureSpec, sample_batch, word_levels
+from .posmat import g_delta_level
 from .rng import Purpose
 from .simplex import as_count, as_grid, as_point
 
@@ -582,9 +582,9 @@ def _step_blocks(spec, stream, x, n, replicas, y):
 
 
 class _WordWalk:
-    """The cocycle walk by words of L draws, each drawn whole by
-    ``sample_words`` (a block draws T * R uniforms, draw t * R + i being word
-    t of replica i).  By the cocycle identity, step l of a word w that starts
+    """The cocycle walk by words of L draws, stepped by ``_forward_blocks`` in
+    word mode (draw t * R + i of a block is word t of replica i, on blocks of
+    ``block_steps`` words).  By the cocycle identity, step l of a word w that starts
     at step k0 from the direction v reads
 
         sigma(A_{k0 + l}, x) = sigma(A_{k0}, x) + logs_l[j] + log <1, P_l[j] v>
@@ -613,23 +613,17 @@ class _WordWalk:
     def _blocks(self):
         """Per block: its first step k, the (T, R) top words w drawn, and the
         direction (d, T, 1, R) and sigma (T, 1, R) at the start of each word."""
-        spec, replicas, length, d = self.spec, self.replicas, self.length, self.spec.d
-        table, top_logs = spec._words[1][-1]
-        state = np.broadcast_to(self.x.coords[:, None, None], (d, 1, replicas))
+        top_logs, replicas = self.spec._words[1][-1][1], self.replicas
+        state = np.broadcast_to(self.x.coords[:, None, None], (self.spec.d, 1, replicas))
         total, k = np.zeros(replicas), 0
-        while k < self.n:
-            # T words gather d * L * T * R entries: near 2**15, as 2**14 ran 5% slower
-            # and 2**16 grew the temporaries (R = 512, d = 2, L = 8)
-            size = min(max(1, 2**15 // (d * length * replicas)), -(-(self.n - k) // length))
-            w = sample_words(spec, self.stream, size * replicas).reshape(size, replicas)
-            mats, incs = table.take(w, axis=2), top_logs.take(w)
-            starts, sigmas = np.empty((d, size, 1, replicas)), np.empty((size, 1, replicas))
-            for t in range(size):
-                starts[:, t, 0], sigmas[t, 0] = state[:, 0], total
-                state, scale = _step(mats[:, :, t], state)
-                total = total + np.log(scale) + incs[t]
+        for incs, states, w in _forward_blocks(self.spec, self.stream, state,
+                                               -(-self.n // self.length), words=True):
+            starts, sigmas = np.stack([state, *states[:-1]], 1), np.empty((len(w), 1, replicas))
+            for t, (inc, wt) in enumerate(zip(incs, top_logs.take(w))):
+                sigmas[t, 0], total = total, total + inc + wt
+            state = states[-1]
             yield k, w, starts, sigmas
-            k += size * length
+            k += len(w) * self.length
 
     def values(self, w, starts, sigmas):
         """The (T, L, P) values of the L steps of the (T, P) words w, from the
@@ -1024,9 +1018,9 @@ def coefficient_gap_check(spec: MeasureSpec, n_max: int, paths: int,
     products.  Recomputed densely (n_max <= 64), returns the largest
     violation (negative means the bound held everywhere).
     """
+    n_max, paths = as_count(n_max, "n_max", -np.inf), as_count(paths, "paths")
     if not 2 <= n_max <= 64:
         raise ValueError(f"n_max must lie in [2, 64] for dense suffix products, got {n_max}")
-    n_max, paths = as_count(n_max, "n_max", 2), as_count(paths, "paths")
     if spec.kind != "atomic":
         raise ValueError("classifier levels need an atomic spec")
     level = min(g_delta_level(a) for a in spec.atom_array())

@@ -368,7 +368,7 @@ def word_levels(spec: MeasureSpec):
 
 
 def block_steps(done: int, step_entries: int, remaining: int) -> int:
-    """Steps for the next ``sample_batch`` call of a loop that draws in blocks.
+    """Steps (or words) for the next draw call of a loop that draws in blocks.
 
     Blocks start at 16 steps and double with the steps already ``done``,
     capped near 2**14 drawn entries (``step_entries`` per step) and at the

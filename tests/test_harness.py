@@ -647,6 +647,44 @@ class TestRecordPrunedRead:
         assert (dev >= lo[words][:, None] - 1e-9).all()
 
 
+@pytest.mark.parametrize("spec, length", WORD_SPECS, ids=WORD_SPEC_IDS)
+def test_word_block_schedule_moves_no_value(spec, length, monkeypatch):
+    # _forward_blocks in word mode draws word t of replica i as uniform t * R + i
+    # and keeps every log sum in order, so one word per block must give leap
+    # and the cocycle walk bit for bit what block_steps' schedule gives
+    n, R, lam = 1001, 64, 0.5
+    x = np.linspace(1.0, 2.0, spec.d) / np.linspace(1.0, 2.0, spec.d).sum()
+    xp, yp = as_point(x, spec.d, "x"), as_point(x[::-1], spec.d, "y")
+    marks = [2 ** j for j in range(n.bit_length())]
+
+    def reads():
+        batch = BatchedProducts(spec, rngmod.derived_stream(33, Purpose.FORWARD, 0), R)
+        batch.leap(n)
+        batch.leap(37)
+        out = [batch.P.copy(), batch.log_scale.copy()]
+        for y in (None, yp):
+            walk = hz._cocycle_blocks(spec, 34, xp, n, R, y)[1]
+            out.append(np.concatenate([vals for _, vals in walk]))
+            _, maxima, at_marks, _ = hz._asip_read(spec, 34, xp, n, R, y, lam, marks)
+            out += [maxima, *(at_marks[m] for m in marks)]
+        return out, repr(batch.rng.bit_generator.state)
+
+    def one_step(done, step_entries, remaining):
+        blocks.append(remaining)
+        return 1
+
+    default, default_state = reads()
+    blocks = []
+    monkeypatch.setattr(estimators, "block_steps", one_step)
+    one, one_state = reads()
+    # every word of leap and of the four walks, and run's steps after leap's words
+    assert len(blocks) == sum(divmod(n, length)) + sum(divmod(37, length)) + 4 * -(-n // length)
+    assert one_state == default_state
+    assert len(one) == len(default)
+    for a, b in zip(one, default):
+        assert np.array_equal(a, b)
+
+
 def test_start_points_are_validated_once_per_call(reference_spec, monkeypatch):
     # the per-step functionals read the validated point, so the count does
     # not grow with the number of steps or grid points
@@ -928,9 +966,15 @@ class TestInputChecksNameTheField:
         ("coefficient_gap_check", (4.5, 4), {}, "n_max"),
         ("coefficient_gap_check", (4, 2.5), {}, "paths"),
     ]
+    # not numbers: the range check ran first and raised a TypeError naming no field
+    NOT_NUMBERS = [
+        ("coefficient_gap_check", (None, 4), {}, "n_max"),
+        ("coefficient_gap_check", ("8", 4), {}, "n_max"),
+    ]
 
-    @pytest.mark.parametrize("name, args, kwargs, field", NON_INTEGRAL,
-                             ids=[f"{case[0]}-{case[3]}" for case in NON_INTEGRAL])
+    @pytest.mark.parametrize("name, args, kwargs, field", NON_INTEGRAL + NOT_NUMBERS,
+                             ids=[f"{case[0]}-{case[3]}" for case in NON_INTEGRAL]
+                             + [f"{case[0]}-{case[3]}-{case[1][0]!r}" for case in NOT_NUMBERS])
     def test_rejects_a_non_integral_count(self, reference_spec, name, args, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
             getattr(hz, name)(reference_spec, *args, **kwargs)

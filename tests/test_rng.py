@@ -52,6 +52,14 @@ def test_src_derives_streams_only_through_the_table():
     assert breaches == []
 
 
+def test_harness_steps_no_draws_itself():
+    # every forward draw of the harness goes through estimators._forward_blocks
+    tree = ast.parse((SRC / "harness.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not imported & {"_step", "sample_words"}
+
+
 @pytest.mark.parametrize("source", [
     "rngmod.derived_stream(seed, 0x5E)",
     "rngmod.derived_stream(seed)",
