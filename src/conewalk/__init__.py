@@ -15,7 +15,7 @@ from .posmat import (AllowableMatrix, MatrixGauges, gauges, act, cocycle,
 from .measures import MeasureSpec, sample_matrix
 from .walk import (InvariantSample, backward_invariant_sample,
                    backward_invariant_batch, detect_contraction)
-from .cones import (ConeModel, ConeVector, OrthantCone, LorentzCone, PsdCone,
+from .cones import (ConeModel, OrthantCone, LorentzCone, PsdCone,
                     orthant_cone, lorentz_cone, psd_cone)
 
 __version__ = "0.1.0"
@@ -29,7 +29,7 @@ __all__ = [
     "MeasureSpec", "sample_matrix",
     "InvariantSample", "backward_invariant_sample", "backward_invariant_batch",
     "detect_contraction",
-    "ConeModel", "ConeVector", "OrthantCone", "LorentzCone", "PsdCone",
+    "ConeModel", "OrthantCone", "LorentzCone", "PsdCone",
     "orthant_cone", "lorentz_cone", "psd_cone",
     "__version__",
 ]

@@ -2,11 +2,10 @@
 
 A cone model fixes a closed convex cone K with K meet -K = {0} and
 nonempty interior, an interior dual functional x0* and an interior base
-point x0 with <x0*, x0> = 1.  It supplies the monotone norm equal to
-<x0*, .> on K, the order ratio m(x, y) = sup{lam >= 0 : lam y <= x},
-the bounded projective metric on the slice <x0*, .> = 1, the action of
-cone-preserving linear maps with its log-norm cocycle, and a sampled
-lower bound for the projective contraction of a map.
+point x0 with <x0*, x0> = 1.  It supplies the order ratio
+m(x, y) = sup{lam >= 0 : lam y <= x}, the bounded projective metric on
+the slice <x0*, .> = 1, a sampled check that a linear map preserves the
+cone, and a sampled lower bound for the projective contraction of a map.
 
 Three instantiations are provided: the nonnegative orthant (closed
 forms throughout, consistent with the simplex module when x0* is the
@@ -17,18 +16,14 @@ pairing (coordinates in a fixed orthonormal symmetric basis).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import rng as rngmod
-from .posmat import MatrixGauges
 from .rng import Purpose
 from .simplex import _phi, _row_pairs, as_count
 
 __all__ = [
     "ConeModel",
-    "ConeVector",
     "CertificationError",
     "OrthantCone",
     "LorentzCone",
@@ -45,7 +40,6 @@ __all__ = [
 MEMBERSHIP_TOL = 1e-12
 BISECTION_TOL = 1e-10
 CERTIFY_SAMPLES = 1000
-NORM_METRIC_PAIRS = 4096
 
 
 class CertificationError(RuntimeError):
@@ -54,20 +48,6 @@ class CertificationError(RuntimeError):
     def __init__(self, message: str, witness: np.ndarray):
         super().__init__(message)
         self.witness = witness
-
-
-@dataclass(frozen=True)
-class ConeVector:
-    """A vector certified against its cone: member, interior, or unrestricted."""
-
-    coords: np.ndarray
-    tag: str  # "member" | "interior" | "unrestricted"
-
-
-def _coords(x) -> np.ndarray:
-    if isinstance(x, ConeVector):
-        return x.coords
-    return np.asarray(x, dtype=float)
 
 
 class ConeModel:
@@ -81,7 +61,6 @@ class ConeModel:
         self.x0 = np.asarray(x0, dtype=float)
         if abs(float(self.x0_star @ self.x0) - 1.0) > 1e-12:
             raise ValueError("<x0*, x0> must equal 1")
-        self._norm_metric_constant: float | None = None
 
     # -- membership (subclasses) ----------------------------------------
 
@@ -94,48 +73,7 @@ class ConeModel:
     def sample_slice(self, rng: np.random.Generator, boundary: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def sample_dual_cap(self, rng: np.random.Generator) -> np.ndarray:
-        """A dual vector x* with 0 <= x* <= x0* in the dual order."""
-        raise NotImplementedError
-
-    def _dual_cap_support(self, x: np.ndarray) -> float:
-        """sup over the dual cap of <x*, x>, for x outside the cone."""
-        raise NotImplementedError
-
-    # -- vectors ---------------------------------------------------------
-
-    def vector(self, coords, require: str = "member") -> ConeVector:
-        c = _coords(coords)
-        if c.shape != (self.ambient_dim,):
-            raise ValueError(f"expected ambient dimension {self.ambient_dim}")
-        if require == "interior":
-            if not self.contains_interior(c):
-                raise ValueError("vector is not interior to the cone")
-        elif require == "member":
-            if not self.contains(c):
-                raise ValueError("vector is not in the cone")
-        elif require != "unrestricted":
-            raise ValueError(f"unknown certification tag {require!r}")
-        out = c.copy()
-        out.flags.writeable = False
-        return ConeVector(coords=out, tag=require)
-
-    # -- norm and order ratio ---------------------------------------------
-
-    def monotone_norm(self, x) -> float:
-        """Norm equal to <x0*, x> on the cone and monotone for the order.
-
-        Off the cone it is the support value of the dual cap
-        {x* in K* : x* <= x0*}; every subclass evaluates that cap in
-        closed form (orthant: clipped coordinates; lorentz: the best of
-        its apexes and equator; psd: positive eigenvalue mass).
-        """
-        c = _coords(x)
-        if not np.any(c):
-            return 0.0
-        if self.contains(c, tol=0.0):
-            return float(self.x0_star @ c)
-        return self._dual_cap_support(c)
+    # -- order ratio and distance ------------------------------------------
 
     def m(self, x, y, method: str = "auto") -> float:
         """Order ratio m(x, y) = sup{lam >= 0 : lam y <= x} for x, y in K\\{0}.
@@ -144,7 +82,7 @@ class ConeModel:
         the subclass has them; otherwise bisection on lam -> x - lam y
         to absolute tolerance 1e-10.
         """
-        xc, yc = _coords(x), _coords(y)
+        xc, yc = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         for name, vec in (("x", xc), ("y", yc)):
             if not np.any(vec):
                 raise ValueError(f"{name} must be nonzero")
@@ -191,25 +129,6 @@ class ConeModel:
 
     # -- maps --------------------------------------------------------------
 
-    def _image(self, g, x) -> tuple[np.ndarray, float]:
-        """gx and its norm <x0*, gx>, certified to be a nonzero cone member."""
-        gx = np.asarray(g, dtype=float) @ _coords(x)
-        norm = float(self.x0_star @ gx)
-        if not norm > 0 or not self.contains(gx):
-            raise CertificationError(
-                "image left the cone; the map is not cone-preserving here",
-                witness=_coords(x))
-        return gx, norm
-
-    def act(self, g, x) -> np.ndarray:
-        """Projective action g.x = gx / <x0*, gx>, landing on the slice."""
-        gx, norm = self._image(g, x)
-        return gx / norm
-
-    def cocycle(self, g, x) -> float:
-        """log of the monotone norm of gx; additive via the action."""
-        return float(np.log(self._image(g, x)[1]))
-
     def certify_map(self, g, seed: int = 0) -> None:
         """Check on CERTIFY_SAMPLES sampled points that g maps K into K and
         int(K) into int(K).
@@ -228,21 +147,6 @@ class ConeModel:
             if not boundary and self.contains_interior(x) \
                     and not self.contains_interior(gx):
                 raise CertificationError("map sent an interior point to the boundary", x)
-
-    def gauges(self, g) -> MatrixGauges:
-        """sup and inf of <x0*, gx> over the unit slice, with N and L.
-
-        The objective is linear in x, so the extrema sit at extreme
-        points of the slice; subclasses evaluate them in closed form.
-        """
-        lo, hi = self._slice_range(np.asarray(g, dtype=float).T @ self.x0_star)
-        if not lo > 0:
-            raise ValueError("map does not keep the base functional positive on the cone")
-        return MatrixGauges.of(hi, lo)
-
-    def _slice_range(self, w: np.ndarray) -> tuple[float, float]:
-        """(min, max) of <w, x> over the unit slice of the cone."""
-        raise NotImplementedError
 
     def contraction_estimate(self, g, n_pairs: int, seed: int = 0) -> float:
         """Max projective distance of image pairs over sampled slice pairs.
@@ -269,26 +173,6 @@ class ConeModel:
             yield (self.sample_slice(rng, boundary=done % 3 == 0),
                    self.sample_slice(rng, boundary=done % 3 == 1))
 
-    def norm_metric_constant(self) -> float:
-        """Fitted constant C with |x - y| <= C d(x, y) / (1 - d(x, y)) on the slice.
-
-        Fitted once per cone instance on NORM_METRIC_PAIRS pairs from a fixed
-        internal stream, then cached; the constant is empirical, not exact.
-        """
-        if self._norm_metric_constant is None:
-            stream = rngmod.derived_stream(0, Purpose.NORM_METRIC_FIT, self.ambient_dim)
-            best = 0.0
-            for _ in range(NORM_METRIC_PAIRS):
-                x = self.sample_slice(stream)
-                y = self.sample_slice(stream)
-                dxy = self.distance(x, y)
-                if dxy < 1.0 - 1e-9:
-                    gap = self.monotone_norm(x - y)
-                    if dxy > 0:
-                        best = max(best, gap * (1.0 - dxy) / dxy)
-            self._norm_metric_constant = best * 1.05  # 5% headroom on the fit
-        return self._norm_metric_constant
-
 
 # ---------------------------------------------------------------------
 # Orthant
@@ -308,10 +192,10 @@ class OrthantCone(ConeModel):
         super().__init__(d, w, x0)
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        return bool(np.all(_coords(x) >= -tol))
+        return bool(np.all(np.asarray(x, dtype=float) >= -tol))
 
     def contains_interior(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        return bool(np.all(_coords(x) > tol))
+        return bool(np.all(np.asarray(x, dtype=float) > tol))
 
     def _m_closed(self, x, y):
         mask = y > 0
@@ -321,14 +205,6 @@ class OrthantCone(ConeModel):
             return 0.0
         return float(np.min(x[mask] / y[mask]))
 
-    def _dual_cap_support(self, x):
-        # cap = {x* : 0 <= x* <= x0*} coordinatewise: clip to the positive part
-        return float(self.x0_star @ np.maximum(x, 0.0))
-
-    def _slice_range(self, w):
-        vals = w / self.x0_star
-        return float(vals.min()), float(vals.max())
-
     def sample_slice(self, rng, boundary: bool = False):
         d = self.ambient_dim
         zeros = int(rng.integers(1, d)) if boundary else 0
@@ -336,9 +212,6 @@ class OrthantCone(ConeModel):
         keep = np.sort(rng.permutation(d)[: d - zeros])
         c[keep] = rng.dirichlet(np.ones(d - zeros))
         return c / (self.x0_star @ c)
-
-    def sample_dual_cap(self, rng):
-        return rng.uniform(0.0, 1.0, self.ambient_dim) * self.x0_star
 
     def vertices(self) -> np.ndarray:
         """Extreme points of the slice: scaled coordinate vectors."""
@@ -373,11 +246,11 @@ class LorentzCone(ConeModel):
         self.n = n
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        c = _coords(x)
+        c = np.asarray(x, dtype=float)
         return bool(c[-1] >= -tol and np.linalg.norm(c[:-1]) <= c[-1] + tol)
 
     def contains_interior(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        c = _coords(x)
+        c = np.asarray(x, dtype=float)
         return bool(c[-1] > tol and np.linalg.norm(c[:-1]) < c[-1] - tol)
 
     def _m_closed(self, x, y):
@@ -396,19 +269,6 @@ class LorentzCone(ConeModel):
             return zx / zy  # 0/0: both on the boundary and parallel
         return max(c / den, 0.0)
 
-    def _dual_cap_support(self, x):
-        # The dual cap is the spindle K meet (x0* - K).  Its extreme points
-        # are the apexes 0 and e_z and the equator {(v/2, 1/2) : |v| = 1},
-        # whose best point for (u, z) is v = u/|u|, with value (z + |u|)/2.
-        c = _coords(x)
-        z = float(c[-1])
-        return max(0.0, z, 0.5 * (z + float(np.linalg.norm(c[:-1]))))
-
-    def _slice_range(self, w):
-        a, b = w[:-1], float(w[-1])
-        r = float(np.linalg.norm(a))
-        return b - r, b + r
-
     def sample_slice(self, rng, boundary: bool = False):
         u = rng.standard_normal(self.n)
         nrm = np.linalg.norm(u)
@@ -421,15 +281,6 @@ class LorentzCone(ConeModel):
         out[:-1] = radius * u
         out[-1] = 1.0
         return out
-
-    def sample_dual_cap(self, rng):
-        # convex combination of the two apexes (origin dropped) and an
-        # equator point of the spindle K meet (x0* - K)
-        lam = rng.dirichlet(np.ones(3))
-        u = rng.standard_normal(self.n)
-        u /= max(np.linalg.norm(u), 1e-300)
-        eq = np.concatenate([0.5 * u, [0.5]])
-        return lam[1] * self.x0_star + lam[2] * eq
 
 
 # ---------------------------------------------------------------------
@@ -475,7 +326,7 @@ class PsdCone(ConeModel):
                          sym_to_coords(np.eye(n) / n))
 
     def matrix(self, x) -> np.ndarray:
-        return coords_to_sym(_coords(x), self.n)
+        return coords_to_sym(np.asarray(x, dtype=float), self.n)
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         w = np.linalg.eigvalsh(self.matrix(x))
@@ -495,26 +346,12 @@ class PsdCone(ConeModel):
         inner = np.linalg.solve(ell, np.linalg.solve(ell, xm).T).T
         return float(max(np.linalg.eigvalsh(inner)[0], 0.0))
 
-    def _dual_cap_support(self, x):
-        # cap = {0 <= X* <= I}: support of X is its positive eigenvalue mass
-        w = np.linalg.eigvalsh(self.matrix(x))
-        return float(np.sum(np.maximum(w, 0.0)))
-
-    def _slice_range(self, w):
-        vals = np.linalg.eigvalsh(coords_to_sym(w, self.n))
-        return float(vals[0]), float(vals[-1])
-
     def sample_slice(self, rng, boundary: bool = False):
         k = int(rng.integers(1, self.n)) if boundary else self.n
         v = rng.standard_normal((self.n, k))
         m = v @ v.T
         m /= np.trace(m)
         return sym_to_coords(m)
-
-    def sample_dual_cap(self, rng):
-        q, _ = np.linalg.qr(rng.standard_normal((self.n, self.n)))
-        lam = rng.uniform(0.0, 1.0, self.n)
-        return sym_to_coords((q * lam) @ q.T)
 
 
 def psd_map_congruence(a: np.ndarray) -> np.ndarray:

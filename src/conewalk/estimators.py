@@ -213,9 +213,6 @@ class BatchedProducts:
         with np.errstate(divide="ignore"):
             return self.log_scale + np.log(self._entries.min(axis=(0, 1)))
 
-    def log_max_entry(self) -> np.ndarray:
-        return self.log_scale + np.log(self._entries.max(axis=(0, 1)))
-
     def log_coeff(self, x, y) -> np.ndarray:
         xc, yc = as_point(x, self.spec.d, "x").coords, as_point(y, self.spec.d, "y").coords
         vals = np.einsum("i,ijr,j->r", yc, self._entries, xc)

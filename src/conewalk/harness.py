@@ -24,8 +24,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .estimators import FUNCTIONALS, BatchedProducts, _forward_blocks, moment_sanity
-from .measures import MeasureSpec, sample_batch, word_levels
-from .posmat import g_delta_level
+from .measures import MeasureSpec, word_levels
 from .rng import Purpose
 from .simplex import as_count, as_grid, as_point
 
@@ -50,7 +49,6 @@ __all__ = [
     "FixtureAReport",
     "fixture_a_report",
     "fixture_b_zero_fraction",
-    "coefficient_gap_check",
     "FUNCTIONALS",
     "SWEEP_FUNCTIONALS",
 ]
@@ -202,20 +200,13 @@ def kendall_tau_banded(xs, ys, bands) -> tuple[float, float]:
     bands = np.asarray(bands, dtype=float)
     order = np.argsort(xs)
     ys, bands = ys[order], bands[order]
-    m = ys.size
-    raw = 0
-    banded = 0
-    pairs = 0
-    for i in range(m - 1):
-        for j in range(i + 1, m):
-            pairs += 1
-            dy = float(ys[j] - ys[i])
-            raw += int(dy > 0) - int(dy < 0)
-            if abs(dy) > bands[i] + bands[j]:
-                banded += int(dy > 0) - int(dy < 0)
-    if pairs == 0:
+    i, j = np.triu_indices(ys.size, 1)
+    if not i.size:
         return 0.0, 0.0
-    return raw / pairs, banded / pairs
+    dy = ys[j] - ys[i]
+    signs = (dy > 0).astype(int) - (dy < 0)  # not np.sign: a nan difference is a tie
+    outside = np.abs(dy) > bands[i] + bands[j]
+    return float(signs.sum() / i.size), float(signs[outside].sum() / i.size)
 
 
 # ---------------------------------------------------------------------
@@ -794,13 +785,12 @@ class DeviationReport:
     the verdict is "pass" when the final probability sits at or below
     the Monte Carlo floor, so later increments are indistinguishable
     from zero.  ``word_len`` is the steps per draw of the walk that ran: L
-    for the cocycle variant's word walk, else 1.
+    for the word walk, 1 for the step-by-step walk.
     """
 
     alpha: float
     p: float
     eps: float
-    variant: str
     ns: tuple[int, ...]
     probabilities: tuple[float, ...]
     partial_sums: tuple[float, ...]
@@ -820,34 +810,18 @@ def _cocycle_deviations(blocks, replicas, lambda_hat):
         yield from dev
 
 
-def _coefficient_deviations(spec, seed, n_max, replicas, lambda_hat):
-    """Yield the larger deviation of the extreme log entries of A_n from n lambda.
-
-    Coefficient deviations carry no inner maximum: a single vanishing
-    coefficient would freeze the maximum at +inf.  The bilinear form over
-    simplex pairs ranges between the extreme matrix entries, so the sup
-    sits at one of the two.
-    """
-    batch = BatchedProducts(spec, rngmod.derived_stream(seed, Purpose.FORWARD, 0), replicas)
-    for _ in batch.steps(n_max):
-        yield np.maximum(np.abs(batch.log_max_entry() - batch.n * lambda_hat),
-                         np.abs(batch.log_min_entry() - batch.n * lambda_hat))
-
-
 def deviation_tail_sums(spec: MeasureSpec, alpha: float, p: float, eps: float,
                         n_max: int, replicas: int, seed: int = 0,
-                        variant: str = "cocycle",
                         lambda_hat: float | None = None,
                         x=None, record_every: int = 1) -> DeviationReport:
-    """Monte Carlo partial sums of the maximal-deviation series."""
+    """Monte Carlo partial sums of the maximal-deviation series of the
+    cocycle, max over j <= n of |sigma(A_j, x) - j lambda|."""
     if not 0.5 < alpha <= 1.0:
         raise ValueError("alpha must lie in (1/2, 1]")
     if not p > 0:
         raise ValueError(f"p must be > 0, got {p}")
     if alpha < 1.0 / p:
         raise ValueError("alpha must be >= 1/p")
-    if variant not in ("cocycle", "coefficient"):
-        raise ValueError("variant must be 'cocycle' or 'coefficient'")
     n_max, record_every = as_count(n_max, "n_max"), as_count(record_every, "record_every")
     replicas = as_count(replicas, "replicas")
     if not eps > 0:
@@ -858,11 +832,8 @@ def deviation_tail_sums(spec: MeasureSpec, alpha: float, p: float, eps: float,
         lambda_hat = functional_sweep(spec, [n_max], max(replicas // 4, 1024),
                                       rngmod.child_seed(seed, Purpose.DRIFT_PRESWEEP),
                                       functionals=("norm",)).lambda_hat
-    if variant == "cocycle":
-        word_len, blocks = _cocycle_blocks(spec, seed, xp, n_max, replicas)
-        stats = _cocycle_deviations(blocks, replicas, lambda_hat)
-    else:
-        word_len, stats = 1, _coefficient_deviations(spec, seed, n_max, replicas, lambda_hat)
+    word_len, blocks = _cocycle_blocks(spec, seed, xp, n_max, replicas)
+    stats = _cocycle_deviations(blocks, replicas, lambda_hat)
     ns, probs, partials = [], [], []
     acc = 0.0
     for n, stat in enumerate(stats, 1):
@@ -874,7 +845,7 @@ def deviation_tail_sums(spec: MeasureSpec, alpha: float, p: float, eps: float,
             partials.append(acc)
     floor = noise_floor(replicas)
     verdict = "pass" if probs[-1] <= floor else "fail"
-    return DeviationReport(alpha=alpha, p=p, eps=eps, variant=variant,
+    return DeviationReport(alpha=alpha, p=p, eps=eps,
                            ns=tuple(ns), probabilities=tuple(probs),
                            partial_sums=tuple(partials), floor=floor,
                            verdict=verdict, word_len=word_len)
@@ -1001,44 +972,3 @@ def fixture_b_exact_zero_probability(n: int) -> float:
     _, fixture_b = pathology_fixtures()
     words, _, weights = next(islice(word_levels(fixture_b), n - 1, None))
     return float(weights[words[0, 1] == 0.0].sum())
-
-
-# ---------------------------------------------------------------------
-# Coefficient-versus-norm gap
-# ---------------------------------------------------------------------
-
-
-def coefficient_gap_check(spec: MeasureSpec, n_max: int, paths: int,
-                          seed: int = 0) -> float:
-    """Pathwise check of the coefficient lower bound via suffix products.
-
-    For measures whose every draw passes the positivity classifier at
-    level 1/n0, the normalized coefficient infimum at step n dominates
-    -log n0 plus the worst log(v/norm) gap over transposed suffix
-    products.  Recomputed densely (n_max <= 64), returns the largest
-    violation (negative means the bound held everywhere).
-    """
-    n_max, paths = as_count(n_max, "n_max", -np.inf), as_count(paths, "paths")
-    if not 2 <= n_max <= 64:
-        raise ValueError(f"n_max must lie in [2, 64] for dense suffix products, got {n_max}")
-    if spec.kind != "atomic":
-        raise ValueError("classifier levels need an atomic spec")
-    level = min(g_delta_level(a) for a in spec.atom_array())
-    if not level > 0:
-        raise ValueError("every atom must be strictly positive for this check")
-    n0 = int(np.ceil(1.0 / level))
-    draws = np.stack([  # raw draws, kept dense (n_max <= 64 stays in range)
-        sample_batch(spec, rngmod.derived_stream(seed, Purpose.GAP_PATH, path), n_max)
-        for path in range(paths)])
-    prod = draws[:, 0]
-    suffix = draws[:, :0]  # suffix[:, ell - 1] = Y_{n-1} ... Y_ell, ell < n
-    worst = -np.inf
-    for n in range(2, n_max + 1):
-        y = draws[:, n - 1]
-        prod = np.matmul(y, prod)
-        suffix = np.concatenate([np.matmul(y[:, None], suffix), y[:, None]], axis=1)
-        lhs = np.log((prod / prod.sum(axis=1, keepdims=True)).min(axis=(1, 2)))
-        rs = suffix.sum(axis=3)  # column sums of the transposed suffixes
-        worst_suffix = (np.log(rs.min(axis=2)) - np.log(rs.max(axis=2))).min(axis=1)
-        worst = max(worst, float(np.max(-np.log(n0) + worst_suffix - lhs)))
-    return worst

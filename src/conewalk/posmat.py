@@ -5,7 +5,7 @@ and every column carries a strictly positive entry.  This module gives
 the l1 operator norm / lower gauge pair, the projective action on the
 simplex with its additive log-norm cocycle, the one batched forward step
 ``_step``, Perron data from one power iteration, and two positivity
-classifiers used by the coefficient machinery.
+classifiers.
 """
 
 from __future__ import annotations
@@ -108,18 +108,13 @@ class AllowableMatrix:
 
 @dataclass(frozen=True)
 class MatrixGauges:
-    """sup and inf of the norm of gx over the unit slice (for a matrix, the
-    l1 operator norm and the lower gauge v), with the derived N and L."""
+    """sup and inf of |gx|_1 over the simplex (the l1 operator norm and the
+    lower gauge v), with the derived N and L."""
 
     op_norm: float
     v: float
     N: float
     L: float
-
-    @classmethod
-    def of(cls, op_norm: float, v: float) -> "MatrixGauges":
-        """The gauges with N = max(op_norm, 1/v) and L = op_norm / v."""
-        return cls(op_norm=op_norm, v=v, N=max(op_norm, 1.0 / v), L=op_norm / v)
 
 
 def _as_matrix(g) -> AllowableMatrix:
@@ -134,7 +129,8 @@ def gauges(g) -> MatrixGauges:
     N = max(op_norm, 1/v), L = op_norm / v >= 1; N^2 >= L always.
     """
     cs = _as_matrix(g).column_sums
-    return MatrixGauges.of(float(cs.max()), float(cs.min()))
+    op_norm, v = float(cs.max()), float(cs.min())
+    return MatrixGauges(op_norm=op_norm, v=v, N=max(op_norm, 1.0 / v), L=op_norm / v)
 
 
 def act(g, x) -> SimplexPoint:
@@ -197,25 +193,7 @@ def _step(y: np.ndarray, state: np.ndarray):
 
 
 class SpectralRadiusError(RuntimeError):
-    """Power iteration hit its cap; carries a cycle-detection certificate."""
-
-    def __init__(self, message: str, period: int | None, estimates: list[float]):
-        super().__init__(message)
-        self.period = period
-        self.estimates = estimates
-
-
-def _detect_period(g: np.ndarray, x: np.ndarray, max_period: int, tol: float):
-    """Look for a projective cycle of the iteration starting at x."""
-    history = [x]
-    for _ in range(max_period):
-        y = g @ history[-1]
-        history.append(y / y.sum())
-    last = history[-1]
-    for p in range(1, max_period + 1):
-        if np.abs(last - history[-1 - p]).sum() <= tol:
-            return p
-    return None
+    """The Perron iteration hit its cap."""
 
 
 def _check_iteration(tol_name: str, tol: float, max_iter: int) -> int:
@@ -251,28 +229,20 @@ def _dense_spectral_radius(a: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvals(a)).max(axis=-1)
 
 
-def spectral_radius(g, tol: float = 1e-12, max_iter: int = 10**5,
-                    fallback: bool = True) -> float:
+def spectral_radius(g, tol: float = 1e-12, max_iter: int = 10**5) -> float:
     """Perron root of an allowable matrix by power iteration on the simplex.
 
     The one-path ``_power_iteration``, to relative tolerance ``tol``.
-    Non-primitive matrices can cycle instead of converging; the cap is then
-    reported with a periodicity certificate, or a dense eigensolver is used
-    when ``fallback`` is true.  The returned value satisfies
+    Non-primitive matrices can cycle instead of converging; they take the
+    dense eigensolver once the cap is hit.  The returned value satisfies
     v(g) <= kappa(g) <= |g|.
     """
-    m = _as_matrix(g)
+    a = _as_matrix(g).entries
     max_iter = _check_iteration("tol", tol, max_iter)
-    a = m.entries
-    x, lam, settled = _power_iteration(a[:, :, None], tol, max_iter)
+    _, lam, settled = _power_iteration(a[:, :, None], tol, max_iter)
     if settled[0]:
         return float(lam[0])
-    if fallback:
-        return float(_dense_spectral_radius(a))
-    period = _detect_period(a, x[:, 0], min(m.d + 1, 16), np.sqrt(tol))
-    raise SpectralRadiusError(
-        f"power iteration did not converge in {max_iter} steps"
-        + (f" (cycle of period {period} detected)" if period else ""), period, [float(lam[0])])
+    return float(_dense_spectral_radius(a))
 
 
 def perron_vector(g, residual_tol: float = 1e-12, max_iter: int = 10**5) -> SimplexPoint:
@@ -290,12 +260,11 @@ def perron_vector(g, residual_tol: float = 1e-12, max_iter: int = 10**5) -> Simp
         raise ValueError("perron_vector requires a strictly positive matrix")
     max_iter = _check_iteration("residual_tol", residual_tol, max_iter)
     tol = residual_tol / max(1.0, float(m.column_sums.max()))
-    x, lam, settled = _power_iteration(m.entries[:, :, None], tol, max_iter)
+    x, _, settled = _power_iteration(m.entries[:, :, None], tol, max_iter)
     if settled[0]:
         return SimplexPoint(x[:, 0])
     raise SpectralRadiusError(
-        f"perron iteration did not reach residual {residual_tol} in {max_iter} steps",
-        None, [float(lam[0])])
+        f"perron iteration did not reach residual {residual_tol} in {max_iter} steps")
 
 
 def g_delta_level(g) -> float:

@@ -12,9 +12,9 @@ run never meet the stages of a run at a neighbouring seed.
 Results therefore depend on the spec, the seed and the sizes (for the
 functional sweep also on its chunk length), never on the number of
 worker processes.  Batched routines draw a whole batch from one stream; only
-``backward_invariant_sample`` and ``coefficient_gap_check`` key a stream per
-replica or path.  One stream is keyed by the spec, not by the run's seed: the
-backward sampler's block search draws once per spec on ``(0, BLOCK_SEARCH)``.
+``backward_invariant_sample`` keys a stream per replica.  One stream is keyed
+by the spec, not by the run's seed: the backward sampler's block search draws
+once per spec on ``(0, BLOCK_SEARCH)``.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ class Purpose(IntEnum):
     PSI_FIT = 7              # estimators.estimate_psi, probes and inner paths
     MARTINGALE_PATHS = 8     # estimators.variance_via_martingale, paths and psi evaluations
     MOMENT_DRAWS = 9         # estimators.moment_sanity
-    GAP_PATH = 10            # harness.coefficient_gap_check; index: path
+    # 10 is retired (harness.coefficient_gap_check); do not reuse it
     CERTIFY_MAP = 11         # cones.ConeModel.certify_map
     CONTRACTION_PAIRS = 12   # cones.ConeModel.contraction_estimate
-    NORM_METRIC_FIT = 13     # cones.ConeModel.norm_metric_constant; seed 0, index: ambient dim
+    # 13 is retired (cones.ConeModel.norm_metric_constant); do not reuse it
     # 14 is retired (the sampled Lorentz dual cap); do not reuse it
     CONE_DEMO = 15           # cli cone-demo test vectors and maps
     # stage seeds: child_seed(seed, purpose)

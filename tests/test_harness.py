@@ -17,9 +17,8 @@ from conewalk import estimators
 from conewalk import harness as hz
 from conewalk import rng as rngmod
 from conewalk.estimators import BatchedProducts, coupling_decay
-from conewalk.measures import MeasureSpec, sample_matrix
-from conewalk.posmat import (AllowableMatrix, _step, g_delta_level, perron_vector,
-                             spectral_radius)
+from conewalk.measures import MeasureSpec
+from conewalk.posmat import AllowableMatrix, _step, perron_vector, spectral_radius
 from conewalk.rng import Purpose
 from conewalk.simplex import as_point
 
@@ -149,6 +148,35 @@ class TestKendallBanded:
     def test_decreasing_passes(self):
         raw, banded = hz.kendall_tau_banded([1, 2, 3], [3.0, 2.0, 1.0], [0.0] * 3)
         assert raw == -1.0 and banded == -1.0
+
+    def test_matches_the_pair_loop(self):
+        rng = np.random.default_rng(31)
+        for case in range(600):
+            m = case % 9  # 0 and 1 hold no pair
+            xs = rng.permutation(m) + rng.uniform(0.0, 0.5, m)
+            ys = rng.integers(0, 4, m).astype(float)  # ties
+            if m and case % 3 == 0:
+                ys[rng.integers(m)] = np.nan
+            bands = rng.uniform(0.0, 1.5, m)
+            assert hz.kendall_tau_banded(xs, ys, bands) == kendall_tau_loop(xs, ys, bands)
+
+
+def kendall_tau_loop(xs, ys, bands):
+    """The pair loop that ``kendall_tau_banded`` replaced, kept as its
+    reference: a nan difference counts for neither sign."""
+    order = np.argsort(np.asarray(xs, dtype=float))
+    ys, bands = np.asarray(ys, dtype=float)[order], np.asarray(bands, dtype=float)[order]
+    raw = banded = pairs = 0
+    for i in range(ys.size - 1):
+        for j in range(i + 1, ys.size):
+            pairs += 1
+            dy = float(ys[j] - ys[i])
+            raw += int(dy > 0) - int(dy < 0)
+            if abs(dy) > bands[i] + bands[j]:
+                banded += int(dy > 0) - int(dy < 0)
+    if pairs == 0:
+        return 0.0, 0.0
+    return raw / pairs, banded / pairs
 
 
 class TestFunctionalSweep:
@@ -765,14 +793,9 @@ class TestDeviation:
         increments = np.diff(rep.partial_sums)
         assert increments[-1] <= rep.floor
 
-    def test_coefficient_variant(self, reference_spec):
-        rep = hz.deviation_tail_sums(reference_spec, 1.0, 2.0, 1.0, 256, 2000,
-                                     seed=16, variant="coefficient")
-        assert rep.verdict == "pass"
-
     def test_coefficient_stat_uses_extreme_entries(self, reference_spec):
-        # oracle: the bilinear form over simplex pairs spans exactly the
-        # range between the smallest and largest matrix entry
+        # oracle: the bilinear form over simplex pairs is bounded below by the
+        # smallest matrix entry, which a vertex pair attains (inf_coeff)
         from conewalk.estimators import BatchedProducts
 
         batch = BatchedProducts(reference_spec, rngmod.derived_stream(99, Purpose.FORWARD, 0), 200)
@@ -782,12 +805,9 @@ class TestDeviation:
         ys = rng.dirichlet(np.ones(2), size=200)
         vals = np.einsum("ki,rij,kj->rk", ys, batch.P, xs)
         lo = np.exp(batch.log_min_entry() - batch.log_scale)
-        hi = np.exp(batch.log_max_entry() - batch.log_scale)
-        assert np.all(vals <= hi[:, None] + 1e-12)
         assert np.all(vals >= lo[:, None] - 1e-12)
         verts = np.eye(2)
         vvals = np.einsum("ki,rij,lj->rkl", verts, batch.P, verts).reshape(200, -1)
-        assert np.allclose(vvals.max(axis=1), hi, atol=1e-12)
         assert np.allclose(vvals.min(axis=1), lo, atol=1e-12)
 
     def test_alpha_validation(self, reference_spec):
@@ -870,56 +890,6 @@ class TestFixtures:
                 hz.fixture_a_report(n_values=n_values, replicas=10)
 
 
-def reference_gap_check(spec, n_max, paths, seed=0):
-    """The one-path dense loop of ``coefficient_gap_check``, kept as its
-    reference; draws and classifier level follow the spec's transpose view."""
-    level = min(g_delta_level(a) for a in spec.atom_array())
-    n0 = int(np.ceil(1.0 / level))
-    worst = -np.inf
-    for path in range(paths):
-        stream = rngmod.derived_stream(seed, Purpose.GAP_PATH, path)
-        draws = [sample_matrix(spec, stream).entries for _ in range(n_max)]
-        prod = np.eye(spec.d)
-        for n in range(1, n_max + 1):
-            prod = draws[n - 1] @ prod
-            if n < 2:
-                continue
-            lhs = float(np.log(np.min(prod / prod.sum(axis=0))))
-            suffix = np.eye(spec.d)
-            worst_suffix = np.inf
-            for ell in range(n - 1, 0, -1):
-                suffix = draws[ell].T @ suffix
-                scs = suffix.sum(axis=0)
-                worst_suffix = min(worst_suffix,
-                                   float(np.log(scs.min()) - np.log(scs.max())))
-            worst = max(worst, -np.log(n0) + worst_suffix - lhs)
-    return worst
-
-
-class TestCoefficientGap:
-    def test_pinned_against_dense_reference(self, reference_spec):
-        worst = hz.coefficient_gap_check(reference_spec, 48, 100, seed=19)
-        assert abs(worst - reference_gap_check(reference_spec, 48, 100, seed=19)) <= 1e-12
-
-    def test_transpose_view_draws_and_level(self, reference_spec):
-        view = reference_spec.transposed()  # its third atom is not symmetric
-        worst = hz.coefficient_gap_check(view, 20, 10, seed=1)
-        assert abs(worst - reference_gap_check(view, 20, 10, seed=1)) <= 1e-12
-        assert worst != hz.coefficient_gap_check(reference_spec, 20, 10, seed=1)
-
-    def test_reference_bound_holds_pathwise(self, reference_spec):
-        worst = hz.coefficient_gap_check(reference_spec, 48, 100, seed=19)
-        assert worst <= 1e-9
-
-    def test_dense_recomputation_cap(self, reference_spec):
-        with pytest.raises(ValueError):
-            hz.coefficient_gap_check(reference_spec, 65, 1)
-
-    def test_rejects_empty_path_set(self, reference_spec):
-        with pytest.raises(ValueError, match="paths"):
-            hz.coefficient_gap_check(reference_spec, 8, 0)
-
-
 def test_reference_spec_sanity(reference_spec):
     from conewalk.walk import detect_contraction
 
@@ -943,11 +913,6 @@ class TestInputChecksNameTheField:
         with pytest.raises(ValueError, match=f"replicas must be >= 2, got {replicas}"):
             hz.fixture_a_report(replicas=replicas)
 
-    @pytest.mark.parametrize("n_max", [1, 0, -4])
-    def test_gap_check_rejects_fewer_than_two_steps(self, reference_spec, n_max):
-        with pytest.raises(ValueError, match=rf"n_max must lie in \[2, 64\].*got {n_max}"):
-            hz.coefficient_gap_check(reference_spec, n_max, 4)
-
     # each call passes a non-integral count, which used to be truncated or
     # to fail inside range() or numpy
     NON_INTEGRAL = [
@@ -963,18 +928,9 @@ class TestInputChecksNameTheField:
         ("deviation_tail_sums", (1.0, 2.0, 0.5, 8, 16.5), {"lambda_hat": 0.5}, "replicas"),
         ("deviation_tail_sums", (1.0, 2.0, 0.5, 8, 16),
          {"lambda_hat": 0.5, "record_every": 1.5}, "record_every"),
-        ("coefficient_gap_check", (4.5, 4), {}, "n_max"),
-        ("coefficient_gap_check", (4, 2.5), {}, "paths"),
     ]
-    # not numbers: the range check ran first and raised a TypeError naming no field
-    NOT_NUMBERS = [
-        ("coefficient_gap_check", (None, 4), {}, "n_max"),
-        ("coefficient_gap_check", ("8", 4), {}, "n_max"),
-    ]
-
-    @pytest.mark.parametrize("name, args, kwargs, field", NON_INTEGRAL + NOT_NUMBERS,
-                             ids=[f"{case[0]}-{case[3]}" for case in NON_INTEGRAL]
-                             + [f"{case[0]}-{case[3]}-{case[1][0]!r}" for case in NOT_NUMBERS])
+    @pytest.mark.parametrize("name, args, kwargs, field", NON_INTEGRAL,
+                             ids=[f"{case[0]}-{case[3]}" for case in NON_INTEGRAL])
     def test_rejects_a_non_integral_count(self, reference_spec, name, args, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
             getattr(hz, name)(reference_spec, *args, **kwargs)

@@ -172,12 +172,6 @@ class TestSpectralRadius:
             kap = spectral_radius(g)
             assert mg.v - 1e-9 <= kap <= mg.op_norm + 1e-9
 
-    def test_periodic_matrix_raises_with_certificate(self):
-        g = [[0.0, 2.0], [1.0, 0.0]]
-        with pytest.raises(SpectralRadiusError) as err:
-            spectral_radius(g, max_iter=500, fallback=False)
-        assert err.value.period == 2
-
     def test_periodic_matrix_dense_fallback(self):
         assert spectral_radius([[0.0, 2.0], [1.0, 0.0]], max_iter=500) == pytest.approx(
             np.sqrt(2.0), abs=1e-12)
@@ -219,6 +213,11 @@ class TestPerronVector:
     def test_rejects_zero_entry(self):
         with pytest.raises(ValueError, match="strictly positive"):
             perron_vector([[1.0, 0.0], [1.0, 1.0]])
+
+    def test_cap_raises_spectral_radius_error(self):
+        with pytest.raises(SpectralRadiusError, match="^perron iteration did not reach "
+                                                      r"residual 1e-12 in 1 steps$"):
+            perron_vector([[2.0, 1.0], [1.0, 1.0]], max_iter=1)
 
     def test_residual_at_the_returned_point_up_to_norm_100(self):
         # the stopping rule scales with |g|_1, so the contract holds at the

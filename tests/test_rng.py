@@ -60,6 +60,37 @@ def test_harness_steps_no_draws_itself():
     assert not imported & {"_step", "sample_words"}
 
 
+def test_matmul_runs_only_in_the_step():
+    # posmat._step is the one batched multiply; every other product goes through it
+    outside, inside = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        step = {id(node) for func in ast.walk(tree)
+                if isinstance(func, ast.FunctionDef) and path.name == "posmat.py"
+                and func.name == "_step" for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _name(node.func) == "matmul":
+                if id(node) in step:
+                    inside += 1
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert outside == []
+    assert inside == 1
+
+
+def test_purpose_values_are_pinned():
+    # each value is part of its streams' keys: renumbering a member moves
+    # every stream it keys, and a retired value (5, 10, 13, 14) stays retired
+    assert {p.name: int(p) for p in Purpose} == {
+        "FORWARD": 1, "BACKWARD_BATCH": 2, "BACKWARD_PATH": 3, "CONTRACTION_SEARCH": 4,
+        "SERIES_PATHS": 6, "PSI_FIT": 7, "MARTINGALE_PATHS": 8, "MOMENT_DRAWS": 9,
+        "CERTIFY_MAP": 11, "CONTRACTION_PAIRS": 12, "CONE_DEMO": 15,
+        "DRIFT_PRESWEEP": 16, "COUPLING_STAGE": 17, "SERIES_STAGE": 18, "PSI_STAGE": 19,
+        "MARTINGALE_STAGE": 20, "DOUBLED_STAGE": 21, "FIXTURE_B_STAGE": 22,
+        "TRANSPOSE_SEARCH": 23, "BLOCK_SEARCH": 24, "SERIES_WIDENED_STAGE": 25,
+    }
+
+
 @pytest.mark.parametrize("source", [
     "rngmod.derived_stream(seed, 0x5E)",
     "rngmod.derived_stream(seed)",
