@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conewalk.cones import (BISECTION_TOL, CertificationError, lorentz_cone,
+from conewalk.cones import (BISECTION_TOL, CertificationError, ConeModel, lorentz_cone,
                             orthant_cone, psd_cone, psd_map_congruence,
                             psd_map_rank_one, coords_to_sym, sym_to_coords)
 from conewalk.simplex import hilbert_distance, m_ratio
@@ -235,6 +235,175 @@ class TestSharedConeProperties:
             y = cone.sample_slice(rng)
             # the distance is projective, so the images need no rescaling
             assert cone.distance(g @ x, g @ y) <= cone.distance(x, y) + 1e-10
+
+    def test_samples_lie_on_the_slice(self, cone):
+        rng = np.random.default_rng(30)
+        for i in range(60):
+            boundary = i % 2 == 0
+            x = cone.sample_slice(rng, boundary=boundary)
+            assert x.shape == (cone.ambient_dim,)
+            assert cone.x0_star @ x == pytest.approx(1.0, abs=1e-12)
+            assert cone.contains(x)
+            assert cone.contains_interior(x) is not boundary
+
+    def test_base_point_is_interior_on_the_slice(self, cone):
+        assert cone.x0_star @ cone.x0 == pytest.approx(1.0, abs=1e-12)
+        assert cone.contains_interior(cone.x0)
+        assert cone.m(cone.x0, cone.x0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_distance_symmetric_and_zero_along_a_ray(self, cone):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            x = cone.sample_slice(rng)
+            y = cone.sample_slice(rng)
+            assert cone.distance(x, y) == cone.distance(y, x)
+            assert 0.0 <= cone.distance(x, y) <= 1.0
+            assert cone.distance(x, rng.uniform(0.05, 20.0) * x) == pytest.approx(
+                0.0, abs=1e-9)
+
+    def test_distance_triangle_inequality(self, cone):
+        # (1 - t) / (1 + t) at t = exp(-theta) is tanh(theta / 2), a concave
+        # increasing function of Hilbert's metric theta, so a metric itself
+        rng = np.random.default_rng(32)
+        for _ in range(40):
+            x, y, z = (cone.sample_slice(rng) for _ in range(3))
+            assert cone.distance(x, z) <= cone.distance(x, y) + cone.distance(y, z) + 1e-10
+
+    def test_m_homogeneous_and_distance_projective(self, cone):
+        rng = np.random.default_rng(33)
+        for _ in range(40):
+            x = cone.sample_slice(rng)
+            y = cone.sample_slice(rng)
+            a, b = rng.uniform(0.05, 20.0, 2)
+            assert cone.m(a * x, b * y) == pytest.approx(a / b * cone.m(x, y), rel=1e-9)
+            assert cone.distance(a * x, b * y) == pytest.approx(cone.distance(x, y),
+                                                                abs=1e-10)
+
+    def test_m_is_the_largest_feasible_ratio(self, cone):
+        # x - m y sits on the boundary, so any larger multiple of an
+        # interior y leaves the cone
+        rng = np.random.default_rng(34)
+        for _ in range(40):
+            x = cone.sample_slice(rng)
+            y = cone.sample_slice(rng)
+            lam = cone.m(x, y)
+            assert lam > 0
+            assert cone.contains(x - lam * y, tol=1e-10)
+            assert not cone.contains(x - lam * (1.0 + 1e-5) * y, tol=0.0)
+
+    def test_m_names_the_offending_argument(self, cone):
+        with pytest.raises(ValueError, match="^x is not in the cone$"):
+            cone.m(-cone.x0, cone.x0)
+        with pytest.raises(ValueError, match="^y is not in the cone$"):
+            cone.m(cone.x0, -cone.x0)
+        with pytest.raises(ValueError, match="^y must be nonzero$"):
+            cone.m(cone.x0, np.zeros(cone.ambient_dim))
+        with pytest.raises(ValueError, match="^unknown method 'newton'$"):
+            cone.m(cone.x0, cone.x0, method="newton")
+
+    def test_automorphism_preserves_distances(self, cone):
+        rng = np.random.default_rng(35)
+        if cone.kind == "orthant":
+            g = np.diag(rng.uniform(0.2, 5.0, 3))[[2, 0, 1]]  # scaling, then a cycle
+        elif cone.kind == "lorentz":
+            t, s = 0.9, 0.6  # a spatial rotation times a boost along u_1
+            rot = np.array([[np.cos(t), -np.sin(t), 0.0], [np.sin(t), np.cos(t), 0.0],
+                            [0.0, 0.0, 1.0]])
+            boost = np.array([[np.cosh(s), 0.0, np.sinh(s)], [0.0, 1.0, 0.0],
+                              [np.sinh(s), 0.0, np.cosh(s)]])
+            g = 2.5 * boost @ rot
+        else:
+            g = psd_map_congruence(rng.standard_normal((2, 2)) + 2 * np.eye(2))
+        for _ in range(40):
+            x = cone.sample_slice(rng)
+            y = cone.sample_slice(rng)
+            assert cone.distance(g @ x, g @ y) == pytest.approx(cone.distance(x, y),
+                                                                abs=1e-9)
+
+    def test_identity_certifies_and_does_not_contract(self, cone):
+        eye = np.eye(cone.ambient_dim)
+        cone.certify_map(eye, seed=36)
+        # a boundary and an interior point stay in different parts
+        assert cone.contraction_estimate(eye, 50, seed=37) == pytest.approx(1.0, abs=1e-12)
+
+    def test_negation_fails_certification_with_a_witness(self, cone):
+        with pytest.raises(CertificationError, match="^map sent a cone member outside$") \
+                as err:
+            cone.certify_map(-np.eye(cone.ambient_dim), seed=38)
+        assert cone.contains(err.value.witness)
+        assert not cone.contains(-err.value.witness)
+
+    def test_map_onto_a_boundary_ray_is_caught(self, cone):
+        # each map sends the whole cone onto one extreme ray
+        if cone.kind == "orthant":
+            g = np.outer([1.0, 0.0, 0.0], np.ones(3))
+        elif cone.kind == "lorentz":
+            g = np.outer([1.0, 0.0, 1.0], cone.x0_star)
+        else:
+            g = psd_map_rank_one(np.eye(2), np.diag([1.0, 0.0]))
+        with pytest.raises(CertificationError,
+                           match="^map sent an interior point to the boundary$") as err:
+            cone.certify_map(g, seed=39)
+        image = g @ err.value.witness
+        assert cone.contains_interior(err.value.witness)
+        assert cone.contains(image) and not cone.contains_interior(image)
+
+    def test_contraction_estimate_is_a_seeded_running_maximum(self, cone):
+        # one seed draws one pair sequence, so more pairs never lower the max;
+        # each map sends the cone into its interior, so the max stays below 1
+        rng = np.random.default_rng(40)
+        if cone.kind == "orthant":
+            g = rng.uniform(0.3, 2.0, (3, 3))
+        elif cone.kind == "lorentz":
+            g = np.diag([0.4, 0.4, 1.0])
+        else:  # M -> A^t M A + tr(M) I sends every nonzero member inside
+            g = psd_map_congruence(rng.standard_normal((2, 2))) \
+                + psd_map_rank_one(np.eye(2), np.eye(2))
+        ests = [cone.contraction_estimate(g, n, seed=41) for n in (5, 20, 80, 320)]
+        assert ests == sorted(ests)
+        assert 0.0 < ests[0] and ests[-1] < 1.0
+        assert cone.contraction_estimate(g, 80, seed=41) == ests[2]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: orthant_cone(3, [1.0, 0.0, 2.0]), "strictly positive"),
+    (lambda: orthant_cone(3, [1.0, 2.0]), "strictly positive"),
+    (lambda: lorentz_cone(0), "at least one spatial dimension"),
+    (lambda: psd_cone(1), "n >= 2"),
+    (lambda: ConeModel(2, [1.0, 1.0], [1.0, 1.0]), r"<x0\*, x0> must equal 1"),
+], ids=["orthant-zero-weight", "orthant-wrong-shape", "lorentz-n0", "psd-n1", "base-pairing"])
+def test_constructors_reject_malformed_parameters(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_weighted_orthant_vertices_span_the_slice():
+    cone = orthant_cone(3, [1.0, 2.0, 4.0])
+    verts = cone.vertices()
+    assert np.allclose(verts @ cone.x0_star, 1.0, atol=1e-15)
+    assert cone.x0_star @ cone.x0 == pytest.approx(1.0, abs=1e-15)
+    for i in range(3):
+        for j in range(3):
+            # distinct vertices sit in different parts of the cone
+            assert cone.distance(verts[i], verts[j]) == (0.0 if i == j else 1.0)
+
+
+def test_psd_singular_y_falls_back_to_bisection():
+    cone = psd_cone(2)
+    x, y = sym_to_coords(np.eye(2)), sym_to_coords(np.diag([1.0, 0.0]))
+    with pytest.raises(ValueError, match="^no closed form for the psd cone here$"):
+        cone.m(x, y, method="closed")
+    # I - lam diag(1, 0) is semidefinite exactly for lam <= 1
+    assert cone.m(x, y) == pytest.approx(1.0, abs=BISECTION_TOL)
+    assert cone.m(x, y) == cone.m(x, y, method="bisection")
+
+
+def test_psd_rank_one_map_is_trace_times_s0():
+    rng = np.random.default_rng(42)
+    r0, s0, mat = (rng.standard_normal((3, 3)) for _ in range(3))
+    r0, s0, mat = r0 + r0.T, s0 + s0.T, mat + mat.T
+    image = coords_to_sym(psd_map_rank_one(r0, s0) @ sym_to_coords(mat), 3)
+    assert np.allclose(image, np.trace(mat @ r0) * s0, atol=1e-12)
 
 
 def _sqrtm(y):

@@ -160,6 +160,20 @@ class TestKendallBanded:
             bands = rng.uniform(0.0, 1.5, m)
             assert hz.kendall_tau_banded(xs, ys, bands) == kendall_tau_loop(xs, ys, bands)
 
+    def test_bands_only_turn_pairs_into_ties(self):
+        rng = np.random.default_rng(32)
+        xs = rng.permutation(12).astype(float)
+        ys = rng.integers(0, 5, 12).astype(float)
+        raw, banded = hz.kendall_tau_banded(xs, ys, np.zeros(12))
+        assert banded == raw  # a tie fails |dy| > 0 and counts for neither sign
+        assert hz.kendall_tau_banded(xs, ys, np.full(12, np.inf)) == (raw, 0.0)
+
+    def test_nan_difference_counts_as_a_tie(self):
+        # 3 pairs hold the nan, the other 3 rise: tau is 3 / 6 either way
+        assert hz.kendall_tau_banded([1, 2, 3, 4], [1.0, np.nan, 2.0, 3.0],
+                                     [0.0] * 4) == (0.5, 0.5)
+        assert hz.kendall_tau_banded([5.0], [1.0], [0.0]) == (0.0, 0.0)
+
 
 def kendall_tau_loop(xs, ys, bands):
     """The pair loop that ``kendall_tau_banded`` replaced, kept as its
